@@ -24,12 +24,16 @@ from .core import (
     Effect,
     Observable,
     StateSpace,
-    dichotomic_observable,
     effect_from_affine,
     unit_effect,
 )
 from .lp import LE, LpProblem, LpStatus, SolverFailure, check_feasible, solve_lp
 from .tolerances import DEFAULT_TOLERANCES, SolverTolerances
+
+# The depolarizing LP is posed this far inside lambda0 <= 1 + eps_compat, so the
+# smeared pair at the returned t, rounded differently, still reads compatible.
+# lambda0 is convex in t with lambda0(0) = 1/2, so t moves by at most 2e-13.
+_THRESHOLD_MARGIN = 1e-13
 
 
 class IncompatibilityError(ValueError):
@@ -88,38 +92,39 @@ def _validated_pair(space: StateSpace, e: Effect, f: Effect,
     return e.vertex_values(space), f.vertex_values(space)
 
 
+def _witness_problem(M: np.ndarray, rhs: np.ndarray,
+                     column: np.ndarray | None = None, cost: float = 0.0) -> LpProblem:
+    """The 4k-row witness system [-M; M; M; -M] x <= rhs over g-coefficients.
+
+    The four row blocks are g >= 0, g <= e, g <= f and e + f - g <= level on
+    the vertices, with the pair's values folded into rhs.  An optional extra
+    variable enters every row through column and the objective through cost.
+    """
+    A = np.vstack([-M, M, M, -M])
+    objective = np.zeros(M.shape[1])
+    if column is not None:
+        A = np.hstack([A, column[:, None]])
+        objective = np.append(objective, cost)
+    return LpProblem(objective, A, (LE,) * A.shape[0], rhs)
+
+
 def _lambda_problem(space: StateSpace, ev: np.ndarray, fv: np.ndarray) -> LpProblem:
     """minimize lambda over (g-coefficients, lambda), constraints per vertex:
     g(v) >= 0, g(v) <= e(v), g(v) <= f(v), e(v)+f(v)-g(v) <= lambda.
     g <= 1 is implied by g <= e, so the optimal g is automatically an effect.
     """
-    M = space.vertex_matrix()
     k = space.n_vertices
-    zeros = np.zeros((k, 1))
-    ones = np.ones((k, 1))
-    A = np.vstack(
-        [
-            np.hstack([-M, zeros]),
-            np.hstack([M, zeros]),
-            np.hstack([M, zeros]),
-            np.hstack([-M, -ones]),
-        ]
-    )
     rhs = np.concatenate([np.zeros(k), ev, fv, -(ev + fv)])
-    objective = np.zeros(space.dimension + 2)
-    objective[-1] = 1.0
-    return LpProblem(objective, A, (LE,) * (4 * k), rhs)
+    column = np.concatenate([np.zeros(3 * k), -np.ones(k)])
+    return _witness_problem(space.vertex_matrix(), rhs, column, cost=1.0)
 
 
 def eq3_problem(space: StateSpace, e: Effect, f: Effect, lam: float = 1.0) -> LpProblem:
     """Feasibility system for a joint-measurability witness at fixed lambda."""
     ev = e.vertex_values(space)
     fv = f.vertex_values(space)
-    M = space.vertex_matrix()
-    k = space.n_vertices
-    A = np.vstack([-M, M, M, -M])
-    rhs = np.concatenate([np.zeros(k), ev, fv, lam - (ev + fv)])
-    return LpProblem(np.zeros(space.dimension + 1), A, (LE,) * (4 * k), rhs)
+    rhs = np.concatenate([np.zeros(space.n_vertices), ev, fv, lam - (ev + fv)])
+    return _witness_problem(space.vertex_matrix(), rhs)
 
 
 def eq3_feasible(space: StateSpace, e: Effect, f: Effect,
@@ -298,22 +303,6 @@ def smear(obs: Observable, kernel: MarkovKernel2x2) -> Observable:
     )
 
 
-def _scaled_pair(e: Effect, f: Effect, k: float) -> tuple[Effect, Effect]:
-    kernel = scaling_kernel(k)
-    return (
-        smear(dichotomic_observable(e), kernel).effects[0],
-        smear(dichotomic_observable(f), kernel).effects[0],
-    )
-
-
-def _depolarized_pair(e: Effect, f: Effect, t: float) -> tuple[Effect, Effect]:
-    kernel = depolarizing_kernel(t)
-    return (
-        smear(dichotomic_observable(e), kernel).effects[0],
-        smear(dichotomic_observable(f), kernel).effects[0],
-    )
-
-
 def min_scaling_noise(space: StateSpace, e: Effect, f: Effect,
                       tol: SolverTolerances | None = None,
                       verify: bool = True) -> float:
@@ -328,14 +317,16 @@ def min_scaling_noise(space: StateSpace, e: Effect, f: Effect,
     report = compute_lambda0(space, e, f, tol)
     k_star = max(1.0, report.lambda0)
     if verify and k_star > 1.0:
-        if not compute_lambda0(space, *_scaled_pair(e, f, k_star), tol).compatible:
+        if not compute_lambda0(space, scale_effect(e, 1.0 / k_star),
+                               scale_effect(f, 1.0 / k_star), tol).compatible:
             raise CrossCheckError(
                 f"effects scaled by 1/{k_star!r} should be compatible but are not"
             )
         if report.lambda0 > 1.0 + 16.0 * tol.eps_compat:
             for j in (1, 2, 3):
                 kj = 1.0 + j * (k_star - 1.0) / 4.0
-                if compute_lambda0(space, *_scaled_pair(e, f, kj), tol).compatible:
+                if compute_lambda0(space, scale_effect(e, 1.0 / kj),
+                                   scale_effect(f, 1.0 / kj), tol).compatible:
                     raise CrossCheckError(
                         f"effects scaled by 1/{kj!r} < 1/{k_star!r} should still be "
                         "incompatible but are not"
@@ -344,32 +335,30 @@ def min_scaling_noise(space: StateSpace, e: Effect, f: Effect,
 
 
 def min_depolarizing_noise(space: StateSpace, e: Effect, f: Effect,
-                           tol: SolverTolerances | None = None,
-                           bisection_steps: int = 60) -> float:
+                           tol: SolverTolerances | None = None) -> float:
     """Largest t in [0, 1] with t*e + (1-t)*u/2 and t*f + (1-t)*u/2 compatible.
 
-    Compatibility is monotone in t (any witness for t mixes into one for
-    t' < t), so bisection over the LP verdict is sound; the answer is exact
-    to 2**-bisection_steps.
+    Compatible means lambda0 <= 1 + eps_compat, the verdict of
+    compute_lambda0.  A pair compatible as given returns exactly 1.0;
+    otherwise the threshold is the optimum of one LP over (g, t): maximize t
+    subject to the witness system of the depolarized pair, whose vertex
+    values 1/2 + t*(e - 1/2) are linear in t, at level 1 + eps_compat less
+    _THRESHOLD_MARGIN.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
-    if bisection_steps < 1:
-        raise ValueError(f"bisection_steps must be >= 1, got {bisection_steps!r}")
-
-    def compatible_at(t: float) -> bool:
-        et, ft = _depolarized_pair(e, f, t)
-        return compute_lambda0(space, et, ft, tol).compatible
-
-    if compatible_at(1.0):
+    if compute_lambda0(space, e, f, tol).compatible:
         return 1.0
-    lo, hi = 0.0, 1.0  # the fully mixed pair (u/2, u/2) is always compatible
-    for _ in range(bisection_steps):
-        mid = 0.5 * (lo + hi)
-        if compatible_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    ev = e.vertex_values(space) - 0.5
+    fv = f.vertex_values(space) - 0.5
+    rhs = np.repeat([0.0, 0.5, 0.5, tol.eps_compat - _THRESHOLD_MARGIN], space.n_vertices)
+    column = np.concatenate([np.zeros(space.n_vertices), -ev, -fv, ev + fv])
+    result = solve_lp(_witness_problem(space.vertex_matrix(), rhs, column, cost=-1.0), tol)
+    if result.status is not LpStatus.OPTIMAL:
+        raise SolverFailure(
+            f"depolarizing LP reported {result.status.value}, but it is feasible (t = 0) "
+            "and bounded (t < 1, as the pair is incompatible at t = 1)"
+        )
+    return float(result.point[-1])
 
 
 def random_effect(space: StateSpace, rng: np.random.Generator,

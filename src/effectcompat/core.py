@@ -140,6 +140,28 @@ def _point_in_hull(point: np.ndarray, others: np.ndarray,
     return check_feasible(prob, tol)
 
 
+def _dedup(arr: np.ndarray, eps: float) -> np.ndarray:
+    """Drop each point within eps (max norm) of an earlier kept point.
+
+    Such a pair projects onto w within eps*|w|_1, so a point is compared only
+    with the kept points in that window (doubled and padded for rounding) of
+    the sorted projection.  w_j = 1/(j + pi) with pi transcendental projects
+    distinct integer points, such as hypercube vertices, apart.
+    """
+    w = 1.0 / (np.arange(arr.shape[1]) + np.pi)
+    proj = arr @ w
+    order = np.argsort(proj, kind="stable")
+    radius = 2.0 * eps * w.sum() + 1e-12 * float((np.abs(arr) @ w).max(initial=0.0))
+    lo = np.searchsorted(proj[order], proj - radius)
+    hi = np.searchsorted(proj[order], proj + radius, side="right")
+    kept = hi - lo == 1  # alone in its window: no near-duplicate anywhere
+    for i in np.flatnonzero(~kept):
+        near = order[lo[i]:hi[i]]
+        near = near[kept[near]]
+        kept[i] = not (np.max(np.abs(arr[near] - arr[i]), axis=1, initial=0.0) <= eps).any()
+    return arr[kept]
+
+
 def make_state_space(
     vertices,
     name: str = "",
@@ -165,25 +187,11 @@ def make_state_space(
         raise ValueError(f"vertices must be a list of equal-length points, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise ValueError("vertex list is empty")
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        raise ValueError(f"vertex {bad[0]} is not finite: {arr[bad[0]].tolist()}")
 
-    if arr.shape[0] <= REDUNDANCY_CHECK_LIMIT:
-        keep: list[int] = []
-        for i in range(arr.shape[0]):
-            dup = any(np.max(np.abs(arr[i] - arr[j]), initial=0.0) <= tol.eps_geom
-                      for j in keep)
-            if not dup:
-                keep.append(i)
-        deduped = arr[keep]
-    else:
-        seen: dict[bytes, None] = {}
-        keep = []
-        for i in range(arr.shape[0]):
-            key = arr[i].tobytes()
-            if key not in seen:
-                seen[key] = None
-                keep.append(i)
-        deduped = arr[keep]
-
+    deduped = _dedup(arr, tol.eps_geom)
     k = deduped.shape[0]
     if check_redundant is None:
         check_redundant = k <= REDUNDANCY_CHECK_LIMIT
@@ -215,7 +223,7 @@ def effect_from_affine(
     eff = Effect(c)
     values = eff.vertex_values(space)
     for i, val in enumerate(values):
-        if val < -tol.eps_geom or val > 1.0 + tol.eps_geom:
+        if not -tol.eps_geom <= val <= 1.0 + tol.eps_geom:  # NaN fails too
             raise EffectRangeError(
                 f"effect value {val:.12g} at vertex {space.vertices[i].tolist()} "
                 f"(index {i}) outside [0, 1]"
@@ -238,7 +246,7 @@ def effect_from_vertex_values(
         raise ValueError(
             f"expected {space.n_vertices} vertex values, got shape {vals.shape}"
         )
-    out_of_range = np.flatnonzero((vals < -tol.eps_geom) | (vals > 1.0 + tol.eps_geom))
+    out_of_range = np.flatnonzero(~((vals >= -tol.eps_geom) & (vals <= 1.0 + tol.eps_geom)))
     if out_of_range.size:
         bad = int(out_of_range[0])
         raise EffectRangeError(

@@ -265,20 +265,6 @@ def _build_tableau(A: np.ndarray, rels: list[str], b: np.ndarray):
     return T, basis, art_start
 
 
-def _phase_one(T: np.ndarray, basis: list[int], art_start: int, budget: _Budget) -> float:
-    """Minimize the artificial sum; returns the residual infeasibility."""
-    n_art = T.shape[1] - 1 - art_start
-    if n_art == 0:
-        return 0.0
-    cost = np.zeros(T.shape[1] - 1)
-    cost[art_start:] = 1.0
-    _install_cost_row(T, basis, cost)
-    outcome = _run_simplex(T, basis, budget)
-    if outcome != "optimal":  # artificial sum is bounded below by zero
-        raise SolverFailure("phase one reported unbounded; solver invariant broken")
-    return -T[-1, -1]
-
-
 def _drop_artificials(T: np.ndarray, basis: list[int], art_start: int):
     """Pivot artificials out of the basis, drop redundant rows and columns."""
     m = T.shape[0] - 1
@@ -321,6 +307,25 @@ def _verify_solution(problem: LpProblem, x: np.ndarray, eps: float) -> None:
             raise SolverFailure(f"returned point violates upper bound on variable {j}")
 
 
+def _phase_one(problem: LpProblem):
+    """Standardize, build the tableau and minimize the artificial sum.
+
+    Returns (T, basis, art_start, residual infeasibility, budget, c, S, t).
+    """
+    A, rels, b, c, S, t = _standardize(problem)
+    budget = _Budget(ITERATION_CAP_FACTOR * (problem.n_constraints + problem.n_variables))
+    T, basis, art_start = _build_tableau(A, rels, b)
+    residual = 0.0
+    if T.shape[1] - 1 > art_start:
+        cost = np.zeros(T.shape[1] - 1)
+        cost[art_start:] = 1.0
+        _install_cost_row(T, basis, cost)
+        if _run_simplex(T, basis, budget) != "optimal":  # the sum is bounded below by 0
+            raise SolverFailure("phase one reported unbounded; solver invariant broken")
+        residual = -T[-1, -1]
+    return T, basis, art_start, residual, budget, c, S, t
+
+
 def solve_lp(problem: LpProblem, tol: SolverTolerances | None = None) -> LpResult:
     """Solve the LP; deterministic for a fixed problem.
 
@@ -328,10 +333,7 @@ def solve_lp(problem: LpProblem, tol: SolverTolerances | None = None) -> LpResul
     distinctly from infeasibility.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
-    A, rels, b, c, S, t = _standardize(problem)
-    budget = _Budget(ITERATION_CAP_FACTOR * (problem.n_constraints + problem.n_variables))
-    T, basis, art_start = _build_tableau(A, rels, b)
-    residual = _phase_one(T, basis, art_start, budget)
+    T, basis, art_start, residual, budget, c, S, t = _phase_one(problem)
     if residual > tol.eps_feas:
         return LpResult(LpStatus.INFEASIBLE, None, None, budget.used)
     T, basis = _drop_artificials(T, basis, art_start)
@@ -352,8 +354,5 @@ def solve_lp(problem: LpProblem, tol: SolverTolerances | None = None) -> LpResul
 def check_feasible(problem: LpProblem, tol: SolverTolerances | None = None) -> bool:
     """Phase-one feasibility test; the objective is ignored."""
     tol = tol if tol is not None else DEFAULT_TOLERANCES
-    A, rels, b, _, _, _ = _standardize(problem)
-    budget = _Budget(ITERATION_CAP_FACTOR * (problem.n_constraints + problem.n_variables))
-    T, basis, art_start = _build_tableau(A, rels, b)
-    residual = _phase_one(T, basis, art_start, budget)
+    residual = _phase_one(problem)[3]
     return bool(residual <= tol.eps_feas)

@@ -31,7 +31,12 @@ from effectcompat.core import (
     unit_effect,
     zero_effect,
 )
+from effectcompat.models import gbit_square, hypercube, regular_polygon
 from effectcompat.tolerances import SolverTolerances
+
+
+def _depolarized(e, t):
+    return smear(dichotomic_observable(e), depolarizing_kernel(t)).effects[0]
 
 
 @pytest.fixture
@@ -396,12 +401,10 @@ class TestMinDepolarizingNoise:
         # For t >= 1/2 the best witness has vertex values (1-t, (1-t)/2, (1-t)/2, 0),
         # giving lambda0 = 2t; below 1/2 the pair is compatible.
         e, f = sharp_pair
-        from effectcompat.compat import _depolarized_pair
-
         for t in (0.6, 0.75, 1.0):
-            report = compute_lambda0(square, *_depolarized_pair(e, f, t))
+            report = compute_lambda0(square, _depolarized(e, t), _depolarized(f, t))
             assert report.lambda0 == pytest.approx(2.0 * t, abs=1e-9)
-        report = compute_lambda0(square, *_depolarized_pair(e, f, 0.4))
+        report = compute_lambda0(square, _depolarized(e, 0.4), _depolarized(f, 0.4))
         assert report.compatible
 
     def test_sharp_pair_threshold_is_one_half(self, square, sharp_pair):
@@ -413,6 +416,34 @@ class TestMinDepolarizingNoise:
         t_tight = min_depolarizing_noise(square, *sharp_pair, tol=tight)
         assert t_tight == pytest.approx((1.0 + 1e-9) / 2.0, abs=1e-12)
 
-    def test_rejects_bad_step_count(self, square, sharp_pair):
-        with pytest.raises(ValueError):
-            min_depolarizing_noise(square, *sharp_pair, bisection_steps=0)
+    def test_incompatible_pair_takes_two_lp_solves(self, square, sharp_pair, monkeypatch):
+        import effectcompat.compat as compat_module
+
+        calls = []
+        solve = compat_module.solve_lp
+        monkeypatch.setattr(compat_module, "solve_lp", lambda *a: calls.append(1) or solve(*a))
+        min_depolarizing_noise(square, *sharp_pair)
+        assert len(calls) == 2
+
+    def test_threshold_is_the_last_compatible_t(self):
+        # Seeded pairs of both spans: the smeared pair is compatible at t*
+        # and incompatible just past it, unless no noise is needed.
+        rng = np.random.default_rng(2024)
+        below_one = 0
+        for space in (gbit_square(), regular_polygon(8), hypercube(3), regular_polygon(16)):
+            for span in ((0.2, 1.0), (1.0, 1.0)):
+                for _ in range(5):
+                    e = random_effect(space, rng, span_range=span)
+                    f = random_effect(space, rng, span_range=span)
+                    t = min_depolarizing_noise(space, e, f)
+                    assert 0.0 <= t <= 1.0
+                    at = compute_lambda0(space, _depolarized(e, t), _depolarized(f, t))
+                    assert at.compatible, (space.name, t, at.lambda0)
+                    if t == 1.0:
+                        continue
+                    below_one += 1
+                    t_past = min(1.0, t + 1e-6)
+                    past = compute_lambda0(space, _depolarized(e, t_past),
+                                           _depolarized(f, t_past))
+                    assert not past.compatible, (space.name, t, past.lambda0)
+        assert below_one > 0  # the draw must exercise the incompatible regime

@@ -66,6 +66,41 @@ class TestMakeStateSpace:
         space = make_state_space([[0.0], [1.0], [1.0 + 1e-12]])
         assert space.n_vertices == 2
 
+    def test_near_duplicates_are_removed_above_512_vertices(self):
+        angles = 2.0 * np.pi * np.arange(512) / 512
+        polygon = np.column_stack([np.cos(angles), np.sin(angles)])
+        vertices = np.vstack([polygon, polygon[:1] + 1e-12])
+        space = make_state_space(vertices, check_redundant=False)
+        assert space.n_vertices == 512
+
+    def test_dedup_matches_the_pairwise_loop(self):
+        # Reference: compare each point with every kept one, keep the first.
+        def pairwise(arr, eps=1e-9):
+            keep = []
+            for i in range(len(arr)):
+                if not any(np.max(np.abs(arr[i] - arr[j]), initial=0.0) <= eps for j in keep):
+                    keep.append(i)
+            return arr[keep]
+
+        rng = np.random.default_rng(1)
+        for trial in range(300):
+            d, k = int(rng.integers(0, 5)), int(rng.integers(1, 40))
+            base = rng.normal(size=(max(1, k // 3), d)) * 10.0 ** rng.integers(-3, 7)
+            arr = base[rng.integers(0, len(base), size=k)]
+            if trial % 3 == 1:  # near-duplicates on both sides of eps
+                arr = arr + rng.uniform(-1.5e-9, 1.5e-9, size=arr.shape)
+            elif trial % 3 == 2:  # chains at multiples of eps along one axis
+                arr = arr + rng.integers(0, 4, size=(k, 1)) * 1e-9 * (np.arange(d) == 0)
+            space = make_state_space(arr, check_redundant=False)
+            assert np.array_equal(space.vertices, pairwise(arr)), trial
+
+    @pytest.mark.parametrize("check_redundant", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vertex_names_its_index(self, check_redundant, bad):
+        with pytest.raises(ValueError, match="vertex 1 is not finite"):
+            make_state_space([[0.0, 0.0], [bad, 0.0], [0.0, 1.0]],
+                             check_redundant=check_redundant)
+
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             make_state_space([])
@@ -100,6 +135,11 @@ class TestEffectConstruction:
         with pytest.raises(ValueError):
             effect_from_affine(segment, [0.5, 0.5, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_rejected(self, square, bad):
+        with pytest.raises(EffectRangeError, match=r"(nan|inf) at vertex .* \(index 0\)"):
+            effect_from_affine(square, [0.5, bad, 0.0])
+
 
 class TestEffectFromVertexValues:
     def test_exact_on_triangle(self, triangle):
@@ -118,6 +158,10 @@ class TestEffectFromVertexValues:
     def test_out_of_range_values_rejected(self, triangle):
         with pytest.raises(EffectRangeError):
             effect_from_vertex_values(triangle, [0.2, 1.5, 0.4])
+
+    def test_non_finite_value_names_its_index(self, triangle):
+        with pytest.raises(EffectRangeError, match="value nan at index 2"):
+            effect_from_vertex_values(triangle, [0.2, 0.9, np.nan])
 
 
 class TestEvaluate:

@@ -195,6 +195,28 @@ class TestModelFiles:
         with pytest.raises(EffectRangeError):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "field, value, fragment",
+        [
+            ("vertices", [[0.0], [float("nan")]], "vertex 1 is not finite"),
+            ("effects", {"e": {"affine": [0.5, float("nan")]}}, r"value nan at vertex \[0.0\]"),
+        ],
+        ids=["vertex", "coefficient"],
+    )
+    def test_json_nan_rejected(self, tmp_path, field, value, fragment):
+        doc = {
+            "version": 1,
+            "name": "seg",
+            "dimension": 1,
+            "vertices": [[0.0], [1.0]],
+            "effects": {"e": {"affine": [0.5, 0.25]}},
+        }
+        doc[field] = value
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # writes the bare NaN literal
+        with pytest.raises(ValueError, match=fragment):
+            load_model(path)
+
     def test_non_affine_values_rejected(self, tmp_path):
         doc = {
             "version": 1,

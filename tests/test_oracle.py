@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from effectcompat.compat import _depolarized_pair, compute_lambda0, random_effect
+from effectcompat.compat import compute_lambda0, depolarizing_kernel, random_effect, smear
 from effectcompat.core import (
     Effect,
+    dichotomic_observable,
     effect_from_affine,
     effect_from_vertex_values,
     make_state_space,
@@ -118,7 +119,8 @@ class TestGrid:
         # Grid confirmation for the depolarizing golden value t* = 1/2:
         # at t = 1/2 the pair sits exactly on the compatibility boundary.
         e, f = sharp_pair
-        et, ft = _depolarized_pair(e, f, 0.5)
+        et, ft = (smear(dichotomic_observable(x), depolarizing_kernel(0.5)).effects[0]
+                  for x in (e, f))
         report = compute_lambda0(square, et, ft)
         assert report.lambda0 == pytest.approx(1.0, abs=1e-9)
         grid = grid_lambda0(square, et, ft, resolution=101)
