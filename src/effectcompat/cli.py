@@ -22,7 +22,6 @@ from .compat import (
 )
 from .core import (
     Effect,
-    StateSpace,
     dichotomic_observable,
     observable_diagnostics,
 )

@@ -10,16 +10,23 @@ keeps non-simplex spaces unambiguous.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lp import EQ, LpProblem, check_feasible
 from .tolerances import DEFAULT_TOLERANCES, SolverTolerances
 
-# Above this vertex count the convex-hull redundancy scan (one small LP per
-# vertex) is skipped; redundant vertices only add redundant constraints.
+# Above this vertex count the convex-hull redundancy scan is skipped;
+# redundant vertices only add redundant constraints.  Below it, a vertex
+# costs O(k*d) when a separating direction certifies it (see
+# _hull_residual_bounds) and one small LP otherwise.
 REDUNDANCY_CHECK_LIMIT = 512
+
+# A vertex skips its hull LP only when the certified residual exceeds
+# eps_feas by this factor, which absorbs the rounding of both the bound and
+# the LP's own residual.
+_CERTIFICATE_MARGIN = 1e3
 
 
 class RedundantVertexWarning(UserWarning):
@@ -140,6 +147,31 @@ def _point_in_hull(point: np.ndarray, others: np.ndarray,
     return check_feasible(prob, tol)
 
 
+def _hull_residual_bounds(arr: np.ndarray) -> np.ndarray:
+    """Lower bound, per vertex i, on the phase-one residual of
+    _point_in_hull(arr[i], the other rows).
+
+    Take u = v_i - centroid, M = max_{j != i} u.v_j and delta = u.v_i - M.
+    For weights z >= 0 with residuals r = sum_j z_j v_j - v_i and
+    s = sum_j z_j - 1, u.v_i + u.r = sum_j z_j u.v_j <= (1 + s) M, so
+    delta <= s M - u.r <= max(|M|, |u|_inf) (|s| + |r|_1).  Phase one
+    minimizes |s| + |r|_1, hence residual >= delta / max(|M|, |u|_inf).
+    O(k*d) per vertex; a bound <= 0 certifies nothing.
+    """
+    centroid = arr.mean(axis=0)
+    bounds = np.zeros(arr.shape[0])
+    for i in range(arr.shape[0]):
+        u = arr[i] - centroid
+        proj = arr @ u
+        own = proj[i]
+        proj[i] = -np.inf
+        top = proj.max()
+        scale = max(abs(top), np.abs(u).max())
+        if scale > 0.0:
+            bounds[i] = (own - top) / scale
+    return bounds
+
+
 def _dedup(arr: np.ndarray, eps: float) -> np.ndarray:
     """Drop each point within eps (max norm) of an earlier kept point.
 
@@ -172,9 +204,10 @@ def make_state_space(
 
     Vertices coinciding within eps_geom are deduplicated (first occurrence
     kept).  A remaining vertex inside the convex hull of the others triggers
-    a RedundantVertexWarning and is recorded in StateSpace.redundant; the
-    scan costs one small LP per vertex and is skipped above
-    REDUNDANCY_CHECK_LIMIT vertices unless check_redundant forces it.
+    a RedundantVertexWarning and is recorded in StateSpace.redundant.  The
+    scan skips a vertex that a separating direction certifies as outside
+    that hull and runs one small LP for each other vertex; it is skipped
+    above REDUNDANCY_CHECK_LIMIT vertices unless check_redundant forces it.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     try:
@@ -197,7 +230,8 @@ def make_state_space(
         check_redundant = k <= REDUNDANCY_CHECK_LIMIT
     redundant: list[int] = []
     if check_redundant and k >= 2:
-        for i in range(k):
+        certified = _hull_residual_bounds(deduped) > _CERTIFICATE_MARGIN * tol.eps_feas
+        for i in map(int, np.flatnonzero(~certified)):
             others = np.delete(deduped, i, axis=0)
             if _point_in_hull(deduped[i], others, tol):
                 redundant.append(i)

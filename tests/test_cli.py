@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,22 @@ def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Golden stdout bytes and exit codes of the benchmark's fixed CLI commands.
+# They pin lp_iterations and the noise-level witness digits, so a change to
+# the solver's pivot sequence fails here as well as in the benchmark.
+CLI_GOLDENS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "cli_goldens.json")
+    .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDENS))
+def test_benchmark_cli_goldens(name, capsys):
+    golden = CLI_GOLDENS[name]
+    code, out, _ = run(list(golden["argv"]), capsys)
+    assert code == golden["exit"]
+    assert out == golden["stdout"]
 
 
 class TestCheck:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from effectcompat.compat import (
-    CrossCheckError,
     IncompatibilityError,
     MarkovKernel2x2,
     compute_lambda0,

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import effectcompat.core as core
 from effectcompat.core import (
     Effect,
     EffectRangeError,
@@ -21,6 +24,7 @@ from effectcompat.core import (
     unit_effect,
     zero_effect,
 )
+from effectcompat.tolerances import DEFAULT_TOLERANCES
 
 
 @pytest.fixture
@@ -100,6 +104,70 @@ class TestMakeStateSpace:
         with pytest.raises(ValueError, match="vertex 1 is not finite"):
             make_state_space([[0.0, 0.0], [bad, 0.0], [0.0, 1.0]],
                              check_redundant=check_redundant)
+
+    @staticmethod
+    def _assert_scan_matches_the_lp_scan(cloud, monkeypatch):
+        # Reference: one hull LP per vertex, no certificate.
+        def scan(margin):
+            with monkeypatch.context() as m, warnings.catch_warnings(record=True) as caught:
+                m.setattr(core, "_CERTIFICATE_MARGIN", margin)
+                warnings.simplefilter("always")
+                space = make_state_space(cloud)
+            return space.vertices, space.redundant, [
+                str(w.message) for w in caught
+                if issubclass(w.category, RedundantVertexWarning)]
+
+        vertices, redundant, messages = scan(core._CERTIFICATE_MARGIN)
+        expected = tuple(
+            i for i in range(len(vertices))
+            if core._point_in_hull(vertices[i], np.delete(vertices, i, axis=0),
+                                   DEFAULT_TOLERANCES)
+        )
+        assert redundant == expected
+        assert scan(np.inf)[1:] == (redundant, messages)  # every vertex runs its LP
+
+    def test_redundancy_certificate_matches_the_lp_scan(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        for trial in range(64):
+            d, k = int(rng.integers(1, 5)), int(rng.integers(3, 24))
+            hull = rng.normal(size=(k, d))
+            extra = []
+            for _ in range(int(rng.integers(0, 4))):
+                w = rng.dirichlet(np.ones(k))
+                extra.append(w @ hull)  # interior point
+            for _ in range(int(rng.integers(0, 4))):
+                a, b = hull[rng.choice(k, size=2, replace=False)]
+                step = rng.choice([0.0, 1e-12, 1e-9, 1e-7, 1e-4])
+                extra.append(0.5 * (a + b) + step * (a + b))  # near a chord
+            cloud = np.vstack([hull, *extra]) if extra else hull
+            cloud = cloud * 10.0 ** rng.choice([-4, 0, 4]) + rng.normal(size=d)
+            rng.shuffle(cloud)
+            self._assert_scan_matches_the_lp_scan(cloud, monkeypatch)
+
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+    @pytest.mark.parametrize("step", [0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3])
+    def test_redundancy_certificate_near_a_facet(self, monkeypatch, scale, step):
+        # A point just outside a facet centre, extreme in its own direction
+        # from the centroid: the certificate's bound is about step, so small
+        # steps must fall back to the LP, which reads them as in the hull.
+        from effectcompat import models
+
+        polygon_edge_centre = [-np.cos(np.pi / 7), 0.0]  # between vertices 3 and 4
+        for base, centre in ((models.regular_polygon(7).vertices, polygon_edge_centre),
+                             (models.hypercube(3).vertices, [0.0, 0.0, 1.0])):
+            point = np.asarray(centre) * (1.0 + step)
+            cloud = (np.vstack([base, point]) + 3.0) * scale
+            self._assert_scan_matches_the_lp_scan(cloud, monkeypatch)
+
+    def test_certified_polytopes_run_no_hull_lp(self, monkeypatch):
+        from effectcompat import models
+
+        calls = []
+        monkeypatch.setattr(core, "check_feasible", lambda *a: calls.append(a))
+        for space in (models.regular_polygon(128), models.hypercube(7)):
+            rebuilt = make_state_space(space.vertices)
+            assert rebuilt.redundant == ()
+        assert calls == []
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):

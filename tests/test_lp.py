@@ -177,3 +177,125 @@ def test_check_feasible_interval():
 def test_check_feasible_empty_interval():
     prob = LpProblem([0.0], [[1.0], [1.0]], (GE, LE), [1.0, 0.0])
     assert check_feasible(prob) is False
+
+
+# Reference: the full-tableau pivot and its simplex loop as they were before
+# the sparse column update.  Every nonzero entry gets the same floating-point
+# operation in both, so solve_lp must return ==-equal results.
+def _reference_pivot(T, basis, row, col):
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    basis[row] = col
+
+
+def _reference_run_simplex(T, basis, budget):
+    m = T.shape[0] - 1
+    while True:
+        improving = np.flatnonzero(T[-1, :-1] < -lp._ENTER_EPS)
+        if improving.size == 0:
+            return "optimal"
+        col = int(improving[0])
+        column = T[:m, col]
+        positive = column > lp._PIVOT_EPS
+        if not positive.any():
+            return "unbounded"
+        rhs = np.maximum(T[:m, -1], 0.0)
+        ratios = np.full(m, np.inf)
+        ratios[positive] = rhs[positive] / column[positive]
+        best = ratios.min()
+        ties = np.flatnonzero(ratios <= best + 1e-12 * max(1.0, best))
+        row = min(ties, key=lambda i: basis[i])
+        budget.spend()
+        lp._pivot(T, basis, int(row), col)
+
+
+def _general_form_problems():
+    free = (None, None)
+    nonneg = (0.0, None)
+    return [
+        LpProblem([1.0], [[1.0]], (GE,), [1.0]),
+        LpProblem([1.0], np.zeros((0, 1)), (), [], bounds=((1.0, None),)),
+        LpProblem([-1.0, -1.0], [[1.0, 1.0]], (LE,), [1.0], bounds=(nonneg, nonneg)),
+        LpProblem([1.0], [[1.0], [1.0]], (LE, GE), [0.0, 1.0]),
+        LpProblem([1.0], np.zeros((0, 1)), (), []),
+        LpProblem([-1.0], np.zeros((0, 1)), (), [], bounds=((None, 5.0),)),
+        LpProblem([1.0, 1.0], [[1.0, 2.0]], (EQ,), [3.0],
+                  bounds=((0.0, 10.0), (-1.0, 1.0))),
+        LpProblem([-1.0, 0.0], [[1.0, 1.0]] * 4 + [[1.0, -1.0]],
+                  (LE, LE, LE, LE, GE), [1.0, 1.0, 1.0, 1.0, 0.0], bounds=(nonneg, nonneg)),
+        LpProblem([-3.0, -5.0], [[2.0, 1.0], [1.0, 3.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+                  (LE, LE, GE, GE, LE), [8.0, 9.0, 0.0, 0.0, -1.0], bounds=(free, free)),
+        LpProblem([1.0, -2.0, 0.5], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], (LE, GE),
+                  [4.0, -2.0], bounds=((0.0, None), (0.0, 3.0), (-1.0, 1.0))),
+        LpProblem([0.0], [[1.0], [1.0]], (GE, LE), [1.0, 0.0]),
+    ]
+
+
+def _lambda_problems():
+    from effectcompat import compat, models
+
+    rng = np.random.default_rng(5)
+    problems = []
+    for space in (models.regular_polygon(16), models.regular_polygon(64),
+                  models.hypercube(4), models.hypercube(5)):
+        for span in ((0.2, 1.0), (1.0, 1.0)):
+            e = compat.random_effect(space, rng, span_range=span)
+            f = compat.random_effect(space, rng, span_range=span)
+            problems.append(compat._lambda_problem(
+                space, e.vertex_values(space), f.vertex_values(space)))
+    return problems
+
+
+def _hull_problems(monkeypatch):
+    import effectcompat.core as core
+
+    captured = []
+
+    def record(problem, tol=None):
+        captured.append(problem)
+        return check_feasible(problem, tol)
+
+    rng = np.random.default_rng(9)
+    with monkeypatch.context() as m:
+        m.setattr(core, "check_feasible", record)
+        for d, k in ((2, 12), (3, 20), (5, 30)):
+            cloud = rng.normal(size=(k, d))
+            for i in range(k):
+                core._point_in_hull(cloud[i], np.delete(cloud, i, axis=0),
+                                    lp.DEFAULT_TOLERANCES)
+    return captured
+
+
+def _solve_all(problems):
+    out = []
+    for prob in problems:
+        try:
+            out.append((solve_lp(prob), check_feasible(prob)))
+        except SolverFailure as exc:
+            out.append((str(exc), None))
+    return out
+
+
+def test_sparse_pivot_matches_the_full_outer_product(monkeypatch):
+    hull = _hull_problems(monkeypatch)
+    assert len(hull) == 12 + 20 + 30
+    problems = _general_form_problems() + _lambda_problems() + hull
+    actual = _solve_all(problems)
+    monkeypatch.setattr(lp, "_pivot", _reference_pivot)
+    monkeypatch.setattr(lp, "_run_simplex", _reference_run_simplex)
+    expected = _solve_all(problems)
+    for i, ((res, feas), (ref, ref_feas)) in enumerate(zip(actual, expected)):
+        if isinstance(ref, str):
+            assert res == ref, i
+            continue
+        assert feas == ref_feas, i
+        assert res.status is ref.status, i
+        assert res.iterations == ref.iterations, i
+        assert res.value == ref.value, i
+        assert (res.point is None) == (ref.point is None), i
+        if ref.point is not None:
+            assert np.array_equal(res.point, ref.point), i
