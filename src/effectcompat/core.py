@@ -155,7 +155,9 @@ def _hull_residual_bounds(arr: np.ndarray) -> np.ndarray:
     For weights z >= 0 with residuals r = sum_j z_j v_j - v_i and
     s = sum_j z_j - 1, u.v_i + u.r = sum_j z_j u.v_j <= (1 + s) M, so
     delta <= s M - u.r <= max(|M|, |u|_inf) (|s| + |r|_1).  Phase one
-    minimizes |s| + |r|_1, hence residual >= delta / max(|M|, |u|_inf).
+    minimizes the one-sided artificials b - Az over z >= 0, Az <= b (rows
+    signed so that b >= 0); that residual is at least min_{z >= 0} |s| +
+    |r|_1, hence residual >= delta / max(|M|, |u|_inf).
     O(k*d) per vertex; a bound <= 0 certifies nothing.
     """
     centroid = arr.mean(axis=0)

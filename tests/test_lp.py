@@ -179,9 +179,9 @@ def test_check_feasible_empty_interval():
     assert check_feasible(prob) is False
 
 
-# Reference: the full-tableau pivot and its simplex loop as they were before
-# the sparse column update.  Every nonzero entry gets the same floating-point
-# operation in both, so solve_lp must return ==-equal results.
+# Reference: the full-tableau pivot as it was before the sparse column
+# update.  Every nonzero entry gets the same floating-point operation in
+# both, so solve_lp must return ==-equal results.
 def _reference_pivot(T, basis, row, col):
     T[row] /= T[row, col]
     factors = T[:, col].copy()
@@ -190,27 +190,6 @@ def _reference_pivot(T, basis, row, col):
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
-
-
-def _reference_run_simplex(T, basis, budget):
-    m = T.shape[0] - 1
-    while True:
-        improving = np.flatnonzero(T[-1, :-1] < -lp._ENTER_EPS)
-        if improving.size == 0:
-            return "optimal"
-        col = int(improving[0])
-        column = T[:m, col]
-        positive = column > lp._PIVOT_EPS
-        if not positive.any():
-            return "unbounded"
-        rhs = np.maximum(T[:m, -1], 0.0)
-        ratios = np.full(m, np.inf)
-        ratios[positive] = rhs[positive] / column[positive]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + 1e-12 * max(1.0, best))
-        row = min(ties, key=lambda i: basis[i])
-        budget.spend()
-        lp._pivot(T, basis, int(row), col)
 
 
 def _general_form_problems():
@@ -280,13 +259,16 @@ def _solve_all(problems):
     return out
 
 
-def test_sparse_pivot_matches_the_full_outer_product(monkeypatch):
+@pytest.mark.parametrize("saving", [lp._SPARSE_PIVOT_SAVING, -np.inf, np.inf],
+                         ids=["size-rule", "always-sparse", "always-full"])
+def test_sparse_pivot_matches_the_full_outer_product(monkeypatch, saving):
     hull = _hull_problems(monkeypatch)
     assert len(hull) == 12 + 20 + 30
     problems = _general_form_problems() + _lambda_problems() + hull
-    actual = _solve_all(problems)
+    with monkeypatch.context() as m:
+        m.setattr(lp, "_SPARSE_PIVOT_SAVING", saving)
+        actual = _solve_all(problems)
     monkeypatch.setattr(lp, "_pivot", _reference_pivot)
-    monkeypatch.setattr(lp, "_run_simplex", _reference_run_simplex)
     expected = _solve_all(problems)
     for i, ((res, feas), (ref, ref_feas)) in enumerate(zip(actual, expected)):
         if isinstance(ref, str):
