@@ -92,6 +92,16 @@ def _validated_pair(space: StateSpace, e: Effect, f: Effect,
     return e.vertex_values(space), f.vertex_values(space)
 
 
+def _split(a: np.ndarray) -> np.ndarray:
+    """Columns a_0, -a_0, a_1, -a_1, ...: each free variable as y+ - y-."""
+    return np.stack([a, -a], axis=-1).reshape(*a.shape[:-1], -1)
+
+
+def _free_point(y: np.ndarray) -> np.ndarray:
+    """The free variables x = y+ - y- of an LP posed through _split."""
+    return y[0::2] - y[1::2]
+
+
 def _witness_problem(M: np.ndarray, rhs: np.ndarray,
                      column: np.ndarray | None = None, cost: float = 0.0) -> LpProblem:
     """The 4k-row witness system [-M; M; M; -M] x <= rhs over g-coefficients.
@@ -99,13 +109,14 @@ def _witness_problem(M: np.ndarray, rhs: np.ndarray,
     The four row blocks are g >= 0, g <= e, g <= f and e + f - g <= level on
     the vertices, with the pair's values folded into rhs.  An optional extra
     variable enters every row through column and the objective through cost.
+    Every variable is free and posed through _split; _free_point reads x.
     """
     A = np.vstack([-M, M, M, -M])
     objective = np.zeros(M.shape[1])
     if column is not None:
         A = np.hstack([A, column[:, None]])
         objective = np.append(objective, cost)
-    return LpProblem(objective, A, (LE,) * A.shape[0], rhs)
+    return LpProblem(_split(objective), _split(A), (LE,) * A.shape[0], rhs)
 
 
 def _lambda_problem(space: StateSpace, ev: np.ndarray, fv: np.ndarray) -> LpProblem:
@@ -150,7 +161,7 @@ def compute_lambda0(space: StateSpace, e: Effect, f: Effect,
             "and bounded by construction"
         )
     lambda0 = max(0.0, float(result.value))
-    witness = Effect(result.point[: space.dimension + 1])
+    witness = Effect(_free_point(result.point)[: space.dimension + 1])
     sigma = 0.0 if lambda0 <= 1.0 else 2.0 * (1.0 - 1.0 / lambda0)
     return CompatReport(
         lambda0=lambda0,
@@ -255,7 +266,7 @@ def joint_observable(space: StateSpace, e: Effect, f: Effect,
     if report.lambda0 > 1.0:
         refreshed = solve_lp(eq3_problem(space, e, f, lam=1.0), tol)
         if refreshed.status is LpStatus.OPTIMAL:
-            g = Effect(refreshed.point)
+            g = Effect(_free_point(refreshed.point))
     return joint_observable_from_witness(space, e, f, g, tol), report
 
 
@@ -358,7 +369,7 @@ def min_depolarizing_noise(space: StateSpace, e: Effect, f: Effect,
             f"depolarizing LP reported {result.status.value}, but it is feasible (t = 0) "
             "and bounded (t < 1, as the pair is incompatible at t = 1)"
         )
-    return float(result.point[-1])
+    return float(_free_point(result.point)[-1])
 
 
 def random_effect(space: StateSpace, rng: np.random.Generator,

@@ -140,11 +140,7 @@ def _point_in_hull(point: np.ndarray, others: np.ndarray,
         return False
     rows = np.vstack([others.T, np.ones((1, k))])
     rhs = np.append(point, 1.0)
-    prob = LpProblem(
-        np.zeros(k), rows, (EQ,) * rows.shape[0], rhs,
-        bounds=((0.0, None),) * k,
-    )
-    return check_feasible(prob, tol)
+    return check_feasible(LpProblem(np.zeros(k), rows, (EQ,) * rows.shape[0], rhs), tol)
 
 
 def _hull_residual_bounds(arr: np.ndarray) -> np.ndarray:

@@ -1,5 +1,10 @@
 """Linear programming via the two-phase simplex method on a dense tableau.
 
+Internal to effectcompat: only SolverFailure is part of the public API.
+Every problem has one form, minimize c . y subject to rows . y (<=, >=, =)
+rhs with y >= 0; a caller with free variables poses each as the difference
+of two nonnegative ones.
+
 The tableau is dense and column-major.  A pivot rewrites only the columns
 where the normalised pivot row is nonzero (about 1% of them on the
 512-row lambda LPs of 128-vertex spaces) when that skips enough entries,
@@ -42,13 +47,17 @@ ITERATION_CAP_FACTOR = 10_000
 # numpy 2.4).
 _SPARSE_PIVOT_SAVING = 4096
 
+# Larger dense tableaux are rejected before allocation, with SolverFailure
+# rather than MemoryError.  A 2048-vertex lambda LP needs about 0.67 GB.
+_MAX_TABLEAU_BYTES = 2**30
+
 
 class LpError(Exception):
     """Base class for solver errors."""
 
 
 class LpInputError(LpError):
-    """Malformed problem data: shape mismatch, unknown relation, bad bounds."""
+    """Malformed problem data: shape mismatch or unknown relation."""
 
 
 class SolverFailure(LpError):
@@ -66,17 +75,12 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """minimize objective . x subject to rows[i] . x (relations[i]) rhs[i].
-
-    Variables are unbounded unless per-variable (lower, upper) bounds are
-    given; either bound may be None.
-    """
+    """minimize objective . y subject to rows[i] . y (relations[i]) rhs[i], y >= 0."""
 
     objective: np.ndarray
     rows: np.ndarray
     relations: tuple[str, ...]
     rhs: np.ndarray
-    bounds: tuple[tuple[float | None, float | None], ...] | None = None
 
     def __post_init__(self) -> None:
         # copies keep the frozen instance detached from caller-owned arrays
@@ -101,15 +105,6 @@ class LpProblem:
         rhs = np.atleast_1d(np.array(self.rhs, dtype=float))
         if rhs.shape != (m,):
             raise LpInputError(f"rhs must have shape ({m},), got {rhs.shape}")
-        if self.bounds is None:
-            bounds = tuple((None, None) for _ in range(n))
-        else:
-            bounds = tuple((lo, hi) for lo, hi in self.bounds)
-            if len(bounds) != n:
-                raise LpInputError(f"{n} variables but {len(bounds)} bound pairs")
-            for j, (lo, hi) in enumerate(bounds):
-                if lo is not None and hi is not None and lo > hi:
-                    raise LpInputError(f"variable {j}: lower bound {lo} exceeds upper {hi}")
         c.flags.writeable = False
         rows.flags.writeable = False
         rhs.flags.writeable = False
@@ -117,7 +112,6 @@ class LpProblem:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "relations", rels)
         object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "bounds", bounds)
 
     @property
     def n_variables(self) -> int:
@@ -126,6 +120,12 @@ class LpProblem:
     @property
     def n_constraints(self) -> int:
         return self.rows.shape[0]
+
+    @property
+    def bounds(self) -> tuple[tuple[float, None], ...]:
+        # perfbench.tracing.tableau_shape reads per-variable bounds to count
+        # tableau columns; every variable is nonnegative.
+        return ((0.0, None),) * self.n_variables
 
 
 @dataclass(frozen=True)
@@ -150,48 +150,6 @@ class _Budget:
                 f"pivot budget exhausted ({self.cap} iterations); "
                 "the problem status is undetermined"
             )
-
-
-def _standardize(problem: LpProblem):
-    """Rewrite in nonnegative variables: x = S @ y + t with y >= 0.
-
-    Free variables are split into a positive and a negative part;
-    lower-bounded ones are shifted; upper-only ones are reflected.
-    Two-sided bounds add a row y_j <= hi - lo.
-    Returns (A, rels, b, c, S, t).
-    """
-    n = problem.n_variables
-    cols: list[np.ndarray] = []
-    t = np.zeros(n)
-    extra_rows: list[tuple[int, float]] = []  # (standard column, upper value)
-    for j, (lo, hi) in enumerate(problem.bounds):
-        e = np.zeros(n)
-        e[j] = 1.0
-        if lo is None and hi is None:
-            cols.append(e)
-            cols.append(-e)
-        elif lo is not None:
-            t[j] = lo
-            cols.append(e)
-            if hi is not None:
-                extra_rows.append((len(cols) - 1, hi - lo))
-        else:  # upper bound only
-            t[j] = hi
-            cols.append(-e)
-    S = np.column_stack(cols)
-    A = problem.rows @ S
-    b = problem.rhs - problem.rows @ t
-    rels = list(problem.relations)
-    if extra_rows:
-        p = S.shape[1]
-        for col, ub in extra_rows:
-            row = np.zeros(p)
-            row[col] = 1.0
-            A = np.vstack([A, row])
-            b = np.append(b, ub)
-            rels.append(LE)
-    c = problem.objective @ S
-    return A, rels, b, c, S, t
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -266,6 +224,12 @@ def _build_tableau(A: np.ndarray, rels: list[str], b: np.ndarray):
     surplus_start = slack_start + n_slack
     art_start = surplus_start + n_surplus
     width = art_start + n_art
+    nbytes = 8 * (m + 1) * (width + 1)
+    if nbytes > _MAX_TABLEAU_BYTES:
+        raise SolverFailure(
+            f"dense tableau of {m + 1} rows x {width + 1} columns would take "
+            f"{nbytes / 1e9:.3g} GB, over the {_MAX_TABLEAU_BYTES / 1e9:.3g} GB limit"
+        )
     T = np.zeros((m + 1, width + 1), order="F")  # column-major: pivots touch columns
     T[:m, :p] = A
     T[:m, -1] = b
@@ -305,15 +269,8 @@ def _drop_artificials(T: np.ndarray, basis: list[int], art_start: int):
     return np.asfortranarray(T), basis
 
 
-def _point_from_tableau(T: np.ndarray, basis: list[int], width: int) -> np.ndarray:
-    y = np.zeros(width)
-    for i, bv in enumerate(basis):
-        y[bv] = T[i, -1]
-    return y
-
-
-def _verify_solution(problem: LpProblem, x: np.ndarray, eps: float) -> None:
-    lhs = problem.rows @ x
+def _verify_solution(problem: LpProblem, y: np.ndarray, eps: float) -> None:
+    lhs = problem.rows @ y
     for i, rel in enumerate(problem.relations):
         r = lhs[i] - problem.rhs[i]
         bad = (rel == LE and r > eps) or (rel == GE and r < -eps) or (rel == EQ and abs(r) > eps)
@@ -321,21 +278,18 @@ def _verify_solution(problem: LpProblem, x: np.ndarray, eps: float) -> None:
             raise SolverFailure(
                 f"returned point violates constraint {i} ({rel} residual {r:.3e})"
             )
-    for j, (lo, hi) in enumerate(problem.bounds):
-        if lo is not None and x[j] < lo - eps:
-            raise SolverFailure(f"returned point violates lower bound on variable {j}")
-        if hi is not None and x[j] > hi + eps:
-            raise SolverFailure(f"returned point violates upper bound on variable {j}")
+    negative = np.flatnonzero(y < -eps)
+    if negative.size:
+        raise SolverFailure(f"returned point violates lower bound on variable {negative[0]}")
 
 
 def _phase_one(problem: LpProblem):
-    """Standardize, build the tableau and minimize the artificial sum.
+    """Build the tableau and minimize the artificial sum.
 
-    Returns (T, basis, art_start, residual infeasibility, budget, c, S, t).
+    Returns (T, basis, art_start, residual infeasibility, budget).
     """
-    A, rels, b, c, S, t = _standardize(problem)
     budget = _Budget(ITERATION_CAP_FACTOR * (problem.n_constraints + problem.n_variables))
-    T, basis, art_start = _build_tableau(A, rels, b)
+    T, basis, art_start = _build_tableau(problem.rows, problem.relations, problem.rhs)
     residual = 0.0
     if T.shape[1] - 1 > art_start:
         cost = np.zeros(T.shape[1] - 1)
@@ -344,7 +298,7 @@ def _phase_one(problem: LpProblem):
         if _run_simplex(T, basis, budget) != "optimal":  # the sum is bounded below by 0
             raise SolverFailure("phase one reported unbounded; solver invariant broken")
         residual = -T[-1, -1]
-    return T, basis, art_start, residual, budget, c, S, t
+    return T, basis, art_start, residual, budget
 
 
 def solve_lp(problem: LpProblem, tol: SolverTolerances | None = None) -> LpResult:
@@ -354,22 +308,23 @@ def solve_lp(problem: LpProblem, tol: SolverTolerances | None = None) -> LpResul
     distinctly from infeasibility.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
-    T, basis, art_start, residual, budget, c, S, t = _phase_one(problem)
+    T, basis, art_start, residual, budget = _phase_one(problem)
     if residual > tol.eps_feas:
         return LpResult(LpStatus.INFEASIBLE, None, None, budget.used)
     T, basis = _drop_artificials(T, basis, art_start)
     cost = np.zeros(T.shape[1] - 1)
-    cost[: S.shape[1]] = c
+    cost[: problem.n_variables] = problem.objective
     _install_cost_row(T, basis, cost)
     outcome = _run_simplex(T, basis, budget)
     if outcome == "unbounded":
         return LpResult(LpStatus.UNBOUNDED, None, None, budget.used)
-    y = _point_from_tableau(T, basis, art_start)
-    x = S @ y[: S.shape[1]] + t
-    _verify_solution(problem, x, tol.eps_feas)
-    value = float(problem.objective @ x)
-    x.flags.writeable = False
-    return LpResult(LpStatus.OPTIMAL, value, x, budget.used)
+    y = np.zeros(art_start)
+    y[basis] = T[:-1, -1]
+    y = y[: problem.n_variables]
+    _verify_solution(problem, y, tol.eps_feas)
+    value = float(problem.objective @ y)
+    y.flags.writeable = False
+    return LpResult(LpStatus.OPTIMAL, value, y, budget.used)
 
 
 def check_feasible(problem: LpProblem, tol: SolverTolerances | None = None) -> bool:

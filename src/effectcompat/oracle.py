@@ -8,7 +8,8 @@ Two routes that share no code with the simplex solver:
   which brackets lambda0 from above (every feasible grid candidate is a
   witness) while max_v max(e, f) brackets it from below.
 
-Test-time tooling: production code never consults this module.
+Verification tooling: the library's own computations never consult this
+module; only tests and the hidden `oracle` CLI command import it.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from effectcompat.core import (
     unit_effect,
     zero_effect,
 )
+from effectcompat.lp import SolverFailure
 from effectcompat.models import gbit_square, hypercube, regular_polygon
 from effectcompat.tolerances import SolverTolerances
 
@@ -159,6 +160,18 @@ class TestComputeLambda0:
                 again = solve_lp(shuffled)
                 assert again.status is LpStatus.OPTIMAL
                 assert again.value == pytest.approx(base.value, abs=1e-9)
+
+    @pytest.mark.xfail(strict=True, raises=SolverFailure,
+                       reason="the dense tableau drifts: constraint 238 residual 6.7e-4")
+    def test_seeded_polygon64_pair_solves(self):
+        rng = np.random.default_rng(52)
+        space = regular_polygon(64)
+        e = random_effect(space, rng)
+        f = random_effect(space, rng)
+        report = compute_lambda0(space, e, f)
+        # scipy.optimize.linprog(method="highs") on the same LP
+        assert report.lambda0 == pytest.approx(0.9676025327679867, abs=1e-9)
+        assert report.compatible
 
     def test_zero_dimensional_space(self):
         point = make_state_space([[]], name="simplex-1")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,22 +26,9 @@ def test_single_active_bound_row():
     assert res.point[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_single_active_bound_as_variable_bound():
-    prob = LpProblem([1.0], np.zeros((0, 1)), (), [], bounds=((1.0, None),))
-    res = solve_lp(prob)
-    assert res.status is LpStatus.OPTIMAL
-    assert res.value == pytest.approx(1.0, abs=1e-9)
-
-
 def test_unit_simplex_vertex():
     # minimize -x - y subject to x + y <= 1, x >= 0, y >= 0
-    prob = LpProblem(
-        [-1.0, -1.0],
-        [[1.0, 1.0]],
-        (LE,),
-        [1.0],
-        bounds=((0.0, None), (0.0, None)),
-    )
+    prob = LpProblem([-1.0, -1.0], [[1.0, 1.0]], (LE,), [1.0])
     res = solve_lp(prob)
     assert res.status is LpStatus.OPTIMAL
     assert res.value == pytest.approx(-1.0, abs=1e-9)
@@ -54,43 +43,15 @@ def test_contradictory_rows_infeasible():
 
 
 def test_unbounded_free_variable():
-    prob = LpProblem([1.0], np.zeros((0, 1)), (), [])
+    # minimize -y over y >= 0, with no row to stop it
+    prob = LpProblem([-1.0], np.zeros((0, 1)), (), [])
     res = solve_lp(prob)
     assert res.status is LpStatus.UNBOUNDED
-
-
-def test_upper_bound_only():
-    prob = LpProblem([-1.0], np.zeros((0, 1)), (), [], bounds=((None, 5.0),))
-    res = solve_lp(prob)
-    assert res.status is LpStatus.OPTIMAL
-    assert res.value == pytest.approx(-5.0, abs=1e-9)
-    assert res.point[0] == pytest.approx(5.0, abs=1e-9)
-
-
-def test_two_sided_bounds_and_equality():
-    # minimize x + y subject to x + 2y = 3, 0 <= x <= 10, -1 <= y <= 1
-    prob = LpProblem(
-        [1.0, 1.0],
-        [[1.0, 2.0]],
-        (EQ,),
-        [3.0],
-        bounds=((0.0, 10.0), (-1.0, 1.0)),
-    )
-    res = solve_lp(prob)
-    assert res.status is LpStatus.OPTIMAL
-    # optimum at x = 1, y = 1
-    assert res.value == pytest.approx(2.0, abs=1e-9)
-    assert np.allclose(res.point, [1.0, 1.0], atol=1e-9)
 
 
 def test_row_length_mismatch_is_input_error():
     with pytest.raises(LpInputError):
         LpProblem([1.0, 2.0], [[1.0]], (LE,), [1.0])
-
-
-def test_bad_bounds_are_input_error():
-    with pytest.raises(LpInputError):
-        LpProblem([1.0], np.zeros((0, 1)), (), [], bounds=((2.0, 1.0),))
 
 
 def test_unknown_relation_is_input_error():
@@ -101,8 +62,7 @@ def test_unknown_relation_is_input_error():
 def test_duplicate_rows_are_harmless():
     rows = [[1.0, 1.0]] * 4 + [[1.0, -1.0]]
     rels = (LE, LE, LE, LE, GE)
-    prob = LpProblem([-1.0, 0.0], rows, rels, [1.0, 1.0, 1.0, 1.0, 0.0],
-                     bounds=((0.0, None), (0.0, None)))
+    prob = LpProblem([-1.0, 0.0], rows, rels, [1.0, 1.0, 1.0, 1.0, 0.0])
     res = solve_lp(prob)
     assert res.status is LpStatus.OPTIMAL
     assert res.value == pytest.approx(-1.0, abs=1e-9)
@@ -131,10 +91,9 @@ def test_row_permutation_preserves_value():
 def test_value_matches_objective_at_point():
     prob = LpProblem(
         [1.0, -2.0, 0.5],
-        [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
-        (LE, GE),
-        [4.0, -2.0],
-        bounds=((0.0, None), (0.0, 3.0), (-1.0, 1.0)),
+        [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        (LE, GE, LE, LE),
+        [5.0, -2.0, 3.0, 2.0],
     )
     res = solve_lp(prob)
     assert res.status is LpStatus.OPTIMAL
@@ -142,13 +101,7 @@ def test_value_matches_objective_at_point():
 
 
 def test_deterministic_resolve():
-    prob = LpProblem(
-        [-1.0, -1.0],
-        [[1.0, 2.0], [3.0, 1.0]],
-        (LE, LE),
-        [4.0, 6.0],
-        bounds=((0.0, None), (0.0, None)),
-    )
+    prob = LpProblem([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], (LE, LE), [4.0, 6.0])
     a = solve_lp(prob)
     b = solve_lp(prob)
     assert a.value == b.value
@@ -158,13 +111,7 @@ def test_deterministic_resolve():
 
 def test_iteration_cap_raises_solver_failure(monkeypatch):
     monkeypatch.setattr(lp, "ITERATION_CAP_FACTOR", 0)
-    prob = LpProblem(
-        [-1.0, -1.0],
-        [[1.0, 2.0], [3.0, 1.0]],
-        (LE, LE),
-        [4.0, 6.0],
-        bounds=((0.0, None), (0.0, None)),
-    )
+    prob = LpProblem([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], (LE, LE), [4.0, 6.0])
     with pytest.raises(SolverFailure):
         solve_lp(prob)
 
@@ -193,23 +140,24 @@ def _reference_pivot(T, basis, row, col):
 
 
 def _general_form_problems():
-    free = (None, None)
-    nonneg = (0.0, None)
     return [
         LpProblem([1.0], [[1.0]], (GE,), [1.0]),
-        LpProblem([1.0], np.zeros((0, 1)), (), [], bounds=((1.0, None),)),
-        LpProblem([-1.0, -1.0], [[1.0, 1.0]], (LE,), [1.0], bounds=(nonneg, nonneg)),
+        # a free x >= 1 as x = y0 - y1: phase one through a >= row
+        LpProblem([1.0, -1.0], [[1.0, -1.0]], (GE,), [1.0]),
+        LpProblem([-1.0, -1.0], [[1.0, 1.0]], (LE,), [1.0]),
         LpProblem([1.0], [[1.0], [1.0]], (LE, GE), [0.0, 1.0]),
-        LpProblem([1.0], np.zeros((0, 1)), (), []),
-        LpProblem([-1.0], np.zeros((0, 1)), (), [], bounds=((None, 5.0),)),
-        LpProblem([1.0, 1.0], [[1.0, 2.0]], (EQ,), [3.0],
-                  bounds=((0.0, 10.0), (-1.0, 1.0))),
+        LpProblem([-1.0], np.zeros((0, 1)), (), []),
+        LpProblem([-1.0], [[1.0]], (LE,), [5.0]),
+        # x + 2y = 3 with 0 <= x <= 10, -1 <= y <= 1, shifted to y + 1 >= 0
+        LpProblem([1.0, 1.0], [[1.0, 2.0], [1.0, 0.0], [0.0, 1.0]], (EQ, LE, LE),
+                  [5.0, 10.0, 2.0]),
         LpProblem([-1.0, 0.0], [[1.0, 1.0]] * 4 + [[1.0, -1.0]],
-                  (LE, LE, LE, LE, GE), [1.0, 1.0, 1.0, 1.0, 0.0], bounds=(nonneg, nonneg)),
+                  (LE, LE, LE, LE, GE), [1.0, 1.0, 1.0, 1.0, 0.0]),
         LpProblem([-3.0, -5.0], [[2.0, 1.0], [1.0, 3.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
-                  (LE, LE, GE, GE, LE), [8.0, 9.0, 0.0, 0.0, -1.0], bounds=(free, free)),
-        LpProblem([1.0, -2.0, 0.5], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], (LE, GE),
-                  [4.0, -2.0], bounds=((0.0, None), (0.0, 3.0), (-1.0, 1.0))),
+                  (LE, LE, GE, GE, LE), [8.0, 9.0, 0.0, 0.0, -1.0]),
+        LpProblem([1.0, -2.0, 0.5],
+                  [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                  (LE, GE, LE, LE), [5.0, -2.0, 3.0, 2.0]),
         LpProblem([0.0], [[1.0], [1.0]], (GE, LE), [1.0, 0.0]),
     ]
 
@@ -281,3 +229,73 @@ def test_sparse_pivot_matches_the_full_outer_product(monkeypatch, saving):
         assert (res.point is None) == (ref.point is None), i
         if ref.point is not None:
             assert np.array_equal(res.point, ref.point), i
+
+
+def test_negative_point_fails_verification():
+    prob = LpProblem([0.0, 0.0], [[1.0, 1.0]], (LE,), [1.0])
+    lp._verify_solution(prob, np.array([0.5, -1e-10]), 1e-9)
+    with pytest.raises(SolverFailure, match="lower bound on variable 1"):
+        lp._verify_solution(prob, np.array([0.5, -1e-8]), 1e-9)
+
+
+def _witness_and_hull_problems(monkeypatch):
+    """The LPs the package poses: lambda, eq3, depolarizing and hull."""
+    import effectcompat.compat as compat
+    import effectcompat.core as core
+    from effectcompat import models
+
+    captured = {}
+
+    def recorder(kind, fn):
+        def record(problem, tol=None):
+            captured.setdefault(kind, problem)
+            return fn(problem, tol)
+        return record
+
+    space, effects = models.zoo_model("gbit")
+    e, f = effects["e_x"], effects["e_y"]
+    with monkeypatch.context() as m:
+        m.setattr(compat, "solve_lp", recorder("lambda", solve_lp))
+        compat.compute_lambda0(space, e, f)
+        m.setattr(compat, "solve_lp", recorder("depolarizing", solve_lp))
+        compat.min_depolarizing_noise(space, e, f)
+        m.setattr(compat, "check_feasible", recorder("eq3", check_feasible))
+        compat.eq3_feasible(space, e, f)
+        m.setattr(core, "check_feasible", recorder("hull", check_feasible))
+        core._point_in_hull(np.zeros(2), space.vertices, lp.DEFAULT_TOLERANCES)
+    return captured
+
+
+def test_tracer_tableau_shape_matches_the_solver(monkeypatch):
+    # perfbench's per-layer tableau metrics count columns from
+    # LpProblem.bounds; this keeps that count equal to the solver's tableau.
+    from perfbench.tracing import tableau_shape
+
+    problems = _witness_and_hull_problems(monkeypatch)
+    assert sorted(problems) == ["depolarizing", "eq3", "hull", "lambda"]
+    for kind, problem in problems.items():
+        T, _, _ = lp._build_tableau(problem.rows, problem.relations, problem.rhs)
+        assert tableau_shape(problem) == T.shape, kind
+
+
+def test_oversize_tableau_is_rejected_before_allocation(monkeypatch, tmp_path, capsys):
+    from effectcompat import cli, compat, models
+    from effectcompat.core import coordinate_effect
+
+    space = models.hypercube(7)
+    e, f = coordinate_effect(space, 0), coordinate_effect(space, 1)
+    problem = compat._lambda_problem(space, e.vertex_values(space), f.vertex_values(space))
+    rows, cols = lp._build_tableau(problem.rows, problem.relations, problem.rhs)[0].shape
+    monkeypatch.setattr(lp, "_MAX_TABLEAU_BYTES", 8 * rows * cols - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SolverFailure, match=rf"{rows} rows x {cols} columns .* GB"):
+            compat.compute_lambda0(space, e, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * rows * cols / 4  # the LP's own arrays, never the tableau
+    path = tmp_path / "hypercube-7.json"
+    models.save_model(path, space, {"x1": e, "x2": f})
+    assert cli.main(["check", str(path), "x1", "x2"]) == 2
+    assert "dense tableau" in capsys.readouterr().err
