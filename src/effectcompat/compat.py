@@ -178,20 +178,24 @@ def is_compatible(space: StateSpace, e: Effect, f: Effect,
                   cross_check: bool = False) -> bool:
     """lambda0 <= 1 + eps_compat.
 
-    With cross_check=True the verdict is compared against direct
-    feasibility of the witness system at lambda = 1; a mismatch raises
-    CrossCheckError (debug aid, off by default).
+    With cross_check=True the verdict is compared against feasibility of the
+    witness system at lambda = 1 + eps_compat, its own threshold; a mismatch
+    raises CrossCheckError (debug aid, off by default).
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     report = compute_lambda0(space, e, f, tol)
     if cross_check:
-        feasible = eq3_feasible(space, e, f, tol, lam=1.0)
-        if feasible != report.compatible:
-            raise CrossCheckError(
-                f"lambda0 = {report.lambda0!r} says compatible={report.compatible} "
-                f"but the lambda=1 system is {'feasible' if feasible else 'infeasible'}"
-            )
+        _check_scaled_verdict(space, e, f, tol, 1.0, report.compatible)
     return report.compatible
+
+
+def _check_scaled_verdict(space: StateSpace, e: Effect, f: Effect, tol: SolverTolerances,
+                          k: float, compatible: bool) -> None:
+    """Raise CrossCheckError unless e/k, f/k are compatible exactly when expected.
+    By homogeneity that is feasibility of the e, f system at lambda = k*(1 + eps_compat)."""
+    if eq3_feasible(space, e, f, tol, lam=k * (1.0 + tol.eps_compat)) != compatible:
+        raise CrossCheckError(f"effects scaled by 1/{k!r} should be {'' if compatible else 'in'}"
+                              "compatible, but their witness system says otherwise")
 
 
 def sigma0(lambda0: float) -> float:
@@ -319,29 +323,17 @@ def min_scaling_noise(space: StateSpace, e: Effect, f: Effect,
                       verify: bool = True) -> float:
     """Least k >= 1 such that e/k and f/k are compatible; equals max(1, lambda0).
 
-    With verify on (the default), the returned k is checked by solving the
-    scaled pairs: compatible at k, incompatible at three sampled k' < k.
-    The sub-k check is skipped for pairs within ~16*eps_compat of the
-    boundary, where the scaled verdict is tolerance-dominated.
+    One lambda LP, as lambda0(e/k, f/k) = lambda0/k.  With verify on (the
+    default) and k > 1, two phase-one checks confirm it: compatible at k, and
+    incompatible at k' = 1 + 3(k - 1)/4 (hence below k') unless lambda0 is
+    within 16*eps_compat of 1, where that verdict is tolerance-dominated.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
-    report = compute_lambda0(space, e, f, tol)
-    k_star = max(1.0, report.lambda0)
+    k_star = max(1.0, compute_lambda0(space, e, f, tol).lambda0)
     if verify and k_star > 1.0:
-        if not compute_lambda0(space, scale_effect(e, 1.0 / k_star),
-                               scale_effect(f, 1.0 / k_star), tol).compatible:
-            raise CrossCheckError(
-                f"effects scaled by 1/{k_star!r} should be compatible but are not"
-            )
-        if report.lambda0 > 1.0 + 16.0 * tol.eps_compat:
-            for j in (1, 2, 3):
-                kj = 1.0 + j * (k_star - 1.0) / 4.0
-                if compute_lambda0(space, scale_effect(e, 1.0 / kj),
-                                   scale_effect(f, 1.0 / kj), tol).compatible:
-                    raise CrossCheckError(
-                        f"effects scaled by 1/{kj!r} < 1/{k_star!r} should still be "
-                        "incompatible but are not"
-                    )
+        _check_scaled_verdict(space, e, f, tol, k_star, True)
+        if k_star > 1.0 + 16.0 * tol.eps_compat:
+            _check_scaled_verdict(space, e, f, tol, 1.0 + 3.0 * (k_star - 1.0) / 4.0, False)
     return k_star
 
 

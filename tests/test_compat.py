@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import effectcompat.compat as compat_module
 from effectcompat.compat import (
+    CrossCheckError,
     IncompatibilityError,
     MarkovKernel2x2,
     compute_lambda0,
@@ -209,6 +211,13 @@ class TestIsCompatible:
         assert is_compatible(square, *sharp_pair, cross_check=True) is False
         assert is_compatible(triangle, *triangle_pair, cross_check=True) is True
 
+    @pytest.mark.parametrize("d", [5e-9, 5e-8, 9e-8, 2e-7])
+    def test_cross_check_compares_at_the_verdicts_threshold(self, square, sharp_pair, d):
+        # (e_x, e_y) scaled by (1 + d)/2 has lambda0 = 1 + d, which is compatible
+        # within eps_compat = 1e-7 but infeasible at lambda = 1 for d <= 1e-7.
+        e, f = (scale_effect(x, (1.0 + d) / 2.0) for x in sharp_pair)
+        assert is_compatible(square, e, f, cross_check=True) is (d <= 1e-7)
+
     def test_half_unit_system_feasible(self, square, triangle):
         for space in (square, triangle):
             half = Effect(unit_effect(space.dimension).coefficients * 0.5)
@@ -401,6 +410,32 @@ class TestMinScalingNoise:
         assert found > 0  # the draw must exercise the incompatible regime
 
 
+    @pytest.mark.parametrize("verify, checks", [(True, 2), (False, 0)])
+    def test_one_lambda_lp_and_phase_one_checks(self, square, sharp_pair, monkeypatch,
+                                               verify, checks):
+        calls = []
+        for name in ("solve_lp", "check_feasible"):
+            original = getattr(compat_module, name)
+            monkeypatch.setattr(compat_module, name,
+                                lambda *a, _o=original, _n=name: calls.append(_n) or _o(*a))
+        assert min_scaling_noise(square, *sharp_pair, verify=verify) == pytest.approx(2.0)
+        assert (calls.count("solve_lp"), calls.count("check_feasible")) == (1, checks)
+
+    @pytest.mark.parametrize("disagree, run, expected", [
+        (lambda feasible: not feasible,
+         lambda s, e, f: is_compatible(s, e, f, cross_check=True), "1.0 should be in"),
+        (lambda feasible: False, min_scaling_noise, "should be compatible"),
+        (lambda feasible: True, min_scaling_noise, "should be incompatible"),
+    ], ids=["cross_check", "verify-at-k", "verify-below-k"])
+    def test_each_check_raises_on_a_disagreeing_route(self, square, sharp_pair, monkeypatch,
+                                                      disagree, run, expected):
+        original = compat_module.check_feasible
+        monkeypatch.setattr(compat_module, "check_feasible",
+                            lambda *a: disagree(original(*a)))
+        with pytest.raises(CrossCheckError, match=expected):
+            run(square, *sharp_pair)
+
+
 class TestMinDepolarizingNoise:
     def test_compatible_pair(self, triangle, triangle_pair):
         assert min_depolarizing_noise(triangle, *triangle_pair) == 1.0
@@ -429,8 +464,6 @@ class TestMinDepolarizingNoise:
         assert t_tight == pytest.approx((1.0 + 1e-9) / 2.0, abs=1e-12)
 
     def test_incompatible_pair_takes_two_lp_solves(self, square, sharp_pair, monkeypatch):
-        import effectcompat.compat as compat_module
-
         calls = []
         solve = compat_module.solve_lp
         monkeypatch.setattr(compat_module, "solve_lp", lambda *a: calls.append(1) or solve(*a))
