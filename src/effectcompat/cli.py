@@ -142,10 +142,7 @@ def cmd_joint(args) -> int:
     try:
         obs, report = joint_observable(space, e, f, tol)
     except IncompatibilityError as exc:
-        sys.stderr.write(
-            f"error: no joint observable, the pair is incompatible "
-            f"(lambda0 = {_fmt_str(exc.lambda0)} > 1)\n"
-        )
+        sys.stderr.write(f"error: no joint observable: {exc}\n")
         return EXIT_INCOMPATIBLE
     sum_coeffs = sum(comp.coefficients for comp in obs.effects)
     unit_dev = max(abs(sum_coeffs[0] - 1.0), max(abs(sum_coeffs[1:]), default=0.0))

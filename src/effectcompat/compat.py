@@ -258,7 +258,8 @@ def joint_observable(space: StateSpace, e: Effect, f: Effect,
     Uses the lambda0-optimal witness when lambda0 <= 1.  For pairs that are
     compatible only within eps_compat, a fresh witness is solved at
     lambda = 1, which absorbs solver noise on boundary pairs.  Raises
-    IncompatibilityError when lambda0 > 1 + eps_compat.
+    IncompatibilityError when lambda0 > 1 + eps_compat, or when no witness
+    exists at lambda = 1.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     report = compute_lambda0(space, e, f, tol)
@@ -269,8 +270,13 @@ def joint_observable(space: StateSpace, e: Effect, f: Effect,
     g = report.witness
     if report.lambda0 > 1.0:
         refreshed = solve_lp(eq3_problem(space, e, f, lam=1.0), tol)
-        if refreshed.status is LpStatus.OPTIMAL:
-            g = Effect(_free_point(refreshed.point))
+        if refreshed.status is not LpStatus.OPTIMAL:
+            raise IncompatibilityError(
+                f"effects are compatible only within eps_compat = {tol.eps_compat:g}: "
+                f"lambda0 = {report.lambda0:.12g} > 1 and no witness exists at lambda = 1",
+                report.lambda0,
+            )
+        g = Effect(_free_point(refreshed.point))
     return joint_observable_from_witness(space, e, f, g, tol), report
 
 

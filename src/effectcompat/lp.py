@@ -263,8 +263,8 @@ def _drop_artificials(T: np.ndarray, basis: list[int], art_start: int):
                 drop_rows.append(i)  # all-zero structural row: redundant
     if drop_rows:
         T = np.delete(T, drop_rows, axis=0)
-        keep = [bv for i, bv in enumerate(basis) if i not in set(drop_rows)]
-        basis = keep
+        dropped = set(drop_rows)
+        basis = [bv for i, bv in enumerate(basis) if i not in dropped]
     T = T[:, list(range(art_start)) + [T.shape[1] - 1]]
     return np.asfortranarray(T), basis
 

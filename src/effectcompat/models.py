@@ -168,7 +168,7 @@ def _require(doc: dict, field: str, kind, path) -> object:
     if field not in doc:
         raise ModelFormatError(f"{path}: missing required field {field!r}")
     value = doc[field]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):  # bool is an int subclass
         raise ModelFormatError(
             f"{path}: field {field!r} must be {kind.__name__}, got {type(value).__name__}"
         )

@@ -90,6 +90,21 @@ class TestJoint:
         assert code == 3
         assert "lambda0 = 2" in err
 
+    def test_pair_compatible_only_within_eps_compat(self, tmp_path, capsys):
+        # lambda0 = 1 + 5e-8: check says compatible, but no witness exists at
+        # lambda = 1, so joint reports it as incompatible, naming eps_compat.
+        space = gbit_square()
+        c = (1.0 + 5e-8) / 4.0  # e_x and e_y scaled by (1 + 5e-8)/2
+        e = effect_from_affine(space, [c, c, 0.0])
+        f = effect_from_affine(space, [c, 0.0, c])
+        path = tmp_path / "boundary.json"
+        save_model(path, space, {"e": e, "f": f})
+        code, out, _ = run(["check", str(path), "e", "f"], capsys)
+        assert code == 0 and "compatible: yes" in out
+        code, _, err = run(["joint", str(path), "e", "f"], capsys)
+        assert code == 3
+        assert "eps_compat" in err and "lambda0 = 1.00000005" in err
+
     def test_complement_pair_components(self, tmp_path, capsys):
         # For e sharp on the square the witness is forced to zero, so the
         # components come out exactly {0, e, u-e, 0}.

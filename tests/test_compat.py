@@ -376,6 +376,30 @@ class TestJointObservable:
         assert err.value.lambda0 == pytest.approx(2.0, abs=1e-9)
 
 
+    def test_boundary_pair_without_witness_at_one_is_rejected(self, square, sharp_pair):
+        # lambda0 = 1 + 5e-8: compatible within eps_compat, infeasible at lambda = 1.
+        e, f = (scale_effect(x, (1.0 + 5e-8) / 2.0) for x in sharp_pair)
+        assert is_compatible(square, e, f)
+        with pytest.raises(IncompatibilityError, match="eps_compat") as err:
+            joint_observable(square, e, f)
+        assert err.value.lambda0 == pytest.approx(1.0 + 5e-8, abs=1e-12)
+
+    def test_boundary_pair_takes_the_witness_at_one(self):
+        # lambda0 = 1 + 2e-9 on polygon-8: the lambda0 witness misses
+        # e + f <= g + u by 2e-9 > eps_feas, the witness at lambda = 1 does not.
+        space = regular_polygon(8)
+        rng = np.random.default_rng(7)
+        e, f = (random_effect(space, rng, span_range=(1.0, 1.0)) for _ in range(2))
+        c = (1.0 + 2e-9) / compute_lambda0(space, e, f).lambda0
+        e, f = scale_effect(e, c), scale_effect(f, c)
+        report = compute_lambda0(space, e, f)
+        assert 1.0 < report.lambda0 <= 1.0 + 1e-7
+        with pytest.raises(ValueError, match="e \\+ f <= g \\+ u"):
+            joint_observable_from_witness(space, e, f, report.witness)
+        obs, _ = joint_observable(space, e, f)
+        assert is_observable(obs, space)
+
+
 class TestMinScalingNoise:
     def test_sharp_pair_needs_halving(self, square, sharp_pair):
         e, f = sharp_pair

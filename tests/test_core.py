@@ -55,12 +55,16 @@ class TestMakeStateSpace:
         assert square.redundant == ()
 
     def test_interior_vertex_warns(self):
-        with pytest.warns(RedundantVertexWarning):
-            space = make_state_space(
-                [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.25, 0.25]]
-            )
-        assert space.redundant == (3,)
-        assert space.n_vertices == 4  # kept, not dropped
+        square_3d = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
+        for vertices, redundant in (
+            ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.25, 0.25]], (3,)),
+            # A square embedded at z = 0: every hull LP has an all-zero row.
+            (square_3d + [[0.5, 0.5, 0.0], [0.2, 0.7, 0.0]], (4, 5)),
+        ):
+            with pytest.warns(RedundantVertexWarning):
+                space = make_state_space(vertices)
+            assert space.redundant == redundant
+            assert space.n_vertices == len(vertices)  # kept, not dropped
 
     def test_duplicates_are_removed(self):
         space = make_state_space([[0.0], [1.0], [1.0], [0.0]])

@@ -60,12 +60,15 @@ def test_unknown_relation_is_input_error():
 
 
 def test_duplicate_rows_are_harmless():
-    rows = [[1.0, 1.0]] * 4 + [[1.0, -1.0]]
-    rels = (LE, LE, LE, LE, GE)
-    prob = LpProblem([-1.0, 0.0], rows, rels, [1.0, 1.0, 1.0, 1.0, 0.0])
-    res = solve_lp(prob)
-    assert res.status is LpStatus.OPTIMAL
-    assert res.value == pytest.approx(-1.0, abs=1e-9)
+    for rows, rels, rhs in (
+        ([[1.0, 1.0]] * 4 + [[1.0, -1.0]], (LE, LE, LE, LE, GE), [1.0, 1.0, 1.0, 1.0, 0.0]),
+        # Redundant equalities: phase one leaves artificials on all-zero rows,
+        # which are dropped before phase two.
+        ([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]], (EQ, EQ, EQ), [1.0, 1.0, 2.0]),
+    ):
+        res = solve_lp(LpProblem([-1.0, 0.0], rows, rels, rhs))
+        assert res.status is LpStatus.OPTIMAL
+        assert res.value == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_row_permutation_preserves_value():

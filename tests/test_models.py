@@ -239,6 +239,9 @@ class TestModelFiles:
             (lambda d: d.__setitem__("vertices", [[0.0], [1.0, 2.0]]), "vertices"),
             (lambda d: d.__setitem__("effects", {"e": {"spline": [1.0]}}), "effects.e"),
             (lambda d: d.__setitem__("effects", {"e": {"affine": [0.5]}}), "effects.e"),
+            (lambda d: d.__setitem__("version", True), "field 'version' must be int, got bool"),
+            (lambda d: d.__setitem__("dimension", True),
+             "field 'dimension' must be int, got bool"),
         ],
     )
     def test_schema_violations_name_the_field(self, tmp_path, mutation, fragment):
