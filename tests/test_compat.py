@@ -213,8 +213,8 @@ class TestIsCompatible:
 
     @pytest.mark.parametrize("d", [5e-9, 5e-8, 9e-8, 2e-7])
     def test_cross_check_compares_at_the_verdicts_threshold(self, square, sharp_pair, d):
-        # (e_x, e_y) scaled by (1 + d)/2 has lambda0 = 1 + d, which is compatible
-        # within eps_compat = 1e-7 but infeasible at lambda = 1 for d <= 1e-7.
+        # (e_x, e_y) scaled by (1 + d)/2 has lambda0 = 1 + d: infeasible at
+        # lambda = 1 for every d, compatible within eps_compat = 1e-7 for d <= 1e-7.
         e, f = (scale_effect(x, (1.0 + d) / 2.0) for x in sharp_pair)
         assert is_compatible(square, e, f, cross_check=True) is (d <= 1e-7)
 
@@ -375,7 +375,6 @@ class TestJointObservable:
             joint_observable(square, *sharp_pair)
         assert err.value.lambda0 == pytest.approx(2.0, abs=1e-9)
 
-
     def test_boundary_pair_without_witness_at_one_is_rejected(self, square, sharp_pair):
         # lambda0 = 1 + 5e-8: compatible within eps_compat, infeasible at lambda = 1.
         e, f = (scale_effect(x, (1.0 + 5e-8) / 2.0) for x in sharp_pair)
@@ -432,7 +431,6 @@ class TestMinScalingNoise:
             )
             assert is_compatible(square, *scaled)
         assert found > 0  # the draw must exercise the incompatible regime
-
 
     @pytest.mark.parametrize("verify, checks", [(True, 2), (False, 0)])
     def test_one_lambda_lp_and_phase_one_checks(self, square, sharp_pair, monkeypatch,
