@@ -7,7 +7,9 @@ lambda0, that decides the question: the pair is compatible iff lambda0 <= 1.
 Since lambda enters the constraints linearly and all inequalities reduce to
 vertex checks on a polytope, lambda0 is the optimum of one small LP over
 the affine coefficients of g and lambda, and the minimum is attained: the
-optimal g comes out of the LP as a witness.
+optimal g comes out of the LP as a witness.  On spaces of 5 or more
+vertices the LP's dual, over weights on the vertices, is solved instead,
+and the witness comes out as its simplex multipliers (see compute_lambda0).
 
 lambda0 is always in [0, 2] (g = 0, lambda = 2 is feasible for any pair),
 and for an incompatible pair sigma0 = 2*(1 - 1/lambda0) in (0, 1] measures
@@ -27,13 +29,25 @@ from .core import (
     effect_from_affine,
     unit_effect,
 )
-from .lp import LE, LpProblem, LpStatus, SolverFailure, check_feasible, solve_lp
+from .lp import EQ, LE, LpProblem, LpStatus, SolverFailure, check_feasible, solve_lp, verify_rows
 from .tolerances import DEFAULT_TOLERANCES, SolverTolerances
 
 # The depolarizing LP is posed this far inside lambda0 <= 1 + eps_compat, so the
 # smeared pair at the returned t, rounded differently, still reads compatible.
 # lambda0 is convex in t with lambda0(0) = 1/2, so t moves by at most 2e-13.
 _THRESHOLD_MARGIN = 1e-13
+
+# compute_lambda0 solves the dual of the lambda LP (d+2 equality rows over 4k
+# vertex weights, by the revised simplex method) on spaces with at least this
+# many vertices, and the 4k-row primal on a dense tableau below.  Median per
+# call over 20 seeded pairs (AMD EPYC, one BLAS thread), dense against dual:
+# 183 / 224 us at gbit (k=4), 244 / 235 at polygon-5, 246 / 250 at polygon-6,
+# 301 / 244 at polygon-7, 348 / 284 at hypercube-3, 746 / 283 at polygon-16.
+# The dense lambda path stays only because the benchmark's CLI goldens pin
+# its pivots below 5 vertices (check-gbit's lp_iterations, joint-simplex-3's
+# witness digits); it goes once the benchmark refresh of ROADMAP item 1
+# re-captures them.
+_DUAL_MIN_VERTICES = 5
 
 
 class IncompatibilityError(ValueError):
@@ -102,32 +116,73 @@ def _free_point(y: np.ndarray) -> np.ndarray:
     return y[0::2] - y[1::2]
 
 
-def _witness_problem(M: np.ndarray, rhs: np.ndarray,
-                     column: np.ndarray | None = None, cost: float = 0.0) -> LpProblem:
-    """The 4k-row witness system [-M; M; M; -M] x <= rhs over g-coefficients.
+def _witness_system(M: np.ndarray, column: np.ndarray | None = None,
+                    cost: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The 4k-row witness system [-M; M; M; -M] x <= rhs over free
+    g-coefficients, as (block matrix, objective).
 
     The four row blocks are g >= 0, g <= e, g <= f and e + f - g <= level on
     the vertices, with the pair's values folded into rhs.  An optional extra
     variable enters every row through column and the objective through cost.
-    Every variable is free and posed through _split; _free_point reads x.
     """
     A = np.vstack([-M, M, M, -M])
     objective = np.zeros(M.shape[1])
     if column is not None:
         A = np.hstack([A, column[:, None]])
         objective = np.append(objective, cost)
+    return A, objective
+
+
+def _witness_problem(M: np.ndarray, rhs: np.ndarray,
+                     column: np.ndarray | None = None, cost: float = 0.0) -> LpProblem:
+    """_witness_system as an LP: each free variable is posed through _split,
+    and _free_point reads x."""
+    A, objective = _witness_system(M, column, cost)
     return LpProblem(_split(objective), _split(A), (LE,) * A.shape[0], rhs)
 
 
-def _lambda_problem(space: StateSpace, ev: np.ndarray, fv: np.ndarray) -> LpProblem:
+def _lambda_system(space: StateSpace, ev: np.ndarray,
+                   fv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """minimize lambda over (g-coefficients, lambda), constraints per vertex:
     g(v) >= 0, g(v) <= e(v), g(v) <= f(v), e(v)+f(v)-g(v) <= lambda.
     g <= 1 is implied by g <= e, so the optimal g is automatically an effect.
+    Returns (A, rhs, objective) of A x <= rhs over free x = (g, lambda).
     """
     k = space.n_vertices
     rhs = np.concatenate([np.zeros(k), ev, fv, -(ev + fv)])
     column = np.concatenate([np.zeros(3 * k), -np.ones(k)])
-    return _witness_problem(space.vertex_matrix(), rhs, column, cost=1.0)
+    A, objective = _witness_system(space.vertex_matrix(), column, cost=1.0)
+    return A, rhs, objective
+
+
+def _lambda_problem(space: StateSpace, ev: np.ndarray, fv: np.ndarray) -> LpProblem:
+    """The lambda LP as the dense tableau solves it, each free variable split."""
+    A, rhs, objective = _lambda_system(space, ev, fv)
+    return LpProblem(_split(objective), _split(A), (LE,) * A.shape[0], rhs)
+
+
+def _solve_lambda_dual(space: StateSpace, ev: np.ndarray, fv: np.ndarray,
+                       tol: SolverTolerances) -> tuple[float, np.ndarray, int]:
+    """lambda0, the witness coefficients and the pivot count from the dual
+    of the lambda LP: minimize rhs . w subject to A^T w = -objective, w >= 0.
+
+    w = (alpha, beta, gamma, delta) weighs the four row blocks per vertex;
+    the last dual row is sum(delta) = 1, and lambda0 = -(rhs . w).  The
+    simplex multipliers are a primal point x = (g, lambda) with A x <= rhs,
+    so g is read from them and checked on all 4k primal rows at lambda0.
+    """
+    A, rhs, objective = _lambda_system(space, ev, fv)
+    result = solve_lp(LpProblem(rhs, A.T, (EQ,) * A.shape[1], -objective), tol)
+    if result.status is not LpStatus.OPTIMAL:
+        raise SolverFailure(
+            f"dual of the compatibility LP reported {result.status.value}, but it is "
+            "feasible and bounded, as the primal is"
+        )
+    lambda0 = max(0.0, -float(result.value))
+    g = result.multipliers[:-1]
+    verify_rows(A, (LE,) * A.shape[0], rhs, np.append(g, lambda0), tol.eps_feas,
+                subject=f"witness at lambda0 = {lambda0!r}")
+    return lambda0, g, result.iterations
 
 
 def eq3_problem(space: StateSpace, e: Effect, f: Effect, lam: float = 1.0) -> LpProblem:
@@ -151,24 +206,34 @@ def compute_lambda0(space: StateSpace, e: Effect, f: Effect,
 
     The LP is always feasible (g = 0, lambda = 2) and bounded below by
     max_v max(e, f) >= 0, so any non-optimal status is a solver failure.
+    With at least _DUAL_MIN_VERTICES vertices its dual is solved, d+2
+    equality rows over 4k vertex weights, by the revised simplex method:
+    lambda0 is the dual's value and the witness its simplex multipliers,
+    checked on all 4k primal rows.  Below that, the 4k-row primal is solved
+    on a dense tableau.  lp_iterations counts the simplex pivots of both
+    phases of whichever LP was solved.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     ev, fv = _validated_pair(space, e, f, tol)
-    result = solve_lp(_lambda_problem(space, ev, fv), tol)
-    if result.status is not LpStatus.OPTIMAL:
-        raise SolverFailure(
-            f"compatibility LP reported {result.status.value}, but it is feasible "
-            "and bounded by construction"
-        )
-    lambda0 = max(0.0, float(result.value))
-    witness = Effect(_free_point(result.point)[: space.dimension + 1])
+    if space.n_vertices >= _DUAL_MIN_VERTICES:
+        lambda0, g, iterations = _solve_lambda_dual(space, ev, fv, tol)
+    else:
+        result = solve_lp(_lambda_problem(space, ev, fv), tol)
+        if result.status is not LpStatus.OPTIMAL:
+            raise SolverFailure(
+                f"compatibility LP reported {result.status.value}, but it is feasible "
+                "and bounded by construction"
+            )
+        lambda0 = max(0.0, float(result.value))
+        g, iterations = _free_point(result.point)[: space.dimension + 1], result.iterations
+    witness = Effect(g)
     sigma = 0.0 if lambda0 <= 1.0 else 2.0 * (1.0 - 1.0 / lambda0)
     return CompatReport(
         lambda0=lambda0,
         sigma0=sigma,
         compatible=bool(lambda0 <= 1.0 + tol.eps_compat),
         witness=witness,
-        lp_iterations=result.iterations,
+        lp_iterations=iterations,
         tolerances=tol,
     )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -26,6 +27,8 @@ class SolverTolerances:
             value = getattr(self, field)
             if not value > 0.0:
                 raise ValueError(f"{field} must be strictly positive, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{field} must be finite, got {value!r}")
         if self.eps_compat < self.eps_opt:
             raise ValueError(
                 f"eps_compat ({self.eps_compat!r}) must be >= eps_opt ({self.eps_opt!r})"

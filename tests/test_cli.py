@@ -70,6 +70,16 @@ class TestCheck:
         assert code == 1
         assert "moebius" in err
 
+    @pytest.mark.parametrize("flag, field", [("--eps-compat", "eps_compat"),
+                                             ("--eps-feas", "eps_feas")])
+    def test_infinite_tolerance_is_an_input_error(self, flag, field, capsys):
+        # An infinite eps_compat called the sharp pair (lambda0 = 2)
+        # compatible, and an infinite eps_feas passed every phase-one check.
+        code, out, err = run(["check", "gbit", "e_x", "e_y", flag, "inf"], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"{field} must be finite, got inf" in err
+
     def test_loose_compat_tolerance_flips_verdict(self, capsys):
         code, out, _ = run(
             ["check", "gbit", "e_x", "e_y", "--eps-compat", "1.5"], capsys

@@ -241,6 +241,44 @@ def test_negative_point_fails_verification():
         lp._verify_solution(prob, np.array([0.5, -1e-8]), 1e-9)
 
 
+def _reference_verify(problem, y, eps):
+    """The per-row loop that _verify_solution's numpy pass replaced."""
+    lhs = problem.rows @ y
+    for i, rel in enumerate(problem.relations):
+        r = lhs[i] - problem.rhs[i]
+        bad = (rel == LE and r > eps) or (rel == GE and r < -eps) or (rel == EQ and abs(r) > eps)
+        if bad:
+            raise SolverFailure(
+                f"returned point violates constraint {i} ({rel} residual {r:.3e})"
+            )
+    negative = np.flatnonzero(y < -eps)
+    if negative.size:
+        raise SolverFailure(f"returned point violates lower bound on variable {negative[0]}")
+
+
+def _failure(verify, problem, y):
+    try:
+        verify(problem, y, 1e-9)
+    except SolverFailure as exc:
+        return str(exc)
+    return None
+
+
+def test_verification_matches_the_row_loop():
+    rng = np.random.default_rng(13)
+    failures = 0
+    for prob in _general_form_problems() + _lambda_problems() + _equality_problems():
+        res = solve_lp(prob)
+        if res.status is not LpStatus.OPTIMAL:
+            continue
+        for scale in (0.0, 1e-10, 1e-9, 3e-9, 1e-6):
+            y = res.point + rng.normal(scale=scale, size=res.point.size)
+            expected = _failure(_reference_verify, prob, y)
+            assert _failure(lp._verify_solution, prob, y) == expected
+            failures += expected is not None
+    assert failures > 10
+
+
 def _witness_and_hull_problems(monkeypatch):
     """The LPs the package poses: lambda, eq3, depolarizing and hull."""
     import effectcompat.compat as compat
@@ -282,23 +320,73 @@ def test_tracer_tableau_shape_matches_the_solver(monkeypatch):
 
 
 def test_oversize_tableau_is_rejected_before_allocation(monkeypatch, tmp_path, capsys):
+    import json
+
     from effectcompat import cli, compat, models
     from effectcompat.core import coordinate_effect
 
     space = models.hypercube(7)
     e, f = coordinate_effect(space, 0), coordinate_effect(space, 1)
-    problem = compat._lambda_problem(space, e.vertex_values(space), f.vertex_values(space))
+    # The witness system at fixed lambda still takes the dense tableau.
+    problem = compat.eq3_problem(space, e, f)
     rows, cols = lp._build_tableau(problem.rows, problem.relations, problem.rhs)[0].shape
     monkeypatch.setattr(lp, "_MAX_TABLEAU_BYTES", 8 * rows * cols - 1)
     tracemalloc.start()
     try:
         with pytest.raises(SolverFailure, match=rf"{rows} rows x {cols} columns .* GB"):
-            compat.compute_lambda0(space, e, f)
+            compat.eq3_feasible(space, e, f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * rows * cols / 4  # the LP's own arrays, never the tableau
+    # The lambda LP is solved as its (d+2)-row dual, which builds no tableau.
+    pytest.importorskip("scipy")
+    from perfbench import reference
+
     path = tmp_path / "hypercube-7.json"
     models.save_model(path, space, {"x1": e, "x2": f})
-    assert cli.main(["check", str(path), "x1", "x2"]) == 2
-    assert "dense tableau" in capsys.readouterr().err
+    assert cli.main(["check", str(path), "x1", "x2", "--json"]) == cli.EXIT_INCOMPATIBLE
+    payload = json.loads(capsys.readouterr().out)
+    m = reference.vertex_matrix(space.vertices)
+    expected = reference.lambda0(m, e.vertex_values(space), f.vertex_values(space), 1e-10)
+    assert payload["lambda0"] == pytest.approx(expected, abs=1e-9)
+
+
+def _equality_problems():
+    """Seeded all-equality LPs: feasible and bounded, possibly unbounded,
+    infeasible, and with a redundant row."""
+    rng = np.random.default_rng(41)
+    problems = []
+    for m, n in ((1, 3), (2, 5), (3, 8), (5, 12), (8, 40)):
+        for case in ("bounded", "bounded", "bounded", "signed cost", "infeasible", "redundant"):
+            rows = rng.normal(size=(m, n))
+            if case == "redundant":
+                rows[-1] = rows[0]
+            y0 = rng.uniform(0.0, 1.0, size=n) * (rng.uniform(size=n) < 0.5)
+            rhs = rows @ y0
+            if case == "infeasible":  # nonnegative rows cannot reach a negative rhs
+                rows, rhs = np.abs(rows), -1.0 - np.abs(rhs)
+            # a nonnegative cost keeps a feasible problem bounded
+            cost = rng.normal(size=n) if case == "signed cost" else rng.uniform(size=n)
+            problems.append(LpProblem(cost, rows, (EQ,) * m, rhs))
+    return problems
+
+
+@pytest.mark.parametrize("run", [lp._DEGENERATE_RUN, 0], ids=["dantzig", "bland"])
+def test_revised_method_matches_the_dense_tableau(monkeypatch, run):
+    monkeypatch.setattr(lp, "_DEGENERATE_RUN", run)
+    statuses = set()
+    for prob in _equality_problems():
+        res = solve_lp(prob)
+        # the same rows as <= and >= pairs take the dense tableau
+        dense = solve_lp(LpProblem(prob.objective, np.repeat(prob.rows, 2, axis=0),
+                                   (LE, GE) * prob.n_constraints, np.repeat(prob.rhs, 2)))
+        statuses.add(res.status)
+        assert res.status is dense.status
+        assert check_feasible(prob) == (res.status is not LpStatus.INFEASIBLE)
+        if res.status is LpStatus.OPTIMAL:
+            assert res.value == pytest.approx(dense.value, abs=1e-9)
+            pi = res.multipliers
+            assert np.all(prob.objective - prob.rows.T @ pi >= -1e-9)
+            assert prob.rhs @ pi == pytest.approx(res.value, abs=1e-9)
+    assert statuses == set(LpStatus)
