@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -196,6 +197,8 @@ def _parse_range(text: str) -> tuple[float, float, int]:
         a, b, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise InputError(f"--param-range wants numbers a:b:steps, got {text!r}") from None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InputError(f"--param-range needs finite ends, got {text!r}")
     if steps < 1:
         raise InputError(f"--param-range needs at least one step, got {steps}")
     if b < a:

@@ -7,9 +7,11 @@ lambda0, that decides the question: the pair is compatible iff lambda0 <= 1.
 Since lambda enters the constraints linearly and all inequalities reduce to
 vertex checks on a polytope, lambda0 is the optimum of one small LP over
 the affine coefficients of g and lambda, and the minimum is attained: the
-optimal g comes out of the LP as a witness.  On spaces of 5 or more
-vertices the LP's dual, over weights on the vertices, is solved instead,
-and the witness comes out as its simplex multipliers (see compute_lambda0).
+optimal g comes out of the LP as a witness.  Every LP over the witness
+system (lambda0, the depolarizing threshold, the least slack behind
+eq3_feasible) is solved as its dual, d+2 rows over weights on the vertices,
+and g comes out as its simplex multipliers (see _solve_witness_dual).  Only
+lambda0 on spaces of at most 4 vertices is solved as the primal.
 
 lambda0 is always in [0, 2] (g = 0, lambda = 2 is feasible for any pair),
 and for an incompatible pair sigma0 = 2*(1 - 1/lambda0) in (0, 1] measures
@@ -29,6 +31,7 @@ from .core import (
     effect_from_affine,
     unit_effect,
 )
+# solve_lp and check_feasible stay bound here: perfbench --trace 1 rebinds both by name.
 from .lp import EQ, LE, LpProblem, LpStatus, SolverFailure, check_feasible, solve_lp, verify_rows
 from .tolerances import DEFAULT_TOLERANCES, SolverTolerances
 
@@ -37,16 +40,15 @@ from .tolerances import DEFAULT_TOLERANCES, SolverTolerances
 # lambda0 is convex in t with lambda0(0) = 1/2, so t moves by at most 2e-13.
 _THRESHOLD_MARGIN = 1e-13
 
-# compute_lambda0 solves the dual of the lambda LP (d+2 equality rows over 4k
-# vertex weights, by the revised simplex method) on spaces with at least this
-# many vertices, and the 4k-row primal on a dense tableau below.  Median per
-# call over 20 seeded pairs (AMD EPYC, one BLAS thread), dense against dual:
-# 183 / 224 us at gbit (k=4), 244 / 235 at polygon-5, 246 / 250 at polygon-6,
-# 301 / 244 at polygon-7, 348 / 284 at hypercube-3, 746 / 283 at polygon-16.
-# The dense lambda path stays only because the benchmark's CLI goldens pin
-# its pivots below 5 vertices (check-gbit's lp_iterations, joint-simplex-3's
-# witness digits); it goes once the benchmark refresh of ROADMAP item 1
-# re-captures them.
+# compute_lambda0 solves the lambda LP as its dual on spaces with at least this
+# many vertices, and below as the 4k-row primal on a dense tableau, the one
+# dense-tableau LP in the package.  Median per call over 20 seeded pairs (AMD
+# EPYC, one BLAS thread), dense / dual: 183 / 224 us at gbit (k=4), 244 / 235 at
+# polygon-5, 246 / 250 at polygon-6, 301 / 244 at polygon-7, 348 / 284 at
+# hypercube-3, 746 / 283 at polygon-16.  The dense path stays only because the
+# benchmark's CLI goldens pin its pivots below 5 vertices (check-gbit's
+# lp_iterations, joint-simplex-3's witness digits); it goes once the benchmark
+# refresh of ROADMAP item 1 re-captures them.
 _DUAL_MIN_VERTICES = 5
 
 
@@ -116,88 +118,84 @@ def _free_point(y: np.ndarray) -> np.ndarray:
     return y[0::2] - y[1::2]
 
 
-def _witness_system(M: np.ndarray, column: np.ndarray | None = None,
-                    cost: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """The 4k-row witness system [-M; M; M; -M] x <= rhs over free
-    g-coefficients, as (block matrix, objective).
+def _witness_system(M: np.ndarray, column: np.ndarray,
+                    cost: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 4k-row witness system [-M; M; M; -M] g + column s <= rhs over free
+    g-coefficients and one extra variable s, as (block matrix, objective).
 
     The four row blocks are g >= 0, g <= e, g <= f and e + f - g <= level on
-    the vertices, with the pair's values folded into rhs.  An optional extra
-    variable enters every row through column and the objective through cost.
+    the vertices, with the pair's values folded into rhs; s enters every row
+    through column and the objective, minimize cost * s, through cost.
     """
-    A = np.vstack([-M, M, M, -M])
-    objective = np.zeros(M.shape[1])
-    if column is not None:
-        A = np.hstack([A, column[:, None]])
-        objective = np.append(objective, cost)
+    A = np.hstack([np.vstack([-M, M, M, -M]), column[:, None]])
+    objective = np.append(np.zeros(M.shape[1]), cost)
     return A, objective
 
 
-def _witness_problem(M: np.ndarray, rhs: np.ndarray,
-                     column: np.ndarray | None = None, cost: float = 0.0) -> LpProblem:
-    """_witness_system as an LP: each free variable is posed through _split,
-    and _free_point reads x."""
-    A, objective = _witness_system(M, column, cost)
-    return LpProblem(_split(objective), _split(A), (LE,) * A.shape[0], rhs)
+def _witness_rhs(ev: np.ndarray, fv: np.ndarray, level: float) -> np.ndarray:
+    """rhs of the four row blocks at a fixed level: 0, e, f, level - (e + f)."""
+    return np.concatenate([np.zeros(ev.size), ev, fv, level - (ev + fv)])
 
 
 def _lambda_system(space: StateSpace, ev: np.ndarray,
-                   fv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """minimize lambda over (g-coefficients, lambda), constraints per vertex:
-    g(v) >= 0, g(v) <= e(v), g(v) <= f(v), e(v)+f(v)-g(v) <= lambda.
+                   fv: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(rhs, column, cost) of minimize lambda over (g-coefficients, lambda),
+    per vertex: g(v) >= 0, g(v) <= e(v), g(v) <= f(v), e(v)+f(v)-g(v) <= lambda.
     g <= 1 is implied by g <= e, so the optimal g is automatically an effect.
-    Returns (A, rhs, objective) of A x <= rhs over free x = (g, lambda).
     """
     k = space.n_vertices
-    rhs = np.concatenate([np.zeros(k), ev, fv, -(ev + fv)])
-    column = np.concatenate([np.zeros(3 * k), -np.ones(k)])
-    A, objective = _witness_system(space.vertex_matrix(), column, cost=1.0)
-    return A, rhs, objective
+    return _witness_rhs(ev, fv, 0.0), np.concatenate([np.zeros(3 * k), -np.ones(k)]), 1.0
 
 
 def _lambda_problem(space: StateSpace, ev: np.ndarray, fv: np.ndarray) -> LpProblem:
     """The lambda LP as the dense tableau solves it, each free variable split."""
-    A, rhs, objective = _lambda_system(space, ev, fv)
+    rhs, column, cost = _lambda_system(space, ev, fv)
+    A, objective = _witness_system(space.vertex_matrix(), column, cost)
     return LpProblem(_split(objective), _split(A), (LE,) * A.shape[0], rhs)
 
 
-def _solve_lambda_dual(space: StateSpace, ev: np.ndarray, fv: np.ndarray,
-                       tol: SolverTolerances) -> tuple[float, np.ndarray, int]:
-    """lambda0, the witness coefficients and the pivot count from the dual
-    of the lambda LP: minimize rhs . w subject to A^T w = -objective, w >= 0.
+def _solve_witness_dual(M: np.ndarray, rhs: np.ndarray, column: np.ndarray, cost: float,
+                        tol: SolverTolerances, name: str) -> tuple[float, np.ndarray, int]:
+    """The optimal s, the witness coefficients g and the pivot count of
+    minimize cost * s subject to the witness system (cost is +1 or -1),
+    solved as its dual: minimize rhs . w subject to A^T w = -objective, w >= 0.
 
-    w = (alpha, beta, gamma, delta) weighs the four row blocks per vertex;
-    the last dual row is sum(delta) = 1, and lambda0 = -(rhs . w).  The
-    simplex multipliers are a primal point x = (g, lambda) with A x <= rhs,
-    so g is read from them and checked on all 4k primal rows at lambda0.
+    w = (alpha, beta, gamma, delta) weighs the four row blocks per vertex,
+    and the dual's value is -cost * s.  The simplex multipliers are a primal
+    point (g, s) with A (g, s) <= rhs, so g is read from them and checked on
+    all 4k primal rows at the optimal s; a violation raises SolverFailure.
+    Every caller's primal is feasible and bounded, so its dual is too.
     """
-    A, rhs, objective = _lambda_system(space, ev, fv)
+    A, objective = _witness_system(M, column, cost)
     result = solve_lp(LpProblem(rhs, A.T, (EQ,) * A.shape[1], -objective), tol)
     if result.status is not LpStatus.OPTIMAL:
         raise SolverFailure(
-            f"dual of the compatibility LP reported {result.status.value}, but it is "
-            "feasible and bounded, as the primal is"
+            f"dual of the witness LP for {name} reported {result.status.value}, but it "
+            "is feasible and bounded, as the primal is"
         )
-    lambda0 = max(0.0, -float(result.value))
+    s = -cost * float(result.value)
     g = result.multipliers[:-1]
-    verify_rows(A, (LE,) * A.shape[0], rhs, np.append(g, lambda0), tol.eps_feas,
-                subject=f"witness at lambda0 = {lambda0!r}")
-    return lambda0, g, result.iterations
+    verify_rows(A, (LE,) * A.shape[0], rhs, np.append(g, s), tol.eps_feas,
+                subject=f"witness at {name} = {s!r}")
+    return s, g, result.iterations
 
 
-def eq3_problem(space: StateSpace, e: Effect, f: Effect, lam: float = 1.0) -> LpProblem:
-    """Feasibility system for a joint-measurability witness at fixed lambda."""
-    ev = e.vertex_values(space)
-    fv = f.vertex_values(space)
-    rhs = np.concatenate([np.zeros(space.n_vertices), ev, fv, lam - (ev + fv)])
-    return _witness_problem(space.vertex_matrix(), rhs)
+def _witness_slack(space: StateSpace, e: Effect, f: Effect, tol: SolverTolerances,
+                   lam: float) -> tuple[float, np.ndarray, int]:
+    """The least uniform slack z with which some g meets every row of the
+    witness system at level lam (z <= 0 when one meets them all strictly),
+    that g's coefficients and the pivot count."""
+    rhs = _witness_rhs(e.vertex_values(space), f.vertex_values(space), lam)
+    return _solve_witness_dual(space.vertex_matrix(), rhs, -np.ones(rhs.size), 1.0, tol, "z")
 
 
 def eq3_feasible(space: StateSpace, e: Effect, f: Effect,
                  tol: SolverTolerances | None = None, lam: float = 1.0) -> bool:
-    """Does some effect g satisfy g <= e, g <= f, e + f <= g + lam*u?"""
+    """Does some effect g satisfy g <= e, g <= f, e + f <= g + lam*u within
+    eps_feas on every vertex?  One dual LP: its least uniform slack z <= eps_feas.
+    """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
-    return check_feasible(eq3_problem(space, e, f, lam), tol)
+    return bool(_witness_slack(space, e, f, tol, lam)[0] <= tol.eps_feas)
 
 
 def compute_lambda0(space: StateSpace, e: Effect, f: Effect,
@@ -216,7 +214,9 @@ def compute_lambda0(space: StateSpace, e: Effect, f: Effect,
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     ev, fv = _validated_pair(space, e, f, tol)
     if space.n_vertices >= _DUAL_MIN_VERTICES:
-        lambda0, g, iterations = _solve_lambda_dual(space, ev, fv, tol)
+        s, g, iterations = _solve_witness_dual(space.vertex_matrix(),
+                                               *_lambda_system(space, ev, fv), tol, "lambda0")
+        lambda0 = max(0.0, s)
     else:
         result = solve_lp(_lambda_problem(space, ev, fv), tol)
         if result.status is not LpStatus.OPTIMAL:
@@ -243,9 +243,10 @@ def is_compatible(space: StateSpace, e: Effect, f: Effect,
                   cross_check: bool = False) -> bool:
     """lambda0 <= 1 + eps_compat.
 
-    With cross_check=True the verdict is compared against feasibility of the
-    witness system at lambda = 1 + eps_compat, its own threshold; a mismatch
-    raises CrossCheckError (debug aid, off by default).
+    With cross_check=True the verdict is compared against the least slack z
+    of the witness system at lambda = 1 + eps_compat, its own threshold, one
+    more dual LP: compatible needs z <= eps_feas, incompatible z > 0.  A
+    mismatch raises CrossCheckError (debug aid, off by default).
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     report = compute_lambda0(space, e, f, tol)
@@ -257,8 +258,11 @@ def is_compatible(space: StateSpace, e: Effect, f: Effect,
 def _check_scaled_verdict(space: StateSpace, e: Effect, f: Effect, tol: SolverTolerances,
                           k: float, compatible: bool) -> None:
     """Raise CrossCheckError unless e/k, f/k are compatible exactly when expected.
-    By homogeneity that is feasibility of the e, f system at lambda = k*(1 + eps_compat)."""
-    if eq3_feasible(space, e, f, tol, lam=k * (1.0 + tol.eps_compat)) != compatible:
+    By homogeneity that is the e, f system at lambda = k*(1 + eps_compat): its
+    least slack z is at most eps_feas if compatible, and positive if not."""
+    z = _witness_slack(space, e, f, tol, k * (1.0 + tol.eps_compat))[0]
+    agrees = z <= tol.eps_feas if compatible else z > 0.0
+    if not agrees:
         raise CrossCheckError(f"effects scaled by 1/{k!r} should be {'' if compatible else 'in'}"
                               "compatible, but their witness system says otherwise")
 
@@ -321,10 +325,10 @@ def joint_observable(space: StateSpace, e: Effect, f: Effect,
     """Construct a joint observable for a compatible pair.
 
     Uses the lambda0-optimal witness when lambda0 <= 1.  For pairs that are
-    compatible only within eps_compat, a fresh witness is solved at
-    lambda = 1, which absorbs solver noise on boundary pairs.  Raises
-    IncompatibilityError when lambda0 > 1 + eps_compat, or when no witness
-    exists at lambda = 1.
+    compatible only within eps_compat, the witness is the g of the least
+    uniform slack z at lambda = 1 (the eq3_feasible LP), which absorbs
+    solver noise on boundary pairs.  Raises IncompatibilityError when
+    lambda0 > 1 + eps_compat, or when z > eps_feas: no witness at lambda = 1.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     report = compute_lambda0(space, e, f, tol)
@@ -334,14 +338,14 @@ def joint_observable(space: StateSpace, e: Effect, f: Effect,
         )
     g = report.witness
     if report.lambda0 > 1.0:
-        refreshed = solve_lp(eq3_problem(space, e, f, lam=1.0), tol)
-        if refreshed.status is not LpStatus.OPTIMAL:
+        z, coefficients, _ = _witness_slack(space, e, f, tol, 1.0)
+        if z > tol.eps_feas:
             raise IncompatibilityError(
                 f"effects are compatible only within eps_compat = {tol.eps_compat:g}: "
                 f"lambda0 = {report.lambda0:.12g} > 1 and no witness exists at lambda = 1",
                 report.lambda0,
             )
-        g = Effect(_free_point(refreshed.point))
+        g = Effect(coefficients)
     return joint_observable_from_witness(space, e, f, g, tol), report
 
 
@@ -395,9 +399,10 @@ def min_scaling_noise(space: StateSpace, e: Effect, f: Effect,
     """Least k >= 1 such that e/k and f/k are compatible; equals max(1, lambda0).
 
     One lambda LP, as lambda0(e/k, f/k) = lambda0/k.  With verify on (the
-    default) and k > 1, two phase-one checks confirm it: compatible at k, and
-    incompatible at k' = 1 + 3(k - 1)/4 (hence below k') unless lambda0 is
-    within 16*eps_compat of 1, where that verdict is tolerance-dominated.
+    default) and k > 1, two slack LPs (as in is_compatible's cross_check)
+    confirm it: compatible at k, and incompatible at k' = 1 + 3(k - 1)/4
+    (hence below k') unless lambda0 is within 16*eps_compat of 1, where that
+    verdict is tolerance-dominated.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     k_star = max(1.0, compute_lambda0(space, e, f, tol).lambda0)
@@ -414,10 +419,10 @@ def min_depolarizing_noise(space: StateSpace, e: Effect, f: Effect,
 
     Compatible means lambda0 <= 1 + eps_compat, the verdict of
     compute_lambda0.  A pair compatible as given returns exactly 1.0;
-    otherwise the threshold is the optimum of one LP over (g, t): maximize t
-    subject to the witness system of the depolarized pair, whose vertex
-    values 1/2 + t*(e - 1/2) are linear in t, at level 1 + eps_compat less
-    _THRESHOLD_MARGIN.
+    otherwise the threshold is the optimum of one LP over (g, t), solved as
+    its (d+2)-row dual: maximize t subject to the witness system of the
+    depolarized pair, whose vertex values 1/2 + t*(e - 1/2) are linear in t,
+    at level 1 + eps_compat less _THRESHOLD_MARGIN.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     if compute_lambda0(space, e, f, tol).compatible:
@@ -426,13 +431,8 @@ def min_depolarizing_noise(space: StateSpace, e: Effect, f: Effect,
     fv = f.vertex_values(space) - 0.5
     rhs = np.repeat([0.0, 0.5, 0.5, tol.eps_compat - _THRESHOLD_MARGIN], space.n_vertices)
     column = np.concatenate([np.zeros(space.n_vertices), -ev, -fv, ev + fv])
-    result = solve_lp(_witness_problem(space.vertex_matrix(), rhs, column, cost=-1.0), tol)
-    if result.status is not LpStatus.OPTIMAL:
-        raise SolverFailure(
-            f"depolarizing LP reported {result.status.value}, but it is feasible (t = 0) "
-            "and bounded (t < 1, as the pair is incompatible at t = 1)"
-        )
-    return float(_free_point(result.point)[-1])
+    # feasible at t = 0 and bounded by t < 1, as the pair is incompatible at t = 1
+    return _solve_witness_dual(space.vertex_matrix(), rhs, column, -1.0, tol, "t")[0]
 
 
 def random_effect(space: StateSpace, rng: np.random.Generator,

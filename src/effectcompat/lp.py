@@ -6,23 +6,22 @@ rhs with y >= 0; a caller with free variables poses each as the difference
 of two nonnegative ones.  solve_lp and check_feasible pick the method from
 the rows alone:
 
-* Every row an equality (the dual of the lambda LP, d+2 rows over 4k vertex
-  weights, and the hull LPs of the redundancy scan): the revised simplex
-  method.  The basis B is kept as a list of columns and B is solved afresh
-  with numpy.linalg.solve at every pivot, so round-off never accumulates.
-  Pricing is Dantzig's (most negative reduced cost, smallest index on ties);
-  after _DEGENERATE_RUN degenerate pivots in a row it hands over to Bland's
-  rule until the point moves again, so it cannot cycle.  Phase one starts
-  from one artificial per row; an artificial left in the basis is driven
-  out on the largest-magnitude entry of its row of B^-1 A, and a row where
-  that entry is zero is redundant and dropped.  The result carries the
-  simplex multipliers pi of the rows, which solve the problem's own dual:
-  c - rows^T pi >= 0 at the optimum.
+* Every row an equality (the duals of the witness LPs, d+2 rows over 4k
+  vertex weights, and the hull LPs of the redundancy scan): the revised
+  simplex method.  The basis B is kept as a list of columns and B is solved
+  afresh with numpy.linalg.solve at every pivot, so round-off never
+  accumulates.  Pricing is Dantzig's (most negative reduced cost, smallest
+  index on ties); after _DEGENERATE_RUN degenerate pivots in a row it hands
+  over to Bland's rule until the point moves again, so it cannot cycle.
+  Phase one starts from one artificial per row; an artificial left in the
+  basis is driven out on the largest-magnitude entry of its row of B^-1 A,
+  and a row where that entry is zero is redundant and dropped.  The result
+  carries the simplex multipliers pi of the rows, which solve the problem's
+  own dual: c - rows^T pi >= 0 at the optimum.
 * Otherwise: a dense, column-major tableau with Bland's rule for both the
-  entering and the leaving choice.  A pivot rewrites only the columns where
-  the normalised pivot row is nonzero when that skips enough entries, and
-  the whole tableau on small tableaux or dense rows; both give the same
-  floating-point result on every entry, up to the sign of an exact zero.
+  entering and the leaving choice, every pivot rewriting the whole tableau.
+  The package poses only one such LP, the lambda primal of a space with at
+  most 4 vertices (at most 16 rows); the tableau has no size limit.
 
 In both, iterations counts the simplex pivots of both phases; pivots that
 drive artificials out of the basis after phase one are not counted.  Every
@@ -44,10 +43,15 @@ EQ = "="
 RELATIONS = (LE, GE, EQ)
 
 # Entries below _PIVOT_EPS never serve as pivots; reduced costs above
-# -_ENTER_EPS count as optimal.  Both sit well under the user-facing
-# tolerances for the well-scaled problems this solver is built for.
+# -_ENTER_EPS count as optimal on the dense tableau.  Both sit well under the
+# user-facing tolerances for the well-scaled problems this solver is built for.
 _PIVOT_EPS = 1e-11
 _ENTER_EPS = 1e-10
+
+# The revised method's reduced costs come from a fresh basis solve, without
+# drift, so it stops only at -_REVISED_ENTER_EPS: at 1e-10 the least slack of
+# a polygon-16 witness system came out 0, not 1.9e-11 (its HiGHS value).
+_REVISED_ENTER_EPS = 1e-12
 
 # The revised method hands Dantzig pricing over to Bland's rule after this
 # many degenerate pivots in a row (pivots whose step is within the ratio-tie
@@ -60,18 +64,6 @@ _DEGENERATE_RUN = 50
 # Pivot budget is ITERATION_CAP_FACTOR * (m + n).  Exceeding it raises
 # SolverFailure; it is never reported as Infeasible.
 ITERATION_CAP_FACTOR = 10_000
-
-# A pivot updates only the nonzero columns of its row when that skips more
-# than this many tableau entries net: gathering and scattering the columns
-# costs about twice the full update per entry, plus about 2 us.  The rule
-# m * (n - 2 nnz) > 4096 matches the measured crossover of the two updates
-# on tableaux from 8 x 16 to 200 x 300 at every pivot-row density (AMD EPYC,
-# numpy 2.4).
-_SPARSE_PIVOT_SAVING = 4096
-
-# Larger dense tableaux are rejected before allocation, with SolverFailure
-# rather than MemoryError.  A 2048-vertex lambda LP needs about 0.67 GB.
-_MAX_TABLEAU_BYTES = 2**30
 
 
 class LpError(Exception):
@@ -186,15 +178,8 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     prow = T[row]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    # T.T is C-ordered, so a column of T is a contiguous row of T.T.  A zero
-    # entry of the pivot row leaves its column unchanged (up to the sign of an
-    # exact zero), so a sparse row rewrites only its nonzero columns.
-    Tt = T.T
-    if T.shape[0] * (T.shape[1] - 2 * np.count_nonzero(prow)) > _SPARSE_PIVOT_SAVING:
-        cols = np.flatnonzero(prow)
-        Tt[cols] -= np.multiply.outer(prow[cols], factors)
-    else:
-        Tt -= np.multiply.outer(prow, factors)
+    Tt = T.T  # C-ordered: a column of T is a contiguous row of T.T
+    Tt -= np.multiply.outer(prow, factors)
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
@@ -234,18 +219,10 @@ def _run_simplex(T: np.ndarray, basis: list[int], budget: _Budget) -> str:
 
 def _build_tableau(A: np.ndarray, rels: list[str], b: np.ndarray):
     """Add slack/surplus/artificial columns; return (T, basis, art_start)."""
-    A = A.copy()
-    b = b.copy()
-    rels = list(rels)
     m, p = A.shape
-    for i in range(m):  # make the right-hand side nonnegative
-        if b[i] < 0.0:
-            A[i] = -A[i]
-            b[i] = -b[i]
-            if rels[i] == LE:
-                rels[i] = GE
-            elif rels[i] == GE:
-                rels[i] = LE
+    flip = b < 0.0  # make the right-hand side nonnegative
+    A, b = np.where(flip[:, None], -A, A), np.where(flip, -b, b)
+    rels = [{LE: GE, GE: LE}.get(rel, rel) if fl else rel for rel, fl in zip(rels, flip)]
     n_slack = sum(1 for r in rels if r == LE)
     n_surplus = sum(1 for r in rels if r == GE)
     n_art = sum(1 for r in rels if r != LE)
@@ -253,12 +230,6 @@ def _build_tableau(A: np.ndarray, rels: list[str], b: np.ndarray):
     surplus_start = slack_start + n_slack
     art_start = surplus_start + n_surplus
     width = art_start + n_art
-    nbytes = 8 * (m + 1) * (width + 1)
-    if nbytes > _MAX_TABLEAU_BYTES:
-        raise SolverFailure(
-            f"dense tableau of {m + 1} rows x {width + 1} columns would take "
-            f"{nbytes / 1e9:.3g} GB, over the {_MAX_TABLEAU_BYTES / 1e9:.3g} GB limit"
-        )
     T = np.zeros((m + 1, width + 1), order="F")  # column-major: pivots touch columns
     T[:m, :p] = A
     T[:m, -1] = b
@@ -348,10 +319,10 @@ def _revised_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: list
         dantzig = degenerate < _DEGENERATE_RUN
         if dantzig:
             col = int(np.argmin(reduced))  # most negative, smallest index on ties
-            if reduced[col] >= -_ENTER_EPS:
+            if reduced[col] >= -_REVISED_ENTER_EPS:
                 return "optimal"
         else:
-            improving = np.flatnonzero(reduced < -_ENTER_EPS)
+            improving = np.flatnonzero(reduced < -_REVISED_ENTER_EPS)
             if improving.size == 0:
                 return "optimal"
             col = int(improving[0])  # Bland: smallest improving index

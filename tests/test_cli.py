@@ -204,6 +204,16 @@ class TestScan:
         assert code == 1
         assert "a:b:steps" in err
 
+    @pytest.mark.parametrize("param_range", ["1:inf:3", "nan:2:3", "1:nan:3", "-inf:0:2"])
+    def test_non_finite_range_end_rejected(self, capsys, param_range):
+        kernel = "depolarizing" if param_range.startswith("-") else "scaling"
+        code, out, err = run(
+            ["scan", "gbit", "e_x", "e_y", "--kernel", kernel, f"--param-range={param_range}"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert f"finite ends, got {param_range!r}" in err
+
     def test_scaling_needs_params_at_least_one(self, capsys):
         code, _, err = run(
             ["scan", "gbit", "e_x", "e_y", "--kernel", "scaling",

@@ -215,12 +215,35 @@ class TestIsCompatible:
         assert is_compatible(square, *sharp_pair, cross_check=True) is False
         assert is_compatible(triangle, *triangle_pair, cross_check=True) is True
 
-    @pytest.mark.parametrize("d", [5e-9, 5e-8, 9e-8, 2e-7])
+    @pytest.mark.parametrize("d", [5e-9, 5e-8, 9e-8, 1.002e-7, 1.005e-7, 1.009e-7, 2e-7])
     def test_cross_check_compares_at_the_verdicts_threshold(self, square, sharp_pair, d):
         # (e_x, e_y) scaled by (1 + d)/2 has lambda0 = 1 + d: infeasible at
         # lambda = 1 for every d, compatible within eps_compat = 1e-7 for d <= 1e-7.
+        # Just above, the witness system at 1 + eps_compat needs a slack under
+        # eps_feas, which a phase-one residual test took for feasible.
         e, f = (scale_effect(x, (1.0 + d) / 2.0) for x in sharp_pair)
         assert is_compatible(square, e, f, cross_check=True) is (d <= 1e-7)
+
+    @pytest.mark.parametrize("d", [1.01e-7, 1.03e-7])
+    def test_cross_check_is_clean_just_past_the_threshold(self, d):
+        # Seeded incompatible pairs scaled to lambda0 = 1 + d, within about
+        # eps_feas of the verdict's threshold 1 + eps_compat.
+        rng = np.random.default_rng(901)
+        spaces = (gbit_square(), regular_polygon(8), hypercube(3), regular_polygon(16),
+                  hypercube(4))
+        checked = 0
+        for i in range(100):
+            space = spaces[i % 5]
+            span = (0.2, 1.0) if i % 2 == 0 else (1.0, 1.0)
+            e, f = (random_effect(space, rng, span_range=span) for _ in range(2))
+            lambda0 = compute_lambda0(space, e, f).lambda0
+            if lambda0 <= 1.001:
+                continue
+            c = (1.0 + d) / lambda0
+            assert is_compatible(space, scale_effect(e, c), scale_effect(f, c),
+                                 cross_check=True) is False, (i, space.name)
+            checked += 1
+        assert checked > 40
 
     def test_half_unit_system_feasible(self, square, triangle):
         for space in (square, triangle):
@@ -439,25 +462,32 @@ class TestMinScalingNoise:
     @pytest.mark.parametrize("verify, checks", [(True, 2), (False, 0)])
     def test_one_lambda_lp_and_phase_one_checks(self, square, sharp_pair, monkeypatch,
                                                verify, checks):
+        # Each check is one slack LP, solved like the lambda LP; no phase one.
         calls = []
-        for name in ("solve_lp", "check_feasible"):
+        for name in ("solve_lp", "check_feasible", "_witness_slack"):
             original = getattr(compat_module, name)
             monkeypatch.setattr(compat_module, name,
                                 lambda *a, _o=original, _n=name: calls.append(_n) or _o(*a))
         assert min_scaling_noise(square, *sharp_pair, verify=verify) == pytest.approx(2.0)
-        assert (calls.count("solve_lp"), calls.count("check_feasible")) == (1, checks)
+        counts = tuple(map(calls.count, ("solve_lp", "check_feasible", "_witness_slack")))
+        assert counts == (1 + checks, 0, checks)
 
     @pytest.mark.parametrize("disagree, run, expected", [
-        (lambda feasible: not feasible,
+        (lambda z: -z,
          lambda s, e, f: is_compatible(s, e, f, cross_check=True), "1.0 should be in"),
-        (lambda feasible: False, min_scaling_noise, "should be compatible"),
-        (lambda feasible: True, min_scaling_noise, "should be incompatible"),
+        (lambda z: 1.0, min_scaling_noise, "should be compatible"),
+        (lambda z: 0.0, min_scaling_noise, "should be incompatible"),
     ], ids=["cross_check", "verify-at-k", "verify-below-k"])
     def test_each_check_raises_on_a_disagreeing_route(self, square, sharp_pair, monkeypatch,
                                                       disagree, run, expected):
-        original = compat_module.check_feasible
-        monkeypatch.setattr(compat_module, "check_feasible",
-                            lambda *a: disagree(original(*a)))
+        # disagree maps the least slack z of the witness system to a wrong one
+        original = compat_module._witness_slack
+
+        def disagreeing(*args):
+            z, *rest = original(*args)
+            return (disagree(z), *rest)
+
+        monkeypatch.setattr(compat_module, "_witness_slack", disagreeing)
         with pytest.raises(CrossCheckError, match=expected):
             run(square, *sharp_pair)
 

@@ -1,4 +1,5 @@
-"""The lambda LP solved as its (d+2)-row dual by the revised simplex method."""
+"""The witness LPs (lambda0, the depolarizing threshold, the least slack of
+the eq3 system) solved as (d+2)-row duals by the revised simplex method."""
 
 import dataclasses
 
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 import effectcompat.compat as compat
-from effectcompat.lp import LpStatus, SolverFailure, solve_lp
-from effectcompat.models import hypercube, regular_polygon
+import effectcompat.lp as lp
+from effectcompat.lp import LE, LpProblem, LpStatus, SolverFailure, check_feasible, solve_lp
+from effectcompat.models import gbit_square, hypercube, regular_polygon
 from effectcompat.tolerances import DEFAULT_TOLERANCES
 
 EPS_FEAS = DEFAULT_TOLERANCES.eps_feas
@@ -86,3 +88,71 @@ def test_perturbed_multipliers_are_caught(monkeypatch):
     monkeypatch.setattr(compat, "solve_lp", perturbed)
     with pytest.raises(SolverFailure, match="witness at lambda0"):
         compat.compute_lambda0(space, e, f)
+
+
+@pytest.mark.parametrize("make", [lambda: regular_polygon(8), lambda: hypercube(3), gbit_square],
+                         ids=["polygon-8", "hypercube-3", "gbit"])
+def test_only_the_small_lambda_primal_builds_a_tableau(monkeypatch, make):
+    space = make()
+    pairs = [pair for pair in _pairs(space, 11, 8)
+             if compat.compute_lambda0(space, *pair).lambda0 > 1.01]
+    assert len(pairs) >= 2
+    built = []
+    build = lp._build_tableau
+    monkeypatch.setattr(lp, "_build_tableau", lambda *a: built.append(a[0]) or build(*a))
+    for e, f in pairs:
+        report = compat.compute_lambda0(space, e, f)
+        compat.min_depolarizing_noise(space, e, f)
+        compat.min_scaling_noise(space, e, f, verify=True)
+        compat.is_compatible(space, e, f, cross_check=True)
+        # scaled to lambda0 = 1 + 2e-9, which takes the refresh at lambda = 1
+        c = (1.0 + 2e-9) / report.lambda0
+        compat.joint_observable(space, compat.scale_effect(e, c), compat.scale_effect(f, c))
+    if space.n_vertices >= compat._DUAL_MIN_VERTICES:
+        assert built == []
+        return
+    zero = np.zeros(space.n_vertices)
+    lambda_rows = compat._lambda_problem(space, zero, zero).rows
+    assert lambda_rows.shape[0] <= 16 and len(built) >= len(pairs)
+    for rows in built:
+        assert np.array_equal(rows, lambda_rows)
+
+
+# Reference formulations that share no solver path with the duals: the eq3
+# system as LE rows for the dense phase one, and the depolarizing LP as the
+# primal over (g, t) on the dense tableau, each free variable split.
+def _eq3_problem(space, e, f, lam):
+    ev, fv, M = e.vertex_values(space), f.vertex_values(space), space.vertex_matrix()
+    rhs = np.concatenate([np.zeros(space.n_vertices), ev, fv, lam - (ev + fv)])
+    A = np.vstack([-M, M, M, -M])
+    return LpProblem(np.zeros(2 * A.shape[1]), compat._split(A), (LE,) * A.shape[0], rhs)
+
+
+def _depolarizing_threshold(space, e, f, tol=compat.DEFAULT_TOLERANCES):
+    ev, fv = e.vertex_values(space) - 0.5, f.vertex_values(space) - 0.5
+    rhs = np.repeat([0.0, 0.5, 0.5, tol.eps_compat - compat._THRESHOLD_MARGIN],
+                    space.n_vertices)
+    column = np.concatenate([np.zeros(space.n_vertices), -ev, -fv, ev + fv])
+    A, objective = compat._witness_system(space.vertex_matrix(), column, -1.0)
+    result = solve_lp(LpProblem(compat._split(objective), compat._split(A),
+                                (LE,) * A.shape[0], rhs), tol)
+    assert result.status is LpStatus.OPTIMAL
+    return compat._free_point(result.point)[-1]
+
+
+def test_duals_agree_with_the_primal_formulations():
+    incompatible = 0
+    for space in (gbit_square(), regular_polygon(8), hypercube(3), regular_polygon(16),
+                  hypercube(4)):
+        for e, f in _pairs(space, 23, 12):
+            lambda0 = compat.compute_lambda0(space, e, f).lambda0
+            for rel in (-1e-3, -1e-6, 1e-6, 1e-3):
+                lam = lambda0 * (1.0 + rel)
+                expected = rel > 0.0
+                assert compat.eq3_feasible(space, e, f, lam=lam) is expected, space.name
+                assert check_feasible(_eq3_problem(space, e, f, lam)) is expected, space.name
+            t = compat.min_depolarizing_noise(space, e, f)
+            if t < 1.0:
+                incompatible += 1
+                assert abs(t - _depolarizing_threshold(space, e, f)) <= 1e-12, space.name
+    assert incompatible >= 20

@@ -129,9 +129,9 @@ def test_check_feasible_empty_interval():
     assert check_feasible(prob) is False
 
 
-# Reference: the full-tableau pivot as it was before the sparse column
-# update.  Every nonzero entry gets the same floating-point operation in
-# both, so solve_lp must return ==-equal results.
+# Reference: the full-tableau pivot, row by row.  Every entry gets the same
+# floating-point operation in _pivot's column-wise update, so solve_lp must
+# return ==-equal results.
 def _reference_pivot(T, basis, row, col):
     T[row] /= T[row, col]
     factors = T[:, col].copy()
@@ -210,14 +210,14 @@ def _solve_all(problems):
     return out
 
 
-@pytest.mark.parametrize("saving", [lp._SPARSE_PIVOT_SAVING, -np.inf, np.inf],
-                         ids=["size-rule", "always-sparse", "always-full"])
-def test_sparse_pivot_matches_the_full_outer_product(monkeypatch, saving):
+# The id names the one update _pivot makes: every column of the tableau.
+@pytest.mark.parametrize("pivot", [lp._pivot], ids=["always-full"])
+def test_sparse_pivot_matches_the_full_outer_product(monkeypatch, pivot):
     hull = _hull_problems(monkeypatch)
     assert len(hull) == 12 + 20 + 30
     problems = _general_form_problems() + _lambda_problems() + hull
     with monkeypatch.context() as m:
-        m.setattr(lp, "_SPARSE_PIVOT_SAVING", saving)
+        m.setattr(lp, "_pivot", pivot)
         actual = _solve_all(problems)
     monkeypatch.setattr(lp, "_pivot", _reference_pivot)
     expected = _solve_all(problems)
@@ -279,67 +279,56 @@ def test_verification_matches_the_row_loop():
     assert failures > 10
 
 
-def _witness_and_hull_problems(monkeypatch):
-    """The LPs the package poses: lambda, eq3, depolarizing and hull."""
-    import effectcompat.compat as compat
-    import effectcompat.core as core
-    from effectcompat import models
-
-    captured = {}
-
-    def recorder(kind, fn):
-        def record(problem, tol=None):
-            captured.setdefault(kind, problem)
-            return fn(problem, tol)
-        return record
-
-    space, effects = models.zoo_model("gbit")
-    e, f = effects["e_x"], effects["e_y"]
-    with monkeypatch.context() as m:
-        m.setattr(compat, "solve_lp", recorder("lambda", solve_lp))
-        compat.compute_lambda0(space, e, f)
-        m.setattr(compat, "solve_lp", recorder("depolarizing", solve_lp))
-        compat.min_depolarizing_noise(space, e, f)
-        m.setattr(compat, "check_feasible", recorder("eq3", check_feasible))
-        compat.eq3_feasible(space, e, f)
-        m.setattr(core, "check_feasible", recorder("hull", check_feasible))
-        core._point_in_hull(np.zeros(2), space.vertices, lp.DEFAULT_TOLERANCES)
-    return captured
-
-
 def test_tracer_tableau_shape_matches_the_solver(monkeypatch):
     # perfbench's per-layer tableau metrics count columns from
-    # LpProblem.bounds; this keeps that count equal to the solver's tableau.
+    # LpProblem.bounds; this keeps that count equal to the solver's tableau
+    # on the package LPs that still build one: on gbit, the lambda primal.
+    import effectcompat.compat as compat
+    from effectcompat import models
     from perfbench.tracing import tableau_shape
 
-    problems = _witness_and_hull_problems(monkeypatch)
-    assert sorted(problems) == ["depolarizing", "eq3", "hull", "lambda"]
-    for kind, problem in problems.items():
-        T, _, _ = lp._build_tableau(problem.rows, problem.relations, problem.rhs)
-        assert tableau_shape(problem) == T.shape, kind
+    solved, shapes = [], []
+    solve, build = lp.solve_lp, lp._build_tableau
+
+    def spy_build(*args):
+        T, basis, art_start = build(*args)
+        shapes.append(T.shape)
+        return T, basis, art_start
+
+    monkeypatch.setattr(compat, "solve_lp",
+                        lambda problem, tol=None: solved.append(problem) or solve(problem, tol))
+    monkeypatch.setattr(lp, "_build_tableau", spy_build)
+    space, effects = models.zoo_model("gbit")
+    e, f = effects["e_x"], effects["e_y"]
+    compat.compute_lambda0(space, e, f)
+    compat.min_depolarizing_noise(space, e, f)
+    compat.eq3_feasible(space, e, f)
+    dense = [problem for problem in solved if not lp._equality_form(problem)]
+    assert len(solved) == 4 and len(dense) == 2  # the lambda primal, twice
+    assert shapes == [tableau_shape(problem) for problem in dense]
 
 
-def test_oversize_tableau_is_rejected_before_allocation(monkeypatch, tmp_path, capsys):
+def test_oversize_tableau_is_rejected_before_allocation(tmp_path, capsys):
+    # The lambda LP and the eq3 system of hypercube-7 are solved as (d+2)-row
+    # duals: a cross-checked verdict allocates a fraction of the 513 x 531
+    # dense tableau of the lambda primal.
     import json
 
     from effectcompat import cli, compat, models
     from effectcompat.core import coordinate_effect
+    from perfbench.tracing import tableau_shape
 
     space = models.hypercube(7)
     e, f = coordinate_effect(space, 0), coordinate_effect(space, 1)
-    # The witness system at fixed lambda still takes the dense tableau.
-    problem = compat.eq3_problem(space, e, f)
-    rows, cols = lp._build_tableau(problem.rows, problem.relations, problem.rhs)[0].shape
-    monkeypatch.setattr(lp, "_MAX_TABLEAU_BYTES", 8 * rows * cols - 1)
+    rows, cols = tableau_shape(compat._lambda_problem(
+        space, e.vertex_values(space), f.vertex_values(space)))
     tracemalloc.start()
     try:
-        with pytest.raises(SolverFailure, match=rf"{rows} rows x {cols} columns .* GB"):
-            compat.eq3_feasible(space, e, f)
+        assert compat.is_compatible(space, e, f, cross_check=True) is False
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * rows * cols / 4  # the LP's own arrays, never the tableau
-    # The lambda LP is solved as its (d+2)-row dual, which builds no tableau.
+    assert peak < 8 * rows * cols / 4
     pytest.importorskip("scipy")
     from perfbench import reference
 

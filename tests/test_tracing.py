@@ -30,8 +30,9 @@ def test_tracer_rebinds_every_target_and_restores_it(tmp_path, make):
 
 def test_traced_noise_query_spans(tmp_path):
     # min_depolarizing_noise: one lambda LP and the threshold LP;
-    # min_scaling_noise: one lambda LP and two phase-one checks;
-    # is_compatible(cross_check=True): one lambda LP and one phase-one check.
+    # min_scaling_noise: one lambda LP and two slack LPs;
+    # is_compatible(cross_check=True): one lambda LP and one slack LP.
+    # Every one is a solve_lp call; none is a phase-one check.
     space, effects = zoo_model("gbit")
     pair = inputs.Pair(0, "gbit", space, effects["e_x"], effects["e_y"])
     workload = workloads.NoiseSmall()
@@ -44,4 +45,4 @@ def test_traced_noise_query_spans(tmp_path):
     assert t == pytest.approx(0.5, abs=1e-7)
     spans = {name: tracer.names.count(name)
              for name in ("compat.compute_lambda0", "lp.solve_lp", "lp.check_feasible")}
-    assert spans == {"compat.compute_lambda0": 3, "lp.solve_lp": 4, "lp.check_feasible": 3}
+    assert spans == {"compat.compute_lambda0": 3, "lp.solve_lp": 7, "lp.check_feasible": 0}
