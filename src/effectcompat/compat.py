@@ -10,8 +10,10 @@ the affine coefficients of g and lambda, and the minimum is attained: the
 optimal g comes out of the LP as a witness.  Every LP over the witness
 system (lambda0, the depolarizing threshold, the least slack behind
 eq3_feasible) is solved as its dual, d+2 rows over weights on the vertices,
-and g comes out as its simplex multipliers (see _solve_witness_dual).  Only
-lambda0 on spaces of at most 4 vertices is solved as the primal.
+from a start basis built on two equal weights at one vertex (for lambda0,
+the trivial bound max_v max(e, f)), and g comes out as its simplex
+multipliers (see _solve_witness_dual).  Only lambda0 on spaces of at most 4
+vertices is solved as the primal.
 
 lambda0 is always in [0, 2] (g = 0, lambda = 2 is feasible for any pair),
 and for an incompatible pair sigma0 = 2*(1 - 1/lambda0) in (0, 1] measures
@@ -43,12 +45,12 @@ _THRESHOLD_MARGIN = 1e-13
 # compute_lambda0 solves the lambda LP as its dual on spaces with at least this
 # many vertices, and below as the 4k-row primal on a dense tableau, the one
 # dense-tableau LP in the package.  Median per call over 20 seeded pairs (AMD
-# EPYC, one BLAS thread), dense / dual: 183 / 224 us at gbit (k=4), 244 / 235 at
-# polygon-5, 246 / 250 at polygon-6, 301 / 244 at polygon-7, 348 / 284 at
-# hypercube-3, 746 / 283 at polygon-16.  The dense path stays only because the
-# benchmark's CLI goldens pin its pivots below 5 vertices (check-gbit's
-# lp_iterations, joint-simplex-3's witness digits); it goes once the benchmark
-# refresh of ROADMAP item 1 re-captures them.
+# EPYC, one BLAS thread), dense / dual from the start basis: 162 / 129 us at
+# gbit (k=4), 191 / 135 at polygon-5, 217 / 141 at polygon-6, 258 / 161 at
+# polygon-7, 316 / 149 at hypercube-3, 583 / 189 at polygon-16.  The dense path
+# stays only because the benchmark's CLI goldens pin its pivots below 5
+# vertices (check-gbit's lp_iterations, joint-simplex-3's witness digits); it
+# goes once the benchmark refresh of ROADMAP item 1 re-captures them.
 _DUAL_MIN_VERTICES = 5
 
 
@@ -70,6 +72,9 @@ class CompatReport:
 
     witness is the effect g attaining the minimum: g <= e, g <= f and
     e + f <= g + lambda0*u hold on every vertex up to solver tolerance.
+    lp_iterations counts the simplex pivots of the lambda LP: of phase two
+    alone when the dual starts from its start basis (0 when the trivial
+    bound max_v max(e, f) is already optimal there), of both phases otherwise.
     """
 
     lambda0: float
@@ -154,20 +159,59 @@ def _lambda_problem(space: StateSpace, ev: np.ndarray, fv: np.ndarray) -> LpProb
     return LpProblem(_split(objective), _split(A), (LE,) * A.shape[0], rhs)
 
 
-def _solve_witness_dual(M: np.ndarray, rhs: np.ndarray, column: np.ndarray, cost: float,
+# The pairs of row blocks (alpha, beta, gamma, delta = 0, 1, 2, 3) whose
+# weights cancel in M^T(-alpha + beta + gamma - delta) when equal on one vertex.
+_CANCELLING_BLOCKS = np.array([(1, 3), (2, 3), (0, 1), (0, 2)])
+
+
+def _dual_start(space: StateSpace, rhs: np.ndarray, column: np.ndarray,
+                cost: float) -> tuple[int, ...] | None:
+    """A feasible basis of the witness dual that skips phase one, or None.
+
+    Equal weights c on blocks X and Y of one vertex v, where (X, Y) is one of
+    _CANCELLING_BLOCKS, meet the dual's rows when c = -cost / (column_X(v) +
+    column_Y(v)) > 0; among those points the one of least dual value
+    c * (rhs_X(v) + rhs_Y(v)) is taken (for lambda0, the trivial bound
+    max_v max(e(v), f(v))).  Its basis is block X on space.frame with v
+    swapped in for the frame vertex of largest barycentric weight of v, plus
+    Y_v: nonsingular, as M is on the frame and column_X(v) + column_Y(v) != 0.
+    """
+    frame = space.frame
+    if frame is None:
+        return None
+    k = space.n_vertices
+    X, Y = _CANCELLING_BLOCKS.T
+    col, r = column.reshape(4, k), rhs.reshape(4, k)
+    denom = col[X] + col[Y]
+    valid = cost * denom < 0.0
+    if not valid.any():
+        return None
+    value = np.where(valid, -cost / np.where(valid, denom, 1.0) * (r[X] + r[Y]), np.inf)
+    pair, v = divmod(int(np.argmin(value)), k)
+    M = space.vertex_matrix()
+    weights = np.linalg.solve(M[list(frame)].T, M[v])
+    chosen = list(frame)
+    chosen[int(np.argmax(np.abs(weights)))] = v
+    return tuple(int(X[pair]) * k + u for u in chosen) + (int(Y[pair]) * k + v,)
+
+
+def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, column: np.ndarray, cost: float,
                         tol: SolverTolerances, name: str) -> tuple[float, np.ndarray, int]:
     """The optimal s, the witness coefficients g and the pivot count of
     minimize cost * s subject to the witness system (cost is +1 or -1),
     solved as its dual: minimize rhs . w subject to A^T w = -objective, w >= 0.
 
     w = (alpha, beta, gamma, delta) weighs the four row blocks per vertex,
-    and the dual's value is -cost * s.  The simplex multipliers are a primal
-    point (g, s) with A (g, s) <= rhs, so g is read from them and checked on
-    all 4k primal rows at the optimal s; a violation raises SolverFailure.
-    Every caller's primal is feasible and bounded, so its dual is too.
+    and the dual's value is -cost * s.  The solve starts at the basis of
+    _dual_start, so it runs no phase one (without a frame it does).  The
+    simplex multipliers are a primal point (g, s) with A (g, s) <= rhs, so g
+    is read from them and checked on all 4k primal rows at the optimal s; a
+    violation raises SolverFailure.  Every caller's primal is feasible and
+    bounded, so its dual is too.
     """
-    A, objective = _witness_system(M, column, cost)
-    result = solve_lp(LpProblem(rhs, A.T, (EQ,) * A.shape[1], -objective), tol)
+    A, objective = _witness_system(space.vertex_matrix(), column, cost)
+    start = _dual_start(space, rhs, column, cost)
+    result = solve_lp(LpProblem(rhs, A.T, (EQ,) * A.shape[1], -objective, start), tol)
     if result.status is not LpStatus.OPTIMAL:
         raise SolverFailure(
             f"dual of the witness LP for {name} reported {result.status.value}, but it "
@@ -186,7 +230,7 @@ def _witness_slack(space: StateSpace, e: Effect, f: Effect, tol: SolverTolerance
     witness system at level lam (z <= 0 when one meets them all strictly),
     that g's coefficients and the pivot count."""
     rhs = _witness_rhs(e.vertex_values(space), f.vertex_values(space), lam)
-    return _solve_witness_dual(space.vertex_matrix(), rhs, -np.ones(rhs.size), 1.0, tol, "z")
+    return _solve_witness_dual(space, rhs, -np.ones(rhs.size), 1.0, tol, "z")
 
 
 def eq3_feasible(space: StateSpace, e: Effect, f: Effect,
@@ -205,17 +249,19 @@ def compute_lambda0(space: StateSpace, e: Effect, f: Effect,
     The LP is always feasible (g = 0, lambda = 2) and bounded below by
     max_v max(e, f) >= 0, so any non-optimal status is a solver failure.
     With at least _DUAL_MIN_VERTICES vertices its dual is solved, d+2
-    equality rows over 4k vertex weights, by the revised simplex method:
-    lambda0 is the dual's value and the witness its simplex multipliers,
-    checked on all 4k primal rows.  Below that, the 4k-row primal is solved
-    on a dense tableau.  lp_iterations counts the simplex pivots of both
-    phases of whichever LP was solved.
+    equality rows over 4k vertex weights, by the revised simplex method
+    from the dual point of the trivial bound, with no phase one when the
+    vertices span R^d: lambda0 is the dual's value and the witness its
+    simplex multipliers, checked on all 4k primal rows.  Below that, the
+    4k-row primal is solved on a dense tableau.  lp_iterations counts the
+    simplex pivots of the phases that ran (phase two alone from the start
+    basis; both phases on the dense tableau or without a frame).
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     ev, fv = _validated_pair(space, e, f, tol)
     if space.n_vertices >= _DUAL_MIN_VERTICES:
-        s, g, iterations = _solve_witness_dual(space.vertex_matrix(),
-                                               *_lambda_system(space, ev, fv), tol, "lambda0")
+        s, g, iterations = _solve_witness_dual(space, *_lambda_system(space, ev, fv), tol,
+                                               "lambda0")
         lambda0 = max(0.0, s)
     else:
         result = solve_lp(_lambda_problem(space, ev, fv), tol)
@@ -432,7 +478,7 @@ def min_depolarizing_noise(space: StateSpace, e: Effect, f: Effect,
     rhs = np.repeat([0.0, 0.5, 0.5, tol.eps_compat - _THRESHOLD_MARGIN], space.n_vertices)
     column = np.concatenate([np.zeros(space.n_vertices), -ev, -fv, ev + fv])
     # feasible at t = 0 and bounded by t < 1, as the pair is incompatible at t = 1
-    return _solve_witness_dual(space.vertex_matrix(), rhs, column, -1.0, tol, "t")[0]
+    return _solve_witness_dual(space, rhs, column, -1.0, tol, "t")[0]
 
 
 def random_effect(space: StateSpace, rng: np.random.Generator,

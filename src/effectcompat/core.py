@@ -28,6 +28,11 @@ REDUNDANCY_CHECK_LIMIT = 512
 # the LP's own residual.
 _CERTIFICATE_MARGIN = 1e3
 
+# A vertex joins the affine frame only if its distance from the span of the
+# frame so far exceeds this fraction of the largest distance from vertex 0;
+# below it the space counts as not full-dimensional.
+_FRAME_EPS = 1e-9
+
 
 class RedundantVertexWarning(UserWarning):
     """A supplied vertex lies in the convex hull of the others."""
@@ -41,12 +46,37 @@ class RepresentabilityError(ValueError):
     """A vertex-value assignment is not realizable by an affine functional."""
 
 
+def _affine_frame(vertices: np.ndarray) -> tuple[int, ...] | None:
+    """d+1 affinely independent vertex indices, or None when the vertices do
+    not span R^d.
+
+    Greedy: from vertex 0, add the vertex farthest from the affine span of
+    those chosen, as in QR with column pivoting.  A distance below
+    _FRAME_EPS times the largest one from vertex 0 counts as none.
+    """
+    residual = vertices - vertices[0]
+    sq = np.einsum("ij,ij->i", residual, residual)
+    floor = (_FRAME_EPS**2) * sq.max(initial=0.0)
+    frame = [0]
+    for _ in range(vertices.shape[1]):
+        j = int(np.argmax(sq))
+        if not sq[j] > floor:
+            return None
+        q = residual[j] / np.sqrt(sq[j])
+        residual -= np.outer(residual @ q, q)
+        sq = np.einsum("ij,ij->i", residual, residual)
+        frame.append(j)
+    return tuple(frame)
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """Convex polytope of states, vertex representation.
 
     redundant lists indices (into the deduplicated vertex array) of vertices
     found inside the convex hull of the others; they are kept, not dropped.
+    frame holds d+1 affinely independent vertex indices (None when the
+    vertices do not span R^d); the witness LPs build their start basis on it.
     """
 
     vertices: np.ndarray
@@ -58,7 +88,12 @@ class StateSpace:
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError(f"vertices must form a nonempty (k, d) array, got {v.shape}")
         v.flags.writeable = False
+        m = np.hstack([np.ones((v.shape[0], 1)), v])
+        m.flags.writeable = False
         object.__setattr__(self, "vertices", v)
+        # derived from vertices, so neither is a dataclass field
+        object.__setattr__(self, "_vertex_matrix", m)
+        object.__setattr__(self, "frame", _affine_frame(v))
 
     @property
     def dimension(self) -> int:
@@ -69,8 +104,9 @@ class StateSpace:
         return self.vertices.shape[0]
 
     def vertex_matrix(self) -> np.ndarray:
-        """(k, d+1) matrix [1 | V]; row i dotted with coefficients = value at vertex i."""
-        return np.hstack([np.ones((self.n_vertices, 1)), self.vertices])
+        """Read-only (k, d+1) matrix [1 | V]; row i dotted with coefficients =
+        value at vertex i."""
+        return self._vertex_matrix
 
     def __repr__(self) -> str:
         label = self.name or "state space"
@@ -254,12 +290,13 @@ def effect_from_affine(
         )
     eff = Effect(c)
     values = eff.vertex_values(space)
-    for i, val in enumerate(values):
-        if not -tol.eps_geom <= val <= 1.0 + tol.eps_geom:  # NaN fails too
-            raise EffectRangeError(
-                f"effect value {val:.12g} at vertex {space.vertices[i].tolist()} "
-                f"(index {i}) outside [0, 1]"
-            )
+    outside = np.flatnonzero(~((values >= -tol.eps_geom) & (values <= 1.0 + tol.eps_geom)))
+    if outside.size:  # NaN fails too
+        i = int(outside[0])
+        raise EffectRangeError(
+            f"effect value {values[i]:.12g} at vertex {space.vertices[i].tolist()} "
+            f"(index {i}) outside [0, 1]"
+        )
     return eff
 
 

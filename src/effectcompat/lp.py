@@ -13,23 +13,29 @@ the rows alone:
   accumulates.  Pricing is Dantzig's (most negative reduced cost, smallest
   index on ties); after _DEGENERATE_RUN degenerate pivots in a row it hands
   over to Bland's rule until the point moves again, so it cannot cycle.
-  Phase one starts from one artificial per row; an artificial left in the
-  basis is driven out on the largest-magnitude entry of its row of B^-1 A,
-  and a row where that entry is zero is redundant and dropped.  The result
-  carries the simplex multipliers pi of the rows, which solve the problem's
-  own dual: c - rows^T pi >= 0 at the optimum.
+  A problem may carry a start basis, one column per row.  When B =
+  rows[:, start] is nonsingular (condition number below 1/_PIVOT_EPS) and
+  B^-1 rhs >= -eps_feas, phase two starts there and phase one is skipped;
+  check_feasible then answers True with no pivot.  The witness duals all
+  carry one.  Otherwise phase one starts from one artificial per row; an
+  artificial left in the basis is driven out on the largest-magnitude entry
+  of its row of B^-1 A, and a row where that entry is zero is redundant and
+  dropped.  The result carries the simplex multipliers pi of the rows, which
+  solve the problem's own dual: c - rows^T pi >= 0 at the optimum.
 * Otherwise: a dense, column-major tableau with Bland's rule for both the
   entering and the leaving choice, every pivot rewriting the whole tableau.
   The package poses only one such LP, the lambda primal of a space with at
   most 4 vertices (at most 16 rows); the tableau has no size limit.
 
-In both, iterations counts the simplex pivots of both phases; pivots that
-drive artificials out of the basis after phase one are not counted.  Every
-returned point is checked against every row and bound within eps_feas.
+In both, iterations counts the simplex pivots of both phases, or of phase
+two alone when the start basis is taken; pivots that drive artificials out
+of the basis after phase one are not counted.  Every returned point is
+checked against every row and bound within eps_feas.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -89,12 +95,17 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """minimize objective . y subject to rows[i] . y (relations[i]) rhs[i], y >= 0."""
+    """minimize objective . y subject to rows[i] . y (relations[i]) rhs[i], y >= 0.
+
+    start optionally names a basis to try before phase one: one distinct
+    column index per row, on a problem whose rows are all equalities.
+    """
 
     objective: np.ndarray
     rows: np.ndarray
     relations: tuple[str, ...]
     rhs: np.ndarray
+    start: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         # copies keep the frozen instance detached from caller-owned arrays
@@ -119,6 +130,8 @@ class LpProblem:
         rhs = np.atleast_1d(np.array(self.rhs, dtype=float))
         if rhs.shape != (m,):
             raise LpInputError(f"rhs must have shape ({m},), got {rhs.shape}")
+        if self.start is not None:
+            object.__setattr__(self, "start", _checked_start(self.start, rels, n))
         c.flags.writeable = False
         rows.flags.writeable = False
         rhs.flags.writeable = False
@@ -142,6 +155,24 @@ class LpProblem:
         return ((0.0, None),) * self.n_variables
 
 
+def _checked_start(start, relations: tuple[str, ...], n: int) -> tuple[int, ...]:
+    m = len(relations)
+    if not 0 < m == relations.count(EQ):
+        raise LpInputError("a start basis needs a problem whose rows are all equalities")
+    try:
+        start = tuple(operator.index(j) for j in start)
+    except TypeError:
+        raise LpInputError(f"start must be a sequence of column indices, got {start!r}") from None
+    if len(start) != m:
+        raise LpInputError(f"{m} rows but a start basis of {len(start)} columns")
+    outside = [j for j in start if not 0 <= j < n]
+    if outside:
+        raise LpInputError(f"start column {outside[0]} outside 0..{n - 1}")
+    if len(set(start)) != m:
+        raise LpInputError(f"start basis {start} repeats a column")
+    return start
+
+
 @dataclass(frozen=True)
 class LpResult:
     """Solver outcome; value and point are None unless status is OPTIMAL.
@@ -160,8 +191,8 @@ class LpResult:
 
 
 class _Budget:
-    def __init__(self, cap: int):
-        self.cap = cap
+    def __init__(self, problem: LpProblem):
+        self.cap = ITERATION_CAP_FACTOR * (problem.n_constraints + problem.n_variables)
         self.used = 0
 
     def spend(self) -> None:
@@ -269,7 +300,12 @@ def _drop_artificials(T: np.ndarray, basis: list[int], art_start: int):
     return np.asfortranarray(T), basis
 
 
-_SENSE = {LE: 1.0, GE: -1.0, EQ: 0.0}
+def _sense(relations: tuple[str, ...]) -> np.ndarray:
+    """1 on each <= row, -1 on each >= row and 0 on each = row, with no
+    per-row loop: with <= and >= shortened to "<" and ">", each relation is
+    one byte, and "<", "=", ">" are consecutive in ASCII."""
+    text = "".join(relations).replace(LE, "<").replace(GE, ">").encode("ascii")
+    return ord("=") - np.frombuffer(text, np.uint8).astype(float)
 
 
 def verify_rows(rows: np.ndarray, relations: tuple[str, ...], rhs: np.ndarray,
@@ -277,7 +313,7 @@ def verify_rows(rows: np.ndarray, relations: tuple[str, ...], rhs: np.ndarray,
     """Raise SolverFailure naming the first row rows[i] . y (relations[i]) rhs[i]
     that y breaks by more than eps; one numpy pass, O(rows.size)."""
     residual = rows @ y - rhs
-    sense = np.fromiter(map(_SENSE.__getitem__, relations), float, len(relations))
+    sense = _sense(relations)
     excess = np.where(sense == 0.0, np.abs(residual), sense * residual)
     bad = np.flatnonzero(excess > eps)
     if bad.size:
@@ -353,7 +389,7 @@ def _revised_phase_one(problem: LpProblem):
     residual infeasibility, budget, signs), A with the artificial columns.
     """
     m, n = problem.n_constraints, problem.n_variables
-    budget = _Budget(ITERATION_CAP_FACTOR * (m + n))
+    budget = _Budget(problem)
     signs = np.where(problem.rhs < 0.0, -1.0, 1.0)
     A = np.hstack([problem.rows * signs[:, None], np.eye(m)])
     b = problem.rhs * signs
@@ -391,13 +427,39 @@ def _drive_out_artificials(A: np.ndarray, n: int, basis: list[int]) -> list[int]
     return kept
 
 
+def _start_basis(problem: LpProblem, tol: SolverTolerances) -> list[int] | None:
+    """problem.start when B = rows[:, start] is nonsingular and B^-1 rhs >=
+    -eps_feas, a feasible basis for phase two; otherwise None.
+
+    B counts as singular when its 1-norm condition number reaches
+    1/_PIVOT_EPS: rows that are equal up to round-off leave B invertible in
+    floating point, and phase two would then stop on a singular basis.
+    """
+    if problem.start is None:
+        return None
+    basis = list(problem.start)
+    B = problem.rows[:, basis]
+    try:
+        inverse = np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.abs(B).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max() < 1.0 / _PIVOT_EPS:
+        return None
+    return basis if bool(np.all(inverse @ problem.rhs >= -tol.eps_feas)) else None  # NaN fails too
+
+
 def _solve_revised(problem: LpProblem, tol: SolverTolerances) -> LpResult:
-    A, b, basis, residual, budget, signs = _revised_phase_one(problem)
-    if residual > tol.eps_feas:
-        return LpResult(LpStatus.INFEASIBLE, None, None, budget.used)
     n = problem.n_variables
-    kept = _drive_out_artificials(A, n, basis)
-    A, b, cost = A[kept, :n], b[kept], problem.objective
+    basis = _start_basis(problem, tol)
+    if basis is None:
+        A, b, basis, residual, budget, signs = _revised_phase_one(problem)
+        if residual > tol.eps_feas:
+            return LpResult(LpStatus.INFEASIBLE, None, None, budget.used)
+        kept = _drive_out_artificials(A, n, basis)
+        A, b = A[kept, :n], b[kept]
+    else:
+        A, b, budget, signs, kept = problem.rows, problem.rhs, _Budget(problem), 1.0, slice(None)
+    cost = problem.objective
     if _revised_simplex(A, b, cost, basis, budget) == "unbounded":
         return LpResult(LpStatus.UNBOUNDED, None, None, budget.used)
     B = A[:, basis]
@@ -417,7 +479,7 @@ def _phase_one(problem: LpProblem):
 
     Returns (T, basis, art_start, residual infeasibility, budget).
     """
-    budget = _Budget(ITERATION_CAP_FACTOR * (problem.n_constraints + problem.n_variables))
+    budget = _Budget(problem)
     T, basis, art_start = _build_tableau(problem.rows, problem.relations, problem.rhs)
     residual = 0.0
     if T.shape[1] - 1 > art_start:
@@ -459,8 +521,11 @@ def solve_lp(problem: LpProblem, tol: SolverTolerances | None = None) -> LpResul
 
 
 def check_feasible(problem: LpProblem, tol: SolverTolerances | None = None) -> bool:
-    """Phase-one feasibility test; the objective is ignored."""
+    """Phase-one feasibility test; the objective is ignored.  A feasible start
+    basis answers True without phase one."""
     tol = tol if tol is not None else DEFAULT_TOLERANCES
-    phase_one = _revised_phase_one if _equality_form(problem) else _phase_one
-    residual = phase_one(problem)[3]
-    return bool(residual <= tol.eps_feas)
+    if not _equality_form(problem):
+        return bool(_phase_one(problem)[3] <= tol.eps_feas)
+    if _start_basis(problem, tol) is not None:
+        return True
+    return bool(_revised_phase_one(problem)[3] <= tol.eps_feas)

@@ -187,6 +187,30 @@ class TestMakeStateSpace:
         assert space.n_vertices == 1
 
 
+class TestStateSpaceDerivedData:
+    def test_vertex_matrix_is_built_once_and_read_only(self, square):
+        m = square.vertex_matrix()
+        assert np.array_equal(m, np.hstack([np.ones((4, 1)), square.vertices]))
+        assert m is square.vertex_matrix()
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 1] = 2.0
+
+    def test_frame_is_affinely_independent(self, segment, square, triangle):
+        from effectcompat.models import hypercube, regular_polygon
+
+        for space in (segment, square, triangle, regular_polygon(16), hypercube(4),
+                      make_state_space([[]])):
+            frame = space.frame
+            assert len(frame) == len(set(frame)) == space.dimension + 1, space.name
+            assert np.linalg.matrix_rank(space.vertex_matrix()[list(frame)]) == len(frame)
+
+    def test_no_frame_when_the_vertices_do_not_span(self):
+        flat = make_state_space([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                 [1.0, 1.0, 0.0]])
+        point = make_state_space([[0.5, 0.5]])
+        assert flat.frame is None and point.frame is None
+
+
 class TestEffectConstruction:
     def test_sharp_x_effect_on_square(self, square):
         e_x = effect_from_affine(square, [0.5, 0.5, 0.0])
@@ -202,6 +226,12 @@ class TestEffectConstruction:
             effect_from_affine(segment, [0.0, 2.0])
         assert "2" in str(err.value)
         assert "[1.0]" in str(err.value)
+
+    def test_two_vertices_out_of_range_name_the_first(self, square):
+        # values -0.15, 0.85, 0.05, 1.05: vertices 0 and 3 are out of range
+        with pytest.raises(EffectRangeError,
+                           match=r"^effect value -0.15 at vertex \[1.0, 1.0\] \(index 0\)"):
+            effect_from_affine(square, [0.45, -0.1, -0.5])
 
     def test_wrong_length_rejected(self, segment):
         with pytest.raises(ValueError):

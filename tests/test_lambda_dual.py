@@ -1,5 +1,6 @@
 """The witness LPs (lambda0, the depolarizing threshold, the least slack of
-the eq3 system) solved as (d+2)-row duals by the revised simplex method."""
+the eq3 system) solved as (d+2)-row duals by the revised simplex method,
+each from the start basis of compat._dual_start."""
 
 import dataclasses
 
@@ -8,6 +9,7 @@ import pytest
 
 import effectcompat.compat as compat
 import effectcompat.lp as lp
+from effectcompat.core import make_state_space
 from effectcompat.lp import LE, LpProblem, LpStatus, SolverFailure, check_feasible, solve_lp
 from effectcompat.models import gbit_square, hypercube, regular_polygon
 from effectcompat.tolerances import DEFAULT_TOLERANCES
@@ -156,3 +158,44 @@ def test_duals_agree_with_the_primal_formulations():
                 incompatible += 1
                 assert abs(t - _depolarizing_threshold(space, e, f)) <= 1e-12, space.name
     assert incompatible >= 20
+
+
+def _spy_phase_one(monkeypatch):
+    calls = []
+    phase_one = lp._revised_phase_one
+    monkeypatch.setattr(lp, "_revised_phase_one",
+                        lambda problem: calls.append(problem) or phase_one(problem))
+    return calls
+
+
+@pytest.mark.parametrize("make", [lambda: regular_polygon(8), lambda: hypercube(3)],
+                         ids=["polygon-8", "hypercube-3"])
+def test_witness_duals_start_without_phase_one(monkeypatch, make):
+    space = make()
+    pairs = _pairs(space, 31, 12)
+    calls = _spy_phase_one(monkeypatch)
+    incompatible = 0
+    for e, f in pairs:
+        compat.compute_lambda0(space, e, f)
+        incompatible += compat.min_depolarizing_noise(space, e, f) < 1.0
+        compat.eq3_feasible(space, e, f)
+        compat.eq3_feasible(space, e, f, lam=0.9)
+    assert incompatible >= 3
+    assert calls == []
+
+
+def test_space_without_a_frame_falls_back_to_phase_one(monkeypatch):
+    # polygon-8 at z = 0 in 3-D spans no 3-d frame, so its duals run phase
+    # one; lambda0 and the threshold are those of the planar polygon-8.
+    planar = regular_polygon(8)
+    flat = make_state_space(np.hstack([planar.vertices, np.zeros((8, 1))]))
+    assert flat.frame is None and planar.frame is not None
+    calls = _spy_phase_one(monkeypatch)
+    for e, f in _pairs(planar, 37, 8):
+        e3, f3 = (compat.Effect(np.append(g.coefficients, 0.0)) for g in (e, f))
+        assert compat.compute_lambda0(flat, e3, f3).lambda0 == pytest.approx(
+            compat.compute_lambda0(planar, e, f).lambda0, abs=1e-12)
+        assert compat.min_depolarizing_noise(flat, e3, f3) == pytest.approx(
+            compat.min_depolarizing_noise(planar, e, f), abs=1e-12)
+        assert compat.eq3_feasible(flat, e3, f3) is compat.eq3_feasible(planar, e, f)
+    assert calls and all(problem.start is None for problem in calls)

@@ -379,3 +379,50 @@ def test_revised_method_matches_the_dense_tableau(monkeypatch, run):
             assert np.all(prob.objective - prob.rows.T @ pi >= -1e-9)
             assert prob.rhs @ pi == pytest.approx(res.value, abs=1e-9)
     assert statuses == set(LpStatus)
+
+
+@pytest.mark.parametrize("start, relations, match", [
+    ((0,), (EQ, EQ), "2 rows but a start basis of 1"),
+    ((0, 3), (EQ, EQ), "start column 3 outside"),
+    ((-1, 0), (EQ, EQ), "start column -1 outside"),
+    ((1, 1), (EQ, EQ), "repeats a column"),
+    ((0.0, 1.0), (EQ, EQ), "column indices"),
+    ((0, 1), (EQ, LE), "rows are all equalities"),
+], ids=["length", "past-the-end", "negative", "repeat", "float", "not-equality"])
+def test_malformed_start_is_input_error(start, relations, match):
+    with pytest.raises(LpInputError, match=match):
+        LpProblem([1.0, 1.0, 1.0], [[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]], relations, [1.0, 0.0],
+                  start)
+
+
+def test_start_basis_gives_the_same_status_and_value(monkeypatch):
+    # Seeded starts on the equality problems: a nonsingular, feasible start
+    # skips phase one; a singular or infeasible one falls back to it.
+    rng = np.random.default_rng(43)
+    phase_one = []
+    revised_phase_one = lp._revised_phase_one
+    monkeypatch.setattr(lp, "_revised_phase_one",
+                        lambda problem: phase_one.append(problem) or revised_phase_one(problem))
+    kinds = {"taken": 0, "singular": 0, "infeasible": 0}
+    for prob in _equality_problems():
+        plain = solve_lp(prob)
+        for _ in range(6):
+            start = tuple(rng.choice(prob.n_variables, prob.n_constraints, replace=False))
+            started = LpProblem(prob.objective, prob.rows, prob.relations, prob.rhs, start)
+            del phase_one[:]
+            res = solve_lp(started)
+            assert check_feasible(started) == (plain.status is not LpStatus.INFEASIBLE)
+            B = prob.rows[:, list(start)]
+            if np.linalg.matrix_rank(B) < prob.n_constraints:
+                kinds["singular"] += 1
+                assert len(phase_one) == 2
+            elif np.all(np.linalg.solve(B, prob.rhs) >= -lp.DEFAULT_TOLERANCES.eps_feas):
+                kinds["taken"] += 1
+                assert phase_one == []
+            else:
+                kinds["infeasible"] += 1
+                assert len(phase_one) == 2
+            assert res.status is plain.status
+            if plain.status is LpStatus.OPTIMAL:
+                assert res.value == pytest.approx(plain.value, abs=1e-9)
+    assert min(kinds.values()) >= 5, kinds
