@@ -30,11 +30,13 @@ from .core import (
     Effect,
     Observable,
     StateSpace,
+    checked_vertex_values,
     effect_from_affine,
     unit_effect,
 )
-# solve_lp and check_feasible stay bound here: perfbench --trace 1 rebinds both by name.
-from .lp import EQ, LE, LpProblem, LpStatus, SolverFailure, check_feasible, solve_lp, verify_rows
+# solve_lp, check_feasible and effect_from_affine stay bound here: perfbench
+# --trace 1 rebinds them by name.
+from .lp import EQ, LE, LpProblem, LpStatus, SolverFailure, check_feasible, solve_lp
 from .tolerances import DEFAULT_TOLERANCES, SolverTolerances
 
 # The depolarizing LP is posed this far inside lambda0 <= 1 + eps_compat, so the
@@ -45,9 +47,10 @@ _THRESHOLD_MARGIN = 1e-13
 # compute_lambda0 solves the lambda LP as its dual on spaces with at least this
 # many vertices, and below as the 4k-row primal on a dense tableau, the one
 # dense-tableau LP in the package.  Median per call over 20 seeded pairs (AMD
-# EPYC, one BLAS thread), dense / dual from the start basis: 162 / 129 us at
-# gbit (k=4), 191 / 135 at polygon-5, 217 / 141 at polygon-6, 258 / 161 at
-# polygon-7, 316 / 149 at hypercube-3, 583 / 189 at polygon-16.  The dense path
+# EPYC, one BLAS thread, best of four runs), dense / dual from the start
+# basis: 167 / 95 us at gbit (k=4), 209 / 101 at polygon-5, 238 / 100 at
+# polygon-6, 278 / 114 at polygon-7, 334 / 106 at hypercube-3, 604 / 128 at
+# polygon-16.  The dense path
 # stays only because the benchmark's CLI goldens pin its pivots below 5
 # vertices (check-gbit's lp_iterations, joint-simplex-3's witness digits); it
 # goes once the benchmark refresh of ROADMAP item 1 re-captures them.
@@ -108,9 +111,8 @@ class MarkovKernel2x2:
 
 def _validated_pair(space: StateSpace, e: Effect, f: Effect,
                     tol: SolverTolerances) -> tuple[np.ndarray, np.ndarray]:
-    effect_from_affine(space, e.coefficients, tol)
-    effect_from_affine(space, f.coefficients, tol)
-    return e.vertex_values(space), f.vertex_values(space)
+    return (checked_vertex_values(space, e.coefficients, tol),
+            checked_vertex_values(space, f.coefficients, tol))
 
 
 def _split(a: np.ndarray) -> np.ndarray:
@@ -160,8 +162,14 @@ def _lambda_problem(space: StateSpace, ev: np.ndarray, fv: np.ndarray) -> LpProb
 
 
 # The pairs of row blocks (alpha, beta, gamma, delta = 0, 1, 2, 3) whose
-# weights cancel in M^T(-alpha + beta + gamma - delta) when equal on one vertex.
-_CANCELLING_BLOCKS = np.array([(1, 3), (2, 3), (0, 1), (0, 2)])
+# weights cancel in M^T(-alpha + beta + gamma - delta) when equal on one vertex;
+# row p of _PAIR_SUMS adds blocks X_p and Y_p of a (4, k) array.
+_X_BLOCKS, _Y_BLOCKS = np.array([(1, 3), (2, 3), (0, 1), (0, 2)]).T
+_PAIR_SUMS = np.eye(4)[_X_BLOCKS] + np.eye(4)[_Y_BLOCKS]
+
+# The sign of g in each row block of the witness system: -g <= rhs_alpha,
+# g <= rhs_beta, g <= rhs_gamma, -g <= rhs_delta.
+_BLOCK_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 
 
 def _dual_start(space: StateSpace, rhs: np.ndarray, column: np.ndarray,
@@ -169,30 +177,29 @@ def _dual_start(space: StateSpace, rhs: np.ndarray, column: np.ndarray,
     """A feasible basis of the witness dual that skips phase one, or None.
 
     Equal weights c on blocks X and Y of one vertex v, where (X, Y) is one of
-    _CANCELLING_BLOCKS, meet the dual's rows when c = -cost / (column_X(v) +
-    column_Y(v)) > 0; among those points the one of least dual value
-    c * (rhs_X(v) + rhs_Y(v)) is taken (for lambda0, the trivial bound
-    max_v max(e(v), f(v))).  Its basis is block X on space.frame with v
-    swapped in for the frame vertex of largest barycentric weight of v, plus
-    Y_v: nonsingular, as M is on the frame and column_X(v) + column_Y(v) != 0.
+    the pairs in _X_BLOCKS, _Y_BLOCKS, meet the dual's rows when c = -cost /
+    (column_X(v) + column_Y(v)) > 0; among those points the one of least
+    dual value c * (rhs_X(v) + rhs_Y(v)) is taken (for lambda0, the trivial
+    bound max_v max(e(v), f(v))).  Its basis is block X on space.frame with
+    v swapped in at space.frame_swap[v], plus Y_v: nonsingular, as M is on
+    that frame and column_X(v) + column_Y(v) != 0.
     """
     frame = space.frame
     if frame is None:
         return None
     k = space.n_vertices
-    X, Y = _CANCELLING_BLOCKS.T
-    col, r = column.reshape(4, k), rhs.reshape(4, k)
-    denom = col[X] + col[Y]
-    valid = cost * denom < 0.0
-    if not valid.any():
+    denom = _PAIR_SUMS @ column.reshape(4, k)
+    # c * (rhs_X + rhs_Y) with c = -cost / denom, as cost is +1 or -1
+    value = np.divide(_PAIR_SUMS @ rhs.reshape(4, k), -cost * denom,
+                      out=np.full(denom.shape, np.inf), where=cost * denom < 0.0)
+    best = int(np.argmin(value))
+    if value.flat[best] == np.inf:
         return None
-    value = np.where(valid, -cost / np.where(valid, denom, 1.0) * (r[X] + r[Y]), np.inf)
-    pair, v = divmod(int(np.argmin(value)), k)
-    M = space.vertex_matrix()
-    weights = np.linalg.solve(M[list(frame)].T, M[v])
+    pair, v = divmod(best, k)
     chosen = list(frame)
-    chosen[int(np.argmax(np.abs(weights)))] = v
-    return tuple(int(X[pair]) * k + u for u in chosen) + (int(Y[pair]) * k + v,)
+    chosen[space.frame_swap[v]] = v
+    x, y = int(_X_BLOCKS[pair]) * k, int(_Y_BLOCKS[pair]) * k
+    return tuple(x + u for u in chosen) + (y + v,)
 
 
 def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, column: np.ndarray, cost: float,
@@ -202,16 +209,20 @@ def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, column: np.ndarray, 
     solved as its dual: minimize rhs . w subject to A^T w = -objective, w >= 0.
 
     w = (alpha, beta, gamma, delta) weighs the four row blocks per vertex,
-    and the dual's value is -cost * s.  The solve starts at the basis of
-    _dual_start, so it runs no phase one (without a frame it does).  The
-    simplex multipliers are a primal point (g, s) with A (g, s) <= rhs, so g
-    is read from them and checked on all 4k primal rows at the optimal s; a
-    violation raises SolverFailure.  Every caller's primal is feasible and
-    bounded, so its dual is too.
+    and the dual's value is -cost * s.  A^T is space.dual_rows, shared by
+    every witness dual of the space, over the pair's own row, column^T.  The
+    solve starts at the basis of _dual_start, so it runs no phase one
+    (without a frame it does).  The simplex multipliers are a primal point
+    (g, s) with A (g, s) <= rhs, so g is read from them and checked block by
+    block on all 4k primal rows at the optimal s, from the vertex values M g
+    in O(k*d); a violation raises SolverFailure.  Every caller's primal is
+    feasible and bounded, so its dual is too.
     """
-    A, objective = _witness_system(space.vertex_matrix(), column, cost)
+    rows = np.vstack([space.dual_rows, column])
+    dual_rhs = np.zeros(rows.shape[0])  # -objective: 0 on g, -cost on s
+    dual_rhs[-1] = -cost
     start = _dual_start(space, rhs, column, cost)
-    result = solve_lp(LpProblem(rhs, A.T, (EQ,) * A.shape[1], -objective, start), tol)
+    result = solve_lp(LpProblem(rhs, rows, (EQ,) * rows.shape[0], dual_rhs, start), tol)
     if result.status is not LpStatus.OPTIMAL:
         raise SolverFailure(
             f"dual of the witness LP for {name} reported {result.status.value}, but it "
@@ -219,8 +230,12 @@ def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, column: np.ndarray, 
         )
     s = -cost * float(result.value)
     g = result.multipliers[:-1]
-    verify_rows(A, (LE,) * A.shape[0], rhs, np.append(g, s), tol.eps_feas,
-                subject=f"witness at {name} = {s!r}")
+    residual = _BLOCK_SIGNS * (space.vertex_matrix() @ g) + (column * s - rhs).reshape(4, -1)
+    bad = np.flatnonzero(residual > tol.eps_feas)
+    if bad.size:
+        i = int(bad[0])
+        raise SolverFailure(f"witness at {name} = {s!r} violates constraint {i} "
+                            f"({LE} residual {residual.flat[i]:.3e})")
     return s, g, result.iterations
 
 
@@ -340,8 +355,7 @@ def joint_observable_from_witness(
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     ev, fv = _validated_pair(space, e, f, tol)
-    effect_from_affine(space, g.coefficients, tol)
-    gv = g.vertex_values(space)
+    gv = checked_vertex_values(space, g.coefficients, tol)
     for label, residual in (
         ("g <= e", ev - gv),
         ("g <= f", fv - gv),

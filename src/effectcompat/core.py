@@ -69,14 +69,34 @@ def _affine_frame(vertices: np.ndarray) -> tuple[int, ...] | None:
     return tuple(frame)
 
 
+def _frame_swaps(m: np.ndarray, frame: tuple[int, ...] | None) -> np.ndarray | None:
+    """Per vertex v, the position in frame of the vertex that v replaces in
+    the witness duals' start basis: that of the largest |barycentric weight|
+    of v over the frame, so that the frame with v swapped in stays affinely
+    independent and well conditioned.  One (d+1)-square solve for all k."""
+    if frame is None:
+        return None
+    weights = np.linalg.solve(m[list(frame)].T, m.T)
+    return np.argmax(np.abs(weights), axis=0)
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """Convex polytope of states, vertex representation.
 
     redundant lists indices (into the deduplicated vertex array) of vertices
     found inside the convex hull of the others; they are kept, not dropped.
-    frame holds d+1 affinely independent vertex indices (None when the
-    vertices do not span R^d); the witness LPs build their start basis on it.
+
+    __post_init__ derives read-only data from the vertices once; none of it
+    is a dataclass field.  With M = vertex_matrix():
+    frame      d+1 affinely independent vertex indices (None when the
+               vertices do not span R^d); the witness LPs build their start
+               basis on it.
+    frame_swap per vertex v, the position in frame of the vertex v replaces
+               in that start basis, the argmax of |barycentric weight| of v
+               (None without a frame).
+    dual_rows  the (d+1, 4k) matrix [-M^T, M^T, M^T, -M^T], the rows that
+               every witness dual shares; each dual adds one row of its own.
     """
 
     vertices: np.ndarray
@@ -87,13 +107,18 @@ class StateSpace:
         v = np.array(self.vertices, dtype=float)  # copy: detach from the caller
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError(f"vertices must form a nonempty (k, d) array, got {v.shape}")
-        v.flags.writeable = False
         m = np.hstack([np.ones((v.shape[0], 1)), v])
-        m.flags.writeable = False
+        frame = _affine_frame(v)
+        swap = _frame_swaps(m, frame)
+        rows = np.hstack([-m.T, m.T, m.T, -m.T])
+        for array in (v, m, swap, rows):
+            if array is not None:
+                array.flags.writeable = False
         object.__setattr__(self, "vertices", v)
-        # derived from vertices, so neither is a dataclass field
         object.__setattr__(self, "_vertex_matrix", m)
-        object.__setattr__(self, "frame", _affine_frame(v))
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "frame_swap", swap)
+        object.__setattr__(self, "dual_rows", rows)
 
     @property
     def dimension(self) -> int:
@@ -278,18 +303,19 @@ def make_state_space(
     return StateSpace(vertices=deduped, name=name, redundant=tuple(redundant))
 
 
-def effect_from_affine(
-    space: StateSpace, coefficients, tol: SolverTolerances | None = None
-) -> Effect:
-    """Validate affine coefficients as an effect on space and wrap them."""
+def checked_vertex_values(space: StateSpace, coefficients,
+                          tol: SolverTolerances | None = None) -> np.ndarray:
+    """The values on the vertices of space of the affine functional with
+    these coefficients, checked to be an effect: ValueError on a wrong
+    number of coefficients, EffectRangeError naming the first vertex where
+    the value leaves [0, 1] (NaN included)."""
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     c = np.atleast_1d(np.asarray(coefficients, dtype=float))
     if c.shape != (space.dimension + 1,):
         raise ValueError(
             f"expected {space.dimension + 1} coefficients for {space!r}, got {c.shape}"
         )
-    eff = Effect(c)
-    values = eff.vertex_values(space)
+    values = space.vertex_matrix() @ c
     outside = np.flatnonzero(~((values >= -tol.eps_geom) & (values <= 1.0 + tol.eps_geom)))
     if outside.size:  # NaN fails too
         i = int(outside[0])
@@ -297,7 +323,16 @@ def effect_from_affine(
             f"effect value {values[i]:.12g} at vertex {space.vertices[i].tolist()} "
             f"(index {i}) outside [0, 1]"
         )
-    return eff
+    return values
+
+
+def effect_from_affine(
+    space: StateSpace, coefficients, tol: SolverTolerances | None = None
+) -> Effect:
+    """Validate affine coefficients as an effect on space and wrap them."""
+    c = np.atleast_1d(np.asarray(coefficients, dtype=float))
+    checked_vertex_values(space, c, tol)
+    return Effect(c)
 
 
 def effect_from_vertex_values(

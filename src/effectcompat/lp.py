@@ -8,20 +8,26 @@ the rows alone:
 
 * Every row an equality (the duals of the witness LPs, d+2 rows over 4k
   vertex weights, and the hull LPs of the redundancy scan): the revised
-  simplex method.  The basis B is kept as a list of columns and B is solved
-  afresh with numpy.linalg.solve at every pivot, so round-off never
-  accumulates.  Pricing is Dantzig's (most negative reduced cost, smallest
-  index on ties); after _DEGENERATE_RUN degenerate pivots in a row it hands
-  over to Bland's rule until the point moves again, so it cannot cycle.
+  simplex method.  The basis is kept as a list of columns with an explicit
+  inverse B^-1 beside it.  Each pivot updates B^-1 and the basic point
+  x = B^-1 b by one rank-one (eta) step, and every _REFACTOR_INTERVAL
+  pivots both are recomputed from the basis columns, so round-off cannot
+  build up over a long solve.  The point and the multipliers returned are
+  read out with two fresh numpy.linalg.solve calls on the final basis, so
+  the updates never reach them.  Pricing is Dantzig's (most negative
+  reduced cost, smallest index on ties); after _DEGENERATE_RUN degenerate
+  pivots in a row it hands over to Bland's rule until the point moves
+  again, so it cannot cycle.
   A problem may carry a start basis, one column per row.  When B =
   rows[:, start] is nonsingular (condition number below 1/_PIVOT_EPS) and
-  B^-1 rhs >= -eps_feas, phase two starts there and phase one is skipped;
-  check_feasible then answers True with no pivot.  The witness duals all
-  carry one.  Otherwise phase one starts from one artificial per row; an
-  artificial left in the basis is driven out on the largest-magnitude entry
-  of its row of B^-1 A, and a row where that entry is zero is redundant and
-  dropped.  The result carries the simplex multipliers pi of the rows, which
-  solve the problem's own dual: c - rows^T pi >= 0 at the optimum.
+  B^-1 rhs >= -eps_feas, phase two starts there, from the inverse that
+  check computed, and phase one is skipped; check_feasible then answers
+  True with no pivot.  The witness duals all carry one.  Otherwise phase
+  one starts from one artificial per row; an artificial left in the basis
+  is driven out on the largest-magnitude entry of its row of B^-1 A, and a
+  row where that entry is zero is redundant and dropped.  The result
+  carries the simplex multipliers pi of the rows, which solve the
+  problem's own dual: c - rows^T pi >= 0 at the optimum.
 * Otherwise: a dense, column-major tableau with Bland's rule for both the
   entering and the leaving choice, every pivot rewriting the whole tableau.
   The package poses only one such LP, the lambda primal of a space with at
@@ -54,10 +60,17 @@ RELATIONS = (LE, GE, EQ)
 _PIVOT_EPS = 1e-11
 _ENTER_EPS = 1e-10
 
-# The revised method's reduced costs come from a fresh basis solve, without
-# drift, so it stops only at -_REVISED_ENTER_EPS: at 1e-10 the least slack of
-# a polygon-16 witness system came out 0, not 1.9e-11 (its HiGHS value).
+# The revised method's reduced costs come from B^-1, which the refactor below
+# keeps within a few ulps of a fresh inverse, so it stops only at
+# -_REVISED_ENTER_EPS: at 1e-10 the least slack of a polygon-16 witness system
+# came out 0, not 1.9e-11 (its HiGHS value).
 _REVISED_ENTER_EPS = 1e-12
+
+# The revised method updates B^-1 by one eta step per pivot and inverts the
+# basis afresh after this many updates.  The drift is small either way: over
+# 60 updates on hypercube-12 lambda duals, B times the updated B^-1 stayed
+# within 3e-14 of the identity; the interval bounds it on longer solves.
+_REFACTOR_INTERVAL = 32
 
 # The revised method hands Dantzig pricing over to Bland's rule after this
 # many degenerate pivots in a row (pivots whose step is within the ratio-tie
@@ -343,14 +356,26 @@ def _solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _revised_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: list[int],
-                     budget: _Budget) -> str:
+                     budget: _Budget, inverse: np.ndarray | None = None) -> str:
     """Minimize cost . y over A y = b, y >= 0 from a feasible basis, in place;
-    'optimal' or 'unbounded'."""
+    'optimal' or 'unbounded'.
+
+    inverse is B^-1 of the given basis when the caller has it; otherwise it
+    is computed here.  The loop keeps T = [B^-1 | B^-1 b]: a pivot on row r
+    and entering column a = A[:, col], with d = B^-1 a, divides row r of T
+    by d_r and subtracts d_i times that row from every other row i, which is
+    the inverse and the point of the new basis.  After _REFACTOR_INTERVAL
+    such updates T is recomputed from the basis columns.
+    """
     m = A.shape[0]
-    degenerate = 0
+    T = np.empty((m, m + 1))
+    T[:, :m] = inverse if inverse is not None else _solve(A[:, basis], np.eye(m))
+    T[:, m] = T[:, :m] @ b
+    inv, x = T[:, :m], T[:, m]
+    basic_cost = cost[basis]
+    degenerate = updates = 0
     while True:
-        B = A[:, basis]
-        reduced = cost - _solve(B.T, cost[basis]) @ A
+        reduced = cost - (basic_cost @ inv) @ A
         reduced[basis] = 0.0
         dantzig = degenerate < _DEGENERATE_RUN
         if dantzig:
@@ -362,23 +387,31 @@ def _revised_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: list
             if improving.size == 0:
                 return "optimal"
             col = int(improving[0])  # Bland: smallest improving index
-        solved = _solve(B, np.column_stack([b, A[:, col]]))
-        x, column = np.maximum(solved[:, 0], 0.0), solved[:, 1]
-        positive = column > _PIVOT_EPS
-        if not positive.any():
-            return "unbounded"
-        ratios = np.full(m, np.inf)
-        ratios[positive] = x[positive] / column[positive]
+        column = inv @ A[:, col]
+        ratios = np.divide(np.maximum(x, 0.0), column, out=np.full(m, np.inf),
+                           where=column > _PIVOT_EPS)
         best = ratios.min()
+        if best == np.inf:
+            return "unbounded"
         slack = 1e-12 * max(1.0, best)
-        ties = np.flatnonzero(ratios <= best + slack)
+        tied = ratios <= best + slack
         if dantzig:  # the largest pivot among the ties keeps B well conditioned
-            row = int(ties[np.argmax(column[ties])])
+            row = int(np.argmax(np.where(tied, column, -np.inf)))
         else:
-            row = int(min(ties, key=lambda i: basis[i]))  # Bland again on ties
+            row = int(min(np.flatnonzero(tied), key=lambda i: basis[i]))  # Bland again on ties
         degenerate = degenerate + 1 if best <= slack else 0
         budget.spend()
         basis[row] = col
+        basic_cost[row] = cost[col]
+        updates += 1
+        if updates == _REFACTOR_INTERVAL:
+            T[:, :m] = _solve(A[:, basis], np.eye(m))
+            T[:, m] = T[:, :m] @ b
+            updates = 0
+        else:
+            T[row] /= column[row]
+            column[row] = 0.0
+            T -= np.multiply.outer(column, T[row])
 
 
 def _revised_phase_one(problem: LpProblem):
@@ -395,7 +428,7 @@ def _revised_phase_one(problem: LpProblem):
     b = problem.rhs * signs
     cost = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
-    if _revised_simplex(A, b, cost, basis, budget) != "optimal":  # bounded below by 0
+    if _revised_simplex(A, b, cost, basis, budget, np.eye(m)) != "optimal":  # bounded below by 0
         raise SolverFailure("phase one reported unbounded; solver invariant broken")
     residual = float(cost[basis] @ _solve(A[:, basis], b))
     return A, b, basis, residual, budget, signs
@@ -427,9 +460,10 @@ def _drive_out_artificials(A: np.ndarray, n: int, basis: list[int]) -> list[int]
     return kept
 
 
-def _start_basis(problem: LpProblem, tol: SolverTolerances) -> list[int] | None:
-    """problem.start when B = rows[:, start] is nonsingular and B^-1 rhs >=
-    -eps_feas, a feasible basis for phase two; otherwise None.
+def _start_basis(problem: LpProblem,
+                 tol: SolverTolerances) -> tuple[list[int], np.ndarray] | None:
+    """(problem.start, B^-1) when B = rows[:, start] is nonsingular and B^-1
+    rhs >= -eps_feas, a feasible basis for phase two; otherwise None.
 
     B counts as singular when its 1-norm condition number reaches
     1/_PIVOT_EPS: rows that are equal up to round-off leave B invertible in
@@ -445,22 +479,25 @@ def _start_basis(problem: LpProblem, tol: SolverTolerances) -> list[int] | None:
         return None
     if not np.abs(B).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max() < 1.0 / _PIVOT_EPS:
         return None
-    return basis if bool(np.all(inverse @ problem.rhs >= -tol.eps_feas)) else None  # NaN fails too
+    if not np.all(inverse @ problem.rhs >= -tol.eps_feas):  # NaN fails too
+        return None
+    return basis, inverse
 
 
 def _solve_revised(problem: LpProblem, tol: SolverTolerances) -> LpResult:
     n = problem.n_variables
-    basis = _start_basis(problem, tol)
-    if basis is None:
+    start = _start_basis(problem, tol)
+    if start is None:
         A, b, basis, residual, budget, signs = _revised_phase_one(problem)
         if residual > tol.eps_feas:
             return LpResult(LpStatus.INFEASIBLE, None, None, budget.used)
         kept = _drive_out_artificials(A, n, basis)
-        A, b = A[kept, :n], b[kept]
+        A, b, inverse = A[kept, :n], b[kept], None
     else:
+        basis, inverse = start
         A, b, budget, signs, kept = problem.rows, problem.rhs, _Budget(problem), 1.0, slice(None)
     cost = problem.objective
-    if _revised_simplex(A, b, cost, basis, budget) == "unbounded":
+    if _revised_simplex(A, b, cost, basis, budget, inverse) == "unbounded":
         return LpResult(LpStatus.UNBOUNDED, None, None, budget.used)
     B = A[:, basis]
     y = np.zeros(n)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,22 @@ def test_benchmark_cli_goldens(name, capsys):
     code, out, _ = run(list(golden["argv"]), capsys)
     assert code == golden["exit"]
     assert out == golden["stdout"]
+
+
+def test_cli_import_loads_no_new_module():
+    # The cli-process benchmark is mostly interpreter start and imports: over
+    # what numpy loads, importing the CLI adds the package and these modules.
+    known = {"__future__", "_json", "argparse", "copy", "dataclasses", "effectcompat",
+             "gettext", "json"}
+    code = ("import sys, numpy; before = set(sys.modules); import effectcompat.cli; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60).stdout.split()
+    assert "effectcompat" in loaded
+    assert not set(loaded) - known
 
 
 class TestCheck:

@@ -210,6 +210,38 @@ class TestStateSpaceDerivedData:
         point = make_state_space([[0.5, 0.5]])
         assert flat.frame is None and point.frame is None
 
+    def test_dual_rows_and_frame_swap_equal_their_formulas(self, segment, square, triangle):
+        import dataclasses
+
+        from effectcompat.models import hypercube, regular_polygon
+
+        assert {"frame", "frame_swap", "dual_rows"}.isdisjoint(
+            field.name for field in dataclasses.fields(core.StateSpace))
+        for space in (segment, square, triangle, regular_polygon(16), hypercube(4),
+                      make_state_space([[]])):
+            m = space.vertex_matrix()
+            rows = space.dual_rows
+            assert np.array_equal(rows, np.hstack([-m.T, m.T, m.T, -m.T])), space.name
+            assert rows is space.dual_rows
+            frame = list(space.frame)
+            assert space.frame_swap.shape == (space.n_vertices,)
+            for v in range(space.n_vertices):
+                weights = np.abs(np.linalg.solve(m[frame].T, m[v]))
+                assert weights[space.frame_swap[v]] >= weights.max() - 1e-12, (space.name, v)
+                swapped = list(frame)
+                swapped[space.frame_swap[v]] = v
+                assert np.linalg.matrix_rank(m[swapped]) == len(frame), (space.name, v)
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                space.frame_swap[0] = 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                space.dual_rows = rows.copy()
+        flat = make_state_space([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        m = flat.vertex_matrix()
+        assert flat.frame is None and flat.frame_swap is None
+        assert np.array_equal(flat.dual_rows, np.hstack([-m.T, m.T, m.T, -m.T]))
+
 
 class TestEffectConstruction:
     def test_sharp_x_effect_on_square(self, square):

@@ -63,6 +63,50 @@ def test_agrees_with_highs_from_8_to_1024_vertices():
             assert _witness_violation(space, e, f, report) <= EPS_FEAS, space.name
 
 
+def _spy_linalg(monkeypatch):
+    """Record each call of numpy.linalg.solve and numpy.linalg.inv by name."""
+    calls = []
+    for name in ("solve", "inv"):
+        def spy(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("make", [lambda: regular_polygon(128), lambda: hypercube(7)],
+                         ids=["polygon-128", "hypercube-7"])
+def test_pivots_update_the_basis_inverse(monkeypatch, make):
+    # Below the refactor interval a lambda0 solve inverts its start basis once
+    # and solves twice for the readout, however many pivots it takes.
+    space = make()
+    pairs = [(e, f, compat.compute_lambda0(space, e, f).lp_iterations)
+             for e, f in _pairs(space, 7, 12)]
+    pairs = [pair for pair in pairs if pair[2] < lp._REFACTOR_INTERVAL]
+    assert len(pairs) >= 10 and sum(pivots >= 8 for *_, pivots in pairs) >= 5
+    calls = _spy_linalg(monkeypatch)
+    for e, f, pivots in pairs:
+        del calls[:]
+        assert compat.compute_lambda0(space, e, f).lp_iterations == pivots
+        assert sorted(calls) == ["inv", "solve", "solve"], pivots
+
+
+def test_solves_past_the_refactor_interval_agree_with_highs():
+    pytest.importorskip("scipy")
+    from perfbench import reference
+
+    past = 0
+    for space in (hypercube(10), hypercube(12)):
+        m = reference.vertex_matrix(space.vertices)
+        for e, f in _pairs(space, 5, 4):
+            report = compat.compute_lambda0(space, e, f)
+            past += report.lp_iterations > lp._REFACTOR_INTERVAL
+            expected = reference.lambda0(m, m @ e.coefficients, m @ f.coefficients, 1e-10)
+            assert abs(report.lambda0 - expected) <= 1e-12, space.name
+            assert _witness_violation(space, e, f, report) <= EPS_FEAS, space.name
+    assert past >= 3
+
+
 def test_agrees_with_the_dense_primal_from_8_to_64_vertices():
     assert compat._DUAL_MIN_VERTICES <= 8
     for space in (regular_polygon(8), hypercube(3), regular_polygon(16), hypercube(4),
