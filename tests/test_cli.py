@@ -46,7 +46,7 @@ def test_cli_import_loads_no_new_module():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=60).stdout.split()
-    assert "effectcompat" in loaded
+    assert "effectcompat" in loaded and "scipy" not in loaded
     assert not set(loaded) - known
 
 
