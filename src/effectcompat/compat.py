@@ -125,22 +125,12 @@ def _free_point(y: np.ndarray) -> np.ndarray:
     return y[0::2] - y[1::2]
 
 
-def _witness_system(M: np.ndarray, column: np.ndarray,
-                    cost: float) -> tuple[np.ndarray, np.ndarray]:
-    """The 4k-row witness system [-M; M; M; -M] g + column s <= rhs over free
-    g-coefficients and one extra variable s, as (block matrix, objective).
-
-    The four row blocks are g >= 0, g <= e, g <= f and e + f - g <= level on
-    the vertices, with the pair's values folded into rhs; s enters every row
-    through column and the objective, minimize cost * s, through cost.
-    """
-    A = np.hstack([np.vstack([-M, M, M, -M]), column[:, None]])
-    objective = np.append(np.zeros(M.shape[1]), cost)
-    return A, objective
-
-
 def _witness_rhs(ev: np.ndarray, fv: np.ndarray, level: float) -> np.ndarray:
-    """rhs of the four row blocks at a fixed level: 0, e, f, level - (e + f)."""
+    """rhs of the four row blocks at a fixed level: 0, e, f, level - (e + f).
+
+    The witness system space.dual_rows^T g + column s <= rhs, over free g and
+    one more variable s, is g >= 0, g <= e, g <= f, e + f - g <= level per vertex.
+    """
     return np.concatenate([np.zeros(ev.size), ev, fv, level - (ev + fv)])
 
 
@@ -155,9 +145,11 @@ def _lambda_system(space: StateSpace, ev: np.ndarray,
 
 
 def _lambda_problem(space: StateSpace, ev: np.ndarray, fv: np.ndarray) -> LpProblem:
-    """The lambda LP as the dense tableau solves it, each free variable split."""
+    """The lambda LP as the dense tableau solves it, each free variable split:
+    minimize cost * s over the witness system's rows [dual_rows^T | column]."""
     rhs, column, cost = _lambda_system(space, ev, fv)
-    A, objective = _witness_system(space.vertex_matrix(), column, cost)
+    A = np.column_stack([space.dual_rows.T, column])
+    objective = np.append(np.zeros(space.dimension + 1), cost)
     return LpProblem(_split(objective), _split(A), (LE,) * A.shape[0], rhs)
 
 
@@ -166,10 +158,6 @@ def _lambda_problem(space: StateSpace, ev: np.ndarray, fv: np.ndarray) -> LpProb
 # row p of _PAIR_SUMS adds blocks X_p and Y_p of a (4, k) array.
 _X_BLOCKS, _Y_BLOCKS = np.array([(1, 3), (2, 3), (0, 1), (0, 2)]).T
 _PAIR_SUMS = np.eye(4)[_X_BLOCKS] + np.eye(4)[_Y_BLOCKS]
-
-# The sign of g in each row block of the witness system: -g <= rhs_alpha,
-# g <= rhs_beta, g <= rhs_gamma, -g <= rhs_delta.
-_BLOCK_SIGNS = np.array([[-1.0], [1.0], [1.0], [-1.0]])
 
 
 def _dual_start(space: StateSpace, rhs: np.ndarray, column: np.ndarray,
@@ -213,9 +201,9 @@ def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, column: np.ndarray, 
     every witness dual of the space, over the pair's own row, column^T.  The
     solve starts at the basis of _dual_start, so it runs no phase one
     (without a frame it does).  The simplex multipliers are a primal point
-    (g, s) with A (g, s) <= rhs, so g is read from them and checked block by
-    block on all 4k primal rows at the optimal s, from the vertex values M g
-    in O(k*d); a violation raises SolverFailure.  Every caller's primal is
+    (g, s) with A (g, s) <= rhs, so g is read from them and checked on all
+    4k primal rows at the optimal s, dual_rows^T g + column s <= rhs, in
+    O(k*d); a violation raises SolverFailure.  Every caller's primal is
     feasible and bounded, so its dual is too.
     """
     rows = np.vstack([space.dual_rows, column])
@@ -230,12 +218,12 @@ def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, column: np.ndarray, 
         )
     s = -cost * float(result.value)
     g = result.multipliers[:-1]
-    residual = _BLOCK_SIGNS * (space.vertex_matrix() @ g) + (column * s - rhs).reshape(4, -1)
+    residual = space.dual_rows.T @ g + column * s - rhs
     bad = np.flatnonzero(residual > tol.eps_feas)
     if bad.size:
         i = int(bad[0])
         raise SolverFailure(f"witness at {name} = {s!r} violates constraint {i} "
-                            f"({LE} residual {residual.flat[i]:.3e})")
+                            f"({LE} residual {residual[i]:.3e})")
     return s, g, result.iterations
 
 

@@ -1,12 +1,12 @@
 """Linear programming by the two-phase simplex method, in two forms.
 
 Internal to effectcompat: only SolverFailure is part of the public API.
-Every problem has one form, minimize c . y subject to rows . y (<=, >=, =)
-rhs with y >= 0; a caller with free variables poses each as the difference
-of two nonnegative ones.  solve_lp and check_feasible pick the method from
-the rows alone:
+A problem has one of two forms, minimize c . y subject to rows . y = rhs or
+to rows . y <= rhs, with y >= 0; a caller with free variables poses each as
+the difference of two nonnegative ones.  solve_lp and check_feasible pick
+the method from the form:
 
-* Every row an equality (the duals of the witness LPs, d+2 rows over 4k
+* All rows equalities (the duals of the witness LPs, d+2 rows over 4k
   vertex weights, and the hull LPs of the redundancy scan): the revised
   simplex method.  The basis is kept as a list of columns with an explicit
   inverse B^-1 beside it.  Each pivot updates B^-1 and the basic point
@@ -28,10 +28,10 @@ the rows alone:
   row where that entry is zero is redundant and dropped.  The result
   carries the simplex multipliers pi of the rows, which solve the
   problem's own dual: c - rows^T pi >= 0 at the optimum.
-* Otherwise: a dense, column-major tableau with Bland's rule for both the
-  entering and the leaving choice, every pivot rewriting the whole tableau.
-  The package poses only one such LP, the lambda primal of a space with at
-  most 4 vertices (at most 16 rows); the tableau has no size limit.
+* All rows <= rows, or none: a dense, column-major tableau with Bland's
+  rule for both the entering and the leaving choice, every pivot rewriting
+  the whole tableau.  The package poses only one such LP, the lambda primal
+  of a space with at most 4 vertices (at most 16 rows); no size limit.
 
 In both, iterations counts the simplex pivots of both phases, or of phase
 two alone when the start basis is taken; pivots that drive artificials out
@@ -50,20 +50,16 @@ import numpy as np
 from .tolerances import DEFAULT_TOLERANCES, SolverTolerances
 
 LE = "<="
-GE = ">="
 EQ = "="
-RELATIONS = (LE, GE, EQ)
 
-# Entries below _PIVOT_EPS never serve as pivots; reduced costs above
-# -_ENTER_EPS count as optimal on the dense tableau.  Both sit well under the
+# Entries below _PIVOT_EPS never serve as pivots.  It sits well under the
 # user-facing tolerances for the well-scaled problems this solver is built for.
 _PIVOT_EPS = 1e-11
-_ENTER_EPS = 1e-10
 
-# The revised method's reduced costs come from B^-1, which the refactor below
-# keeps within a few ulps of a fresh inverse, so it stops only at
-# -_REVISED_ENTER_EPS: at 1e-10 the least slack of a polygon-16 witness system
-# came out 0, not 1.9e-11 (its HiGHS value).
+# Both methods stop when no reduced cost is below -_REVISED_ENTER_EPS.  The
+# revised method's reduced costs come from B^-1, which the refactor below
+# keeps within a few ulps of a fresh inverse: at 1e-10 the least slack of a
+# polygon-16 witness system came out 0, not 1.9e-11 (its HiGHS value).
 _REVISED_ENTER_EPS = 1e-12
 
 # The revised method updates B^-1 by one eta step per pivot and inverts the
@@ -81,8 +77,12 @@ _REFACTOR_INTERVAL = 32
 _DEGENERATE_RUN = 50
 
 # Pivot budget is ITERATION_CAP_FACTOR * (m + n).  Exceeding it raises
-# SolverFailure; it is never reported as Infeasible.
-ITERATION_CAP_FACTOR = 10_000
+# SolverFailure; it is never reported as Infeasible.  The most measured is
+# 1.98 pivots per row plus column (539, the 256 x 16 dense lambda primal of
+# hypercube-6); the witness duals at k = 256 to 4096 take at most 0.026 (68
+# pivots on hypercube-12), those of polygon-1024 laid flat in 3-D (phase
+# one) 0.0066.  At 50, the 9 x 512 lambda dual of hypercube-7 gets 26,050.
+ITERATION_CAP_FACTOR = 50
 
 
 class LpError(Exception):
@@ -90,7 +90,7 @@ class LpError(Exception):
 
 
 class LpInputError(LpError):
-    """Malformed problem data: shape mismatch or unknown relation."""
+    """Malformed problem data: shape mismatch, or relations of neither form."""
 
 
 class SolverFailure(LpError):
@@ -110,8 +110,9 @@ class LpStatus(Enum):
 class LpProblem:
     """minimize objective . y subject to rows[i] . y (relations[i]) rhs[i], y >= 0.
 
-    start optionally names a basis to try before phase one: one distinct
-    column index per row, on a problem whose rows are all equalities.
+    relations are all EQ or all LE, else LpInputError.  start optionally
+    names a basis to try before phase one: one distinct column index per
+    row, on a problem whose rows are all equalities.
     """
 
     objective: np.ndarray
@@ -135,9 +136,9 @@ class LpProblem:
             )
         m = rows.shape[0]
         rels = tuple(self.relations)
-        for rel in rels:
-            if rel not in RELATIONS:
-                raise LpInputError(f"unknown relation {rel!r}; expected one of {RELATIONS}")
+        if rels.count(EQ) != len(rels) != rels.count(LE):
+            raise LpInputError(f"relations {sorted(set(map(str, rels)))} are neither all "
+                               f"{EQ!r} nor all {LE!r}, the two problem forms")
         if len(rels) != m:
             raise LpInputError(f"{m} rows but {len(rels)} relations")
         rhs = np.atleast_1d(np.array(self.rhs, dtype=float))
@@ -243,7 +244,7 @@ def _run_simplex(T: np.ndarray, basis: list[int], budget: _Budget) -> str:
     m = T.shape[0] - 1
     while True:
         reduced = T[-1, :-1]
-        improving = np.flatnonzero(reduced < -_ENTER_EPS)
+        improving = np.flatnonzero(reduced < -_REVISED_ENTER_EPS)
         if improving.size == 0:
             return "optimal"
         col = int(improving[0])  # Bland: smallest improving index
@@ -261,37 +262,25 @@ def _run_simplex(T: np.ndarray, basis: list[int], budget: _Budget) -> str:
         _pivot(T, basis, int(row), col)
 
 
-def _build_tableau(A: np.ndarray, rels: list[str], b: np.ndarray):
-    """Add slack/surplus/artificial columns; return (T, basis, art_start)."""
+def _build_tableau(A: np.ndarray, b: np.ndarray):
+    """The tableau of A y <= b: a slack on each row, except that a row with
+    b < 0 is negated and takes a surplus and an artificial.  Columns run
+    structural, slacks, surpluses, artificials; returns (T, basis, art_start)."""
     m, p = A.shape
     flip = b < 0.0  # make the right-hand side nonnegative
-    A, b = np.where(flip[:, None], -A, A), np.where(flip, -b, b)
-    rels = [{LE: GE, GE: LE}.get(rel, rel) if fl else rel for rel, fl in zip(rels, flip)]
-    n_slack = sum(1 for r in rels if r == LE)
-    n_surplus = sum(1 for r in rels if r == GE)
-    n_art = sum(1 for r in rels if r != LE)
-    slack_start = p
-    surplus_start = slack_start + n_slack
-    art_start = surplus_start + n_surplus
-    width = art_start + n_art
-    T = np.zeros((m + 1, width + 1), order="F")  # column-major: pivots touch columns
-    T[:m, :p] = A
-    T[:m, -1] = b
-    basis: list[int] = []
-    i_slack = i_surplus = i_art = 0
-    for i, rel in enumerate(rels):
-        if rel == LE:
-            T[i, slack_start + i_slack] = 1.0
-            basis.append(slack_start + i_slack)
-            i_slack += 1
-        else:
-            if rel == GE:
-                T[i, surplus_start + i_surplus] = -1.0
-                i_surplus += 1
-            T[i, art_start + i_art] = 1.0
-            basis.append(art_start + i_art)
-            i_art += 1
-    return T, basis, art_start
+    kept, negated = np.flatnonzero(~flip), np.flatnonzero(flip)
+    art_start = p + m  # one slack or surplus per row
+    # column-major: pivots touch columns
+    T = np.zeros((m + 1, art_start + negated.size + 1), order="F")
+    T[:m, :p] = np.where(flip[:, None], -A, A)
+    T[:m, -1] = np.where(flip, -b, b)
+    T[kept, p + np.arange(kept.size)] = 1.0
+    T[negated, p + kept.size + np.arange(negated.size)] = -1.0
+    T[negated, art_start + np.arange(negated.size)] = 1.0
+    basis = np.empty(m, dtype=int)
+    basis[kept] = p + np.arange(kept.size)
+    basis[negated] = art_start + np.arange(negated.size)
+    return T, basis.tolist(), art_start
 
 
 def _drop_artificials(T: np.ndarray, basis: list[int], art_start: int):
@@ -313,31 +302,16 @@ def _drop_artificials(T: np.ndarray, basis: list[int], art_start: int):
     return np.asfortranarray(T), basis
 
 
-def _sense(relations: tuple[str, ...]) -> np.ndarray:
-    """1 on each <= row, -1 on each >= row and 0 on each = row, with no
-    per-row loop: with <= and >= shortened to "<" and ">", each relation is
-    one byte, and "<", "=", ">" are consecutive in ASCII."""
-    text = "".join(relations).replace(LE, "<").replace(GE, ">").encode("ascii")
-    return ord("=") - np.frombuffer(text, np.uint8).astype(float)
-
-
-def verify_rows(rows: np.ndarray, relations: tuple[str, ...], rhs: np.ndarray,
-                y: np.ndarray, eps: float, subject: str = "returned point") -> None:
-    """Raise SolverFailure naming the first row rows[i] . y (relations[i]) rhs[i]
-    that y breaks by more than eps; one numpy pass, O(rows.size)."""
-    residual = rows @ y - rhs
-    sense = _sense(relations)
-    excess = np.where(sense == 0.0, np.abs(residual), sense * residual)
-    bad = np.flatnonzero(excess > eps)
+def _verify_solution(problem: LpProblem, y: np.ndarray, eps: float) -> None:
+    """Raise SolverFailure naming the first row (|residual| on an equality,
+    the signed residual on a <= row) or bound that y breaks by more than eps;
+    one numpy pass, O(rows.size)."""
+    residual = problem.rows @ y - problem.rhs
+    bad = np.flatnonzero((np.abs(residual) if _equality_form(problem) else residual) > eps)
     if bad.size:
         i = int(bad[0])
-        raise SolverFailure(
-            f"{subject} violates constraint {i} ({relations[i]} residual {residual[i]:.3e})"
-        )
-
-
-def _verify_solution(problem: LpProblem, y: np.ndarray, eps: float) -> None:
-    verify_rows(problem.rows, problem.relations, problem.rhs, y, eps)
+        raise SolverFailure(f"returned point violates constraint {i} "
+                            f"({problem.relations[i]} residual {residual[i]:.3e})")
     negative = np.flatnonzero(y < -eps)
     if negative.size:
         raise SolverFailure(f"returned point violates lower bound on variable {negative[0]}")
@@ -517,7 +491,7 @@ def _phase_one(problem: LpProblem):
     Returns (T, basis, art_start, residual infeasibility, budget).
     """
     budget = _Budget(problem)
-    T, basis, art_start = _build_tableau(problem.rows, problem.relations, problem.rhs)
+    T, basis, art_start = _build_tableau(problem.rows, problem.rhs)
     residual = 0.0
     if T.shape[1] - 1 > art_start:
         cost = np.zeros(T.shape[1] - 1)

@@ -3,15 +3,17 @@ the eq3 system) solved as (d+2)-row duals by the revised simplex method,
 each from the start basis of compat._dual_start."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 import effectcompat.compat as compat
+import effectcompat.core as core
 import effectcompat.lp as lp
-from effectcompat.core import make_state_space
-from effectcompat.lp import LE, LpProblem, LpStatus, SolverFailure, check_feasible, solve_lp
-from effectcompat.models import gbit_square, hypercube, regular_polygon
+from effectcompat.core import RedundantVertexWarning, make_state_space
+from effectcompat.lp import EQ, LE, LpProblem, LpStatus, SolverFailure, check_feasible, solve_lp
+from effectcompat.models import gbit_square, hypercube, regular_polygon, simplex
 from effectcompat.tolerances import DEFAULT_TOLERANCES
 
 EPS_FEAS = DEFAULT_TOLERANCES.eps_feas
@@ -179,7 +181,9 @@ def _depolarizing_threshold(space, e, f, tol=compat.DEFAULT_TOLERANCES):
     rhs = np.repeat([0.0, 0.5, 0.5, tol.eps_compat - compat._THRESHOLD_MARGIN],
                     space.n_vertices)
     column = np.concatenate([np.zeros(space.n_vertices), -ev, -fv, ev + fv])
-    A, objective = compat._witness_system(space.vertex_matrix(), column, -1.0)
+    M = space.vertex_matrix()
+    A = np.hstack([np.vstack([-M, M, M, -M]), column[:, None]])
+    objective = np.append(np.zeros(M.shape[1]), -1.0)  # maximize t
     result = solve_lp(LpProblem(compat._split(objective), compat._split(A),
                                 (LE,) * A.shape[0], rhs), tol)
     assert result.status is LpStatus.OPTIMAL
@@ -243,3 +247,71 @@ def test_space_without_a_frame_falls_back_to_phase_one(monkeypatch):
             compat.min_depolarizing_noise(planar, e, f), abs=1e-12)
         assert compat.eq3_feasible(flat, e3, f3) is compat.eq3_feasible(planar, e, f)
     assert calls and all(problem.start is None for problem in calls)
+
+
+def test_pivot_budget_of_the_hypercube_7_lambda_dual(monkeypatch):
+    # The budget bounds how long a solve that cycles runs before SolverFailure.
+    budgets = []
+    budget = lp._Budget
+    monkeypatch.setattr(lp, "_Budget",
+                        lambda problem: budgets.append(budget(problem)) or budgets[-1])
+    space = hypercube(7)
+    e, f = _pairs(space, 7, 1)[0]
+    report = compat.compute_lambda0(space, e, f)
+    assert len(budgets) == 1 and budgets[0].used == report.lp_iterations
+    assert budgets[0].cap < 30_000
+
+
+def _spy_problems(monkeypatch):
+    """Record every LpProblem that compat and core hand to the solver."""
+    posed = []
+    for module, name in ((compat, "solve_lp"), (compat, "check_feasible"),
+                         (core, "check_feasible")):
+        def spy(problem, tol=None, _fn=getattr(module, name)):
+            posed.append(problem)
+            return _fn(problem, tol)
+        monkeypatch.setattr(module, name, spy)
+    return posed
+
+
+@pytest.mark.parametrize("make", [
+    gbit_square, lambda: simplex(3), lambda: regular_polygon(8),
+    lambda: hypercube(3),
+    lambda: make_state_space(np.hstack([regular_polygon(8).vertices, np.zeros((8, 1))])),
+], ids=["gbit", "simplex-3", "polygon-8", "hypercube-3", "flat-polygon-8"])
+def test_the_package_poses_only_the_two_problem_forms(monkeypatch, make):
+    # Every LP is all equalities, or the all-<= lambda primal of a space with
+    # at most 4 vertices.
+    space = make()
+    posed = _spy_problems(monkeypatch)
+    lambda_primals = incompatible = 0
+    for e, f in _pairs(space, 47, 8):
+        report = compat.compute_lambda0(space, e, f)
+        compat.min_depolarizing_noise(space, e, f)
+        compat.min_scaling_noise(space, e, f, verify=True)
+        compat.is_compatible(space, e, f, cross_check=True)
+        compat.eq3_feasible(space, e, f)
+        incompatible += not report.compatible
+        if report.lambda0 > 1.0:  # scaled to lambda0 = 1 + 2e-9: the refresh at lambda = 1
+            c = (1.0 + 2e-9) / report.lambda0
+            e, f = compat.scale_effect(e, c), compat.scale_effect(f, c)
+        compat.joint_observable(space, e, f)
+    assert posed and (incompatible >= 2 or space.name.startswith("simplex"))
+    zero = np.zeros(space.n_vertices)
+    lambda_rows = compat._lambda_problem(space, zero, zero).rows
+    for problem in posed:
+        if set(problem.relations) != {EQ}:
+            assert space.n_vertices <= 4 and set(problem.relations) == {LE}
+            assert np.array_equal(problem.rows, lambda_rows)
+            lambda_primals += 1
+    assert (lambda_primals > 0) == (space.n_vertices < compat._DUAL_MIN_VERTICES)
+
+
+def test_the_redundancy_scan_poses_only_equalities(monkeypatch):
+    posed = _spy_problems(monkeypatch)
+    cloud = np.random.default_rng(53).normal(size=(40, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RedundantVertexWarning)
+        space = make_state_space(cloud)
+    assert posed and space.redundant
+    assert all(set(problem.relations) == {EQ} for problem in posed)

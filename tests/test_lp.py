@@ -6,7 +6,6 @@ import pytest
 import effectcompat.lp as lp
 from effectcompat.lp import (
     EQ,
-    GE,
     LE,
     LpInputError,
     LpProblem,
@@ -18,8 +17,8 @@ from effectcompat.lp import (
 
 
 def test_single_active_bound_row():
-    # minimize x subject to x >= 1
-    prob = LpProblem([1.0], [[1.0]], (GE,), [1.0])
+    # minimize x subject to x >= 1, posed as -x <= -1
+    prob = LpProblem([1.0], [[-1.0]], (LE,), [-1.0])
     res = solve_lp(prob)
     assert res.status is LpStatus.OPTIMAL
     assert res.value == pytest.approx(1.0, abs=1e-9)
@@ -35,8 +34,8 @@ def test_unit_simplex_vertex():
 
 
 def test_contradictory_rows_infeasible():
-    # minimize x subject to x <= 0 and x >= 1
-    prob = LpProblem([1.0], [[1.0], [1.0]], (LE, GE), [0.0, 1.0])
+    # minimize x subject to x <= 0 and x >= 1, posed as -x <= -1
+    prob = LpProblem([1.0], [[1.0], [-1.0]], (LE, LE), [0.0, -1.0])
     res = solve_lp(prob)
     assert res.status is LpStatus.INFEASIBLE
     assert res.value is None and res.point is None
@@ -57,11 +56,15 @@ def test_row_length_mismatch_is_input_error():
 def test_unknown_relation_is_input_error():
     with pytest.raises(LpInputError):
         LpProblem([1.0], [[1.0]], ("<",), [1.0])
+    with pytest.raises(LpInputError, match="neither all '=' nor all '<='"):
+        LpProblem([1.0], [[1.0]], (">=",), [1.0])
+    with pytest.raises(LpInputError, match="neither all '=' nor all '<='"):
+        LpProblem([1.0], [[1.0], [1.0]], (EQ, LE), [1.0, 2.0])
 
 
 def test_duplicate_rows_are_harmless():
     for rows, rels, rhs in (
-        ([[1.0, 1.0]] * 4 + [[1.0, -1.0]], (LE, LE, LE, LE, GE), [1.0, 1.0, 1.0, 1.0, 0.0]),
+        ([[1.0, 1.0]] * 4 + [[-1.0, 1.0]], (LE,) * 5, [1.0, 1.0, 1.0, 1.0, 0.0]),
         # Redundant equalities: phase one leaves artificials on all-zero rows,
         # which are dropped before phase two.
         ([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]], (EQ, EQ, EQ), [1.0, 1.0, 2.0]),
@@ -73,8 +76,8 @@ def test_duplicate_rows_are_harmless():
 
 def test_row_permutation_preserves_value():
     rng = np.random.default_rng(7)
-    rows = [[2.0, 1.0], [1.0, 3.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]
-    rels = (LE, LE, GE, GE, LE)
+    rows = [[2.0, 1.0], [1.0, 3.0], [-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]]
+    rels = (LE,) * 5
     rhs = [8.0, 9.0, 0.0, 0.0, -1.0]
     base = solve_lp(LpProblem([-3.0, -5.0], rows, rels, rhs))
     assert base.status is LpStatus.OPTIMAL
@@ -94,9 +97,9 @@ def test_row_permutation_preserves_value():
 def test_value_matches_objective_at_point():
     prob = LpProblem(
         [1.0, -2.0, 0.5],
-        [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-        (LE, GE, LE, LE),
-        [5.0, -2.0, 3.0, 2.0],
+        [[1.0, 1.0, 1.0], [-1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        (LE,) * 4,
+        [5.0, 2.0, 3.0, 2.0],
     )
     res = solve_lp(prob)
     assert res.status is LpStatus.OPTIMAL
@@ -120,12 +123,12 @@ def test_iteration_cap_raises_solver_failure(monkeypatch):
 
 
 def test_check_feasible_interval():
-    prob = LpProblem([0.0], [[1.0], [1.0]], (GE, LE), [1.0, 2.0])
+    prob = LpProblem([0.0], [[-1.0], [1.0]], (LE, LE), [-1.0, 2.0])
     assert check_feasible(prob) is True
 
 
 def test_check_feasible_empty_interval():
-    prob = LpProblem([0.0], [[1.0], [1.0]], (GE, LE), [1.0, 0.0])
+    prob = LpProblem([0.0], [[-1.0], [1.0]], (LE, LE), [-1.0, 0.0])
     assert check_feasible(prob) is False
 
 
@@ -142,26 +145,28 @@ def _reference_pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _general_form_problems():
+def _small_problems():
     return [
-        LpProblem([1.0], [[1.0]], (GE,), [1.0]),
-        # a free x >= 1 as x = y0 - y1: phase one through a >= row
-        LpProblem([1.0, -1.0], [[1.0, -1.0]], (GE,), [1.0]),
+        LpProblem([1.0], [[-1.0]], (LE,), [-1.0]),
+        # a free x >= 1 as x = y0 - y1: phase one through a negated row
+        LpProblem([1.0, -1.0], [[-1.0, 1.0]], (LE,), [-1.0]),
         LpProblem([-1.0, -1.0], [[1.0, 1.0]], (LE,), [1.0]),
-        LpProblem([1.0], [[1.0], [1.0]], (LE, GE), [0.0, 1.0]),
+        LpProblem([1.0], [[1.0], [-1.0]], (LE, LE), [0.0, -1.0]),
         LpProblem([-1.0], np.zeros((0, 1)), (), []),
         LpProblem([-1.0], [[1.0]], (LE,), [5.0]),
-        # x + 2y = 3 with 0 <= x <= 10, -1 <= y <= 1, shifted to y + 1 >= 0
-        LpProblem([1.0, 1.0], [[1.0, 2.0], [1.0, 0.0], [0.0, 1.0]], (EQ, LE, LE),
-                  [5.0, 10.0, 2.0]),
-        LpProblem([-1.0, 0.0], [[1.0, 1.0]] * 4 + [[1.0, -1.0]],
-                  (LE, LE, LE, LE, GE), [1.0, 1.0, 1.0, 1.0, 0.0]),
-        LpProblem([-3.0, -5.0], [[2.0, 1.0], [1.0, 3.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
-                  (LE, LE, GE, GE, LE), [8.0, 9.0, 0.0, 0.0, -1.0]),
+        # x + 2y = 3 with 0 <= x <= 10, -1 <= y <= 1, shifted to y + 1 >= 0,
+        # the two bounds as equalities with slack columns s1, s2
+        LpProblem([1.0, 1.0, 0.0, 0.0],
+                  [[1.0, 2.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]],
+                  (EQ, EQ, EQ), [5.0, 10.0, 2.0]),
+        LpProblem([-1.0, 0.0], [[1.0, 1.0]] * 4 + [[-1.0, 1.0]],
+                  (LE,) * 5, [1.0, 1.0, 1.0, 1.0, 0.0]),
+        LpProblem([-3.0, -5.0], [[2.0, 1.0], [1.0, 3.0], [-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]],
+                  (LE,) * 5, [8.0, 9.0, 0.0, 0.0, -1.0]),
         LpProblem([1.0, -2.0, 0.5],
-                  [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-                  (LE, GE, LE, LE), [5.0, -2.0, 3.0, 2.0]),
-        LpProblem([0.0], [[1.0], [1.0]], (GE, LE), [1.0, 0.0]),
+                  [[1.0, 1.0, 1.0], [-1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                  (LE,) * 4, [5.0, 2.0, 3.0, 2.0]),
+        LpProblem([0.0], [[-1.0], [1.0]], (LE, LE), [-1.0, 0.0]),
     ]
 
 
@@ -210,15 +215,11 @@ def _solve_all(problems):
     return out
 
 
-# The id names the one update _pivot makes: every column of the tableau.
-@pytest.mark.parametrize("pivot", [lp._pivot], ids=["always-full"])
-def test_sparse_pivot_matches_the_full_outer_product(monkeypatch, pivot):
+def test_column_wise_pivot_matches_the_full_outer_product(monkeypatch):
     hull = _hull_problems(monkeypatch)
     assert len(hull) == 12 + 20 + 30
-    problems = _general_form_problems() + _lambda_problems() + hull
-    with monkeypatch.context() as m:
-        m.setattr(lp, "_pivot", pivot)
-        actual = _solve_all(problems)
+    problems = _small_problems() + _lambda_problems() + hull
+    actual = _solve_all(problems)
     monkeypatch.setattr(lp, "_pivot", _reference_pivot)
     expected = _solve_all(problems)
     for i, ((res, feas), (ref, ref_feas)) in enumerate(zip(actual, expected)):
@@ -246,7 +247,7 @@ def _reference_verify(problem, y, eps):
     lhs = problem.rows @ y
     for i, rel in enumerate(problem.relations):
         r = lhs[i] - problem.rhs[i]
-        bad = (rel == LE and r > eps) or (rel == GE and r < -eps) or (rel == EQ and abs(r) > eps)
+        bad = (rel == LE and r > eps) or (rel == EQ and abs(r) > eps)
         if bad:
             raise SolverFailure(
                 f"returned point violates constraint {i} ({rel} residual {r:.3e})"
@@ -267,7 +268,7 @@ def _failure(verify, problem, y):
 def test_verification_matches_the_row_loop():
     rng = np.random.default_rng(13)
     failures = 0
-    for prob in _general_form_problems() + _lambda_problems() + _equality_problems():
+    for prob in _small_problems() + _lambda_problems() + _equality_problems():
         res = solve_lp(prob)
         if res.status is not LpStatus.OPTIMAL:
             continue
@@ -308,7 +309,7 @@ def test_tracer_tableau_shape_matches_the_solver(monkeypatch):
     assert shapes == [tableau_shape(problem) for problem in dense]
 
 
-def test_oversize_tableau_is_rejected_before_allocation(tmp_path, capsys):
+def test_cross_checked_hypercube_7_verdict_is_small_and_agrees_with_highs(tmp_path, capsys):
     # The lambda LP and the eq3 system of hypercube-7 are solved as (d+2)-row
     # duals: a cross-checked verdict allocates a fraction of the 513 x 531
     # dense tableau of the lambda primal.
@@ -367,9 +368,10 @@ def test_revised_method_matches_the_dense_tableau(monkeypatch, run):
     statuses = set()
     for prob in _equality_problems():
         res = solve_lp(prob)
-        # the same rows as <= and >= pairs take the dense tableau
-        dense = solve_lp(LpProblem(prob.objective, np.repeat(prob.rows, 2, axis=0),
-                                   (LE, GE) * prob.n_constraints, np.repeat(prob.rhs, 2)))
+        # each equality as the <= pair (row, -row) takes the dense tableau
+        signs = np.tile([1.0, -1.0], prob.n_constraints)
+        dense = solve_lp(LpProblem(prob.objective, np.repeat(prob.rows, 2, axis=0) * signs[:, None],
+                                   (LE,) * 2 * prob.n_constraints, np.repeat(prob.rhs, 2) * signs))
         statuses.add(res.status)
         assert res.status is dense.status
         assert check_feasible(prob) == (res.status is not LpStatus.INFEASIBLE)
@@ -387,7 +389,7 @@ def test_revised_method_matches_the_dense_tableau(monkeypatch, run):
     ((-1, 0), (EQ, EQ), "start column -1 outside"),
     ((1, 1), (EQ, EQ), "repeats a column"),
     ((0.0, 1.0), (EQ, EQ), "column indices"),
-    ((0, 1), (EQ, LE), "rows are all equalities"),
+    ((0, 1), (LE, LE), "rows are all equalities"),
 ], ids=["length", "past-the-end", "negative", "repeat", "float", "not-equality"])
 def test_malformed_start_is_input_error(start, relations, match):
     with pytest.raises(LpInputError, match=match):
