@@ -38,6 +38,9 @@ EXIT_INCOMPATIBLE = 3
 
 JSON_SCHEMA_VERSION = 1
 
+# scan builds every row before it writes one, so a step count is bounded up front.
+MAX_SCAN_STEPS = 10**6
+
 
 class InputError(ValueError):
     """User-facing input problem (bad names, paths, ranges)."""
@@ -201,6 +204,8 @@ def _parse_range(text: str) -> tuple[float, float, int]:
         raise InputError(f"--param-range needs finite ends, got {text!r}")
     if steps < 1:
         raise InputError(f"--param-range needs at least one step, got {steps}")
+    if steps > MAX_SCAN_STEPS:
+        raise InputError(f"--param-range allows at most {MAX_SCAN_STEPS} steps, got {steps}")
     if b < a:
         raise InputError(f"--param-range needs a <= b, got {text!r}")
     return a, b, steps

@@ -17,12 +17,14 @@ the method from the form:
   the updates never reach them.  Pricing is Dantzig's (most negative
   reduced cost, smallest index on ties); after _DEGENERATE_RUN degenerate
   pivots in a row it hands over to Bland's rule until the point moves
-  again, so it cannot cycle.
+  again, so it cannot cycle.  Pricing and the update run in numpy; the
+  ratio test runs on Python floats read out of x and the entering column,
+  since on m entries numpy's per-call cost outweighs the arithmetic.
   A problem may carry a start basis, one column per row.  When B =
   rows[:, start] is nonsingular (condition number below 1/_PIVOT_EPS) and
-  B^-1 rhs >= -eps_feas, phase two starts there, from the inverse that
-  check computed, and phase one is skipped; check_feasible then answers
-  True with no pivot.  The witness duals all carry one.  Otherwise phase
+  B^-1 rhs >= -eps_feas, phase two starts there, from the inverse and the
+  point that check computed, and phase one is skipped; check_feasible then
+  answers True with no pivot.  The witness duals all carry one.  Otherwise phase
   one starts from one artificial per row; an artificial left in the basis
   is driven out on the largest-magnitude entry of its row of B^-1 A, and a
   row where that entry is zero is redundant and dropped.  The result
@@ -41,6 +43,7 @@ checked against every row and bound within eps_feas.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -329,53 +332,70 @@ def _solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SolverFailure(f"singular {B.shape[0]} x {B.shape[1]} basis: {exc}") from exc
 
 
+def _ratio_test(x: list[float], column: list[float], basis: list[int],
+                bland: bool) -> tuple[int, bool] | None:
+    """The leaving row for the entering column d = B^-1 a and whether the
+    step is degenerate, on Python floats; None when no entry of d exceeds
+    _PIVOT_EPS (unbounded).
+
+    The ratios max(x_i, 0) / d_i over d_i > _PIVOT_EPS tie within 1e-12 *
+    max(1, least); among the tied rows Dantzig takes the largest pivot, the
+    first on equal pivots, which keeps B well conditioned, and Bland the
+    row whose basic column comes first.
+    """
+    ratios = [max(xi, 0.0) / di if di > _PIVOT_EPS else math.inf for xi, di in zip(x, column)]
+    best = min(ratios, default=math.inf)
+    if best == math.inf:
+        return None
+    slack = 1e-12 * max(1.0, best)
+    bound = best + slack
+    tied = [i for i, ratio in enumerate(ratios) if ratio <= bound]
+    row = min(tied, key=basis.__getitem__) if bland else max(tied, key=column.__getitem__)
+    return row, best <= slack
+
+
 def _revised_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: list[int],
-                     budget: _Budget, inverse: np.ndarray | None = None) -> str:
+                     budget: _Budget, start: tuple[np.ndarray, np.ndarray] | None = None) -> str:
     """Minimize cost . y over A y = b, y >= 0 from a feasible basis, in place;
     'optimal' or 'unbounded'.
 
-    inverse is B^-1 of the given basis when the caller has it; otherwise it
-    is computed here.  The loop keeps T = [B^-1 | B^-1 b]: a pivot on row r
-    and entering column a = A[:, col], with d = B^-1 a, divides row r of T
-    by d_r and subtracts d_i times that row from every other row i, which is
-    the inverse and the point of the new basis.  After _REFACTOR_INTERVAL
-    such updates T is recomputed from the basis columns.
+    start is (B^-1, B^-1 b) of the given basis when the caller has them;
+    otherwise they are computed here.  The loop keeps T = [B^-1 | B^-1 b]: a
+    pivot on row r and entering column a = A[:, col], with d = B^-1 a,
+    divides row r of T by d_r and subtracts d_i times that row from every
+    other row i, which is the inverse and the point of the new basis.  After
+    _REFACTOR_INTERVAL such updates T is recomputed from the basis columns.
+    The ratio test runs on x and d read out as Python floats (_ratio_test).
     """
     m = A.shape[0]
     T = np.empty((m, m + 1))
-    T[:, :m] = inverse if inverse is not None else _solve(A[:, basis], np.eye(m))
-    T[:, m] = T[:, :m] @ b
+    if start is None:
+        T[:, :m] = _solve(A[:, basis], np.eye(m))
+        T[:, m] = T[:, :m] @ b
+    else:
+        T[:, :m], T[:, m] = start
     inv, x = T[:, :m], T[:, m]
     basic_cost = cost[basis]
+    basic = np.array(basis, dtype=int)  # pricing indexes with it, not with the list
     degenerate = updates = 0
     while True:
         reduced = cost - (basic_cost @ inv) @ A
-        reduced[basis] = 0.0
-        dantzig = degenerate < _DEGENERATE_RUN
-        if dantzig:
-            col = int(np.argmin(reduced))  # most negative, smallest index on ties
-            if reduced[col] >= -_REVISED_ENTER_EPS:
-                return "optimal"
-        else:
-            improving = np.flatnonzero(reduced < -_REVISED_ENTER_EPS)
-            if improving.size == 0:
-                return "optimal"
-            col = int(improving[0])  # Bland: smallest improving index
+        reduced[basic] = 0.0
+        col = int(reduced.argmin())  # Dantzig: most negative, smallest index on ties
+        if reduced[col] >= -_REVISED_ENTER_EPS:
+            return "optimal"
+        bland = degenerate >= _DEGENERATE_RUN
+        if bland:
+            col = int((reduced < -_REVISED_ENTER_EPS).argmax())  # smallest improving index
         column = inv @ A[:, col]
-        ratios = np.divide(np.maximum(x, 0.0), column, out=np.full(m, np.inf),
-                           where=column > _PIVOT_EPS)
-        best = ratios.min()
-        if best == np.inf:
+        leaving = _ratio_test(x.tolist(), column.tolist(), basis, bland)
+        if leaving is None:
             return "unbounded"
-        slack = 1e-12 * max(1.0, best)
-        tied = ratios <= best + slack
-        if dantzig:  # the largest pivot among the ties keeps B well conditioned
-            row = int(np.argmax(np.where(tied, column, -np.inf)))
-        else:
-            row = int(min(np.flatnonzero(tied), key=lambda i: basis[i]))  # Bland again on ties
-        degenerate = degenerate + 1 if best <= slack else 0
+        row, stalled = leaving
+        degenerate = degenerate + 1 if stalled else 0
         budget.spend()
         basis[row] = col
+        basic[row] = col
         basic_cost[row] = cost[col]
         updates += 1
         if updates == _REFACTOR_INTERVAL:
@@ -402,7 +422,8 @@ def _revised_phase_one(problem: LpProblem):
     b = problem.rhs * signs
     cost = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
-    if _revised_simplex(A, b, cost, basis, budget, np.eye(m)) != "optimal":  # bounded below by 0
+    # the artificial sum is bounded below by 0
+    if _revised_simplex(A, b, cost, basis, budget, (np.eye(m), b)) != "optimal":
         raise SolverFailure("phase one reported unbounded; solver invariant broken")
     residual = float(cost[basis] @ _solve(A[:, basis], b))
     return A, b, basis, residual, budget, signs
@@ -434,10 +455,11 @@ def _drive_out_artificials(A: np.ndarray, n: int, basis: list[int]) -> list[int]
     return kept
 
 
-def _start_basis(problem: LpProblem,
-                 tol: SolverTolerances) -> tuple[list[int], np.ndarray] | None:
-    """(problem.start, B^-1) when B = rows[:, start] is nonsingular and B^-1
-    rhs >= -eps_feas, a feasible basis for phase two; otherwise None.
+def _start_basis(problem: LpProblem, tol: SolverTolerances
+                 ) -> tuple[list[int], tuple[np.ndarray, np.ndarray]] | None:
+    """(problem.start, (B^-1, B^-1 rhs)) when B = rows[:, start] is
+    nonsingular and B^-1 rhs >= -eps_feas, a feasible basis for phase two
+    with the inverse and the point it starts from; otherwise None.
 
     B counts as singular when its 1-norm condition number reaches
     1/_PIVOT_EPS: rows that are equal up to round-off leave B invertible in
@@ -453,25 +475,26 @@ def _start_basis(problem: LpProblem,
         return None
     if not np.abs(B).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max() < 1.0 / _PIVOT_EPS:
         return None
-    if not np.all(inverse @ problem.rhs >= -tol.eps_feas):  # NaN fails too
+    point = inverse @ problem.rhs
+    if not np.all(point >= -tol.eps_feas):  # NaN fails too
         return None
-    return basis, inverse
+    return basis, (inverse, point)
 
 
 def _solve_revised(problem: LpProblem, tol: SolverTolerances) -> LpResult:
     n = problem.n_variables
-    start = _start_basis(problem, tol)
-    if start is None:
+    taken = _start_basis(problem, tol)
+    if taken is None:
         A, b, basis, residual, budget, signs = _revised_phase_one(problem)
         if residual > tol.eps_feas:
             return LpResult(LpStatus.INFEASIBLE, None, None, budget.used)
         kept = _drive_out_artificials(A, n, basis)
-        A, b, inverse = A[kept, :n], b[kept], None
+        A, b, start = A[kept, :n], b[kept], None
     else:
-        basis, inverse = start
+        basis, start = taken
         A, b, budget, signs, kept = problem.rows, problem.rhs, _Budget(problem), 1.0, slice(None)
     cost = problem.objective
-    if _revised_simplex(A, b, cost, basis, budget, inverse) == "unbounded":
+    if _revised_simplex(A, b, cost, basis, budget, start) == "unbounded":
         return LpResult(LpStatus.UNBOUNDED, None, None, budget.used)
     B = A[:, basis]
     y = np.zeros(n)

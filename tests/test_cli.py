@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from effectcompat.cli import build_parser, main
+from effectcompat.cli import MAX_SCAN_STEPS, InputError, _parse_range, build_parser, main
 from effectcompat.core import effect_from_affine
 from effectcompat.models import gbit_square, save_model
 
@@ -232,6 +232,20 @@ class TestScan:
         )
         assert (code, out) == (1, "")
         assert f"finite ends, got {param_range!r}" in err
+
+    def test_huge_step_count_rejected_before_any_row(self, capsys):
+        code, out, err = run(
+            ["scan", "gbit", "e_x", "e_y", "--kernel", "scaling",
+             "--param-range", f"1:2:{10**12}"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert f"at most {MAX_SCAN_STEPS} steps, got {10**12}" in err
+
+    def test_step_limit_is_inclusive(self):
+        assert _parse_range(f"0:1:{MAX_SCAN_STEPS}") == (0.0, 1.0, MAX_SCAN_STEPS)
+        with pytest.raises(InputError, match="at most"):
+            _parse_range(f"0:1:{MAX_SCAN_STEPS + 1}")
 
     def test_scaling_needs_params_at_least_one(self, capsys):
         code, _, err = run(

@@ -428,3 +428,91 @@ def test_start_basis_gives_the_same_status_and_value(monkeypatch):
             if plain.status is LpStatus.OPTIMAL:
                 assert res.value == pytest.approx(plain.value, abs=1e-9)
     assert min(kinds.values()) >= 5, kinds
+
+
+def _reference_ratio_test(x, column, basis, bland):
+    """The ratio test as numpy expressions over the whole column: the leaving
+    row and whether the step is degenerate, or None when unbounded."""
+    ratios = np.divide(np.maximum(x, 0.0), column, out=np.full(x.size, np.inf),
+                       where=column > lp._PIVOT_EPS)
+    best = ratios.min()
+    if best == np.inf:
+        return None
+    slack = 1e-12 * max(1.0, best)
+    tied = ratios <= best + slack
+    if bland:
+        row = int(min(np.flatnonzero(tied), key=lambda i: basis[i]))
+    else:
+        row = int(np.argmax(np.where(tied, column, -np.inf)))
+    return row, bool(best <= slack)
+
+
+def _ratio_test_cases():
+    """Seeded (x, column, basis) triples.  Entries come from small sets, so
+    ratios tie exactly and tied rows share pivots; the sets hold entries at
+    +-_PIVOT_EPS, -0.0 and negative round-off in x.  Some rows are moved to
+    within or just past the tie slack of another row's ratio."""
+    rng = np.random.default_rng(47)
+    pivots = np.array([0.25, 0.5, 1.0, 1.0, 2.0, 1e-3, lp._PIVOT_EPS, -lp._PIVOT_EPS,
+                       0.0, -0.0, -1.0])
+    points = np.array([0.0, -0.0, -1e-15, -1e-13, 1e-12, 0.25, 0.5, 1.0, 2.0])
+    for trial in range(600):
+        m = int(rng.integers(1, 10))
+        column = rng.choice(pivots, m)
+        x = rng.choice(points, m)
+        if trial % 3 == 0:  # continuous entries among the discrete ones
+            mixed = rng.uniform(size=m) < 0.5
+            column[mixed] = rng.uniform(-1.0, 2.0, mixed.sum())
+            x[mixed] = rng.uniform(0.0, 2.0, mixed.sum())
+        eligible = np.flatnonzero(column > lp._PIVOT_EPS)
+        if trial % 4 == 1 and eligible.size >= 2:
+            i, j = rng.choice(eligible, 2, replace=False)
+            ratio = max(x[i], 0.0) / column[i]
+            x[j] = column[j] * ratio * (1.0 + rng.choice([0.5e-12, 2e-12]))
+            x[j] += rng.choice([0.0, 1e-12])
+        basis = [int(v) for v in rng.permutation(3 * m)[:m]]
+        yield x, column, basis
+
+
+@pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
+def test_ratio_test_matches_the_numpy_expressions(bland):
+    seen = dict.fromkeys(["unbounded", "degenerate", "moving", "tie", "largest pivot not first",
+                          "equal pivots tied", "at the pivot floor", "negative x", "-0.0"], 0)
+    for x, column, basis in _ratio_test_cases():
+        expected = _reference_ratio_test(x, column, basis, bland)
+        assert lp._ratio_test(x.tolist(), column.tolist(), basis, bland) == expected, \
+            (x.tolist(), column.tolist(), basis)
+        seen["at the pivot floor"] += bool(np.any(np.abs(column) == lp._PIVOT_EPS))
+        seen["negative x"] += bool(np.any((x < 0.0) & (column > lp._PIVOT_EPS)))
+        seen["-0.0"] += bool(np.any(np.signbit(column) & (column == 0.0)))
+        if expected is None:
+            seen["unbounded"] += 1
+            continue
+        seen["degenerate" if expected[1] else "moving"] += 1
+        ratios = np.divide(np.maximum(x, 0.0), column, out=np.full(x.size, np.inf),
+                           where=column > lp._PIVOT_EPS)
+        tied = np.flatnonzero(ratios <= ratios.min() + 1e-12 * max(1.0, ratios.min()))
+        if tied.size > 1:
+            seen["tie"] += 1
+            seen["largest pivot not first"] += bool(column[tied].argmax() > 0)
+            seen["equal pivots tied"] += bool(np.unique(column[tied]).size < tied.size)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_rows_all_dropped_leave_an_unbounded_or_trivial_problem():
+    # 0 . y = 0 is redundant and dropped after phase one, which leaves no row.
+    unbounded = solve_lp(LpProblem([-0.3, 0.0, 0.3], [[0.0, -0.0, 0.0]], (EQ,), [0.0]))
+    assert (unbounded.status, unbounded.iterations) == (LpStatus.UNBOUNDED, 0)
+    trivial = solve_lp(LpProblem([0.3, 0.0], [[0.0, 0.0]], (EQ,), [0.0]))
+    assert trivial.status is LpStatus.OPTIMAL and trivial.value == 0.0
+    assert list(trivial.point) == [0.0, 0.0] and list(trivial.multipliers) == [0.0]
+
+
+@pytest.mark.parametrize("run, pivots", [(lp._DEGENERATE_RUN, 1), (0, 2)],
+                         ids=["dantzig", "bland"])
+def test_bland_enters_the_smallest_improving_index(monkeypatch, run, pivots):
+    # From the slack basis, Dantzig enters y1 (reduced cost -10) and stops;
+    # Bland enters y0 first and needs a second pivot for y1.
+    monkeypatch.setattr(lp, "_DEGENERATE_RUN", run)
+    res = solve_lp(LpProblem([-1.0, -10.0, 0.0], [[1.0, 1.0, 1.0]], (EQ,), [1.0], (2,)))
+    assert (res.status, res.value, res.iterations) == (LpStatus.OPTIMAL, -10.0, pivots)
