@@ -85,8 +85,12 @@ def _pick_effect(effects: dict[str, Effect], name: str) -> Effect:
         ) from None
 
 
-def _tolerances(args) -> SolverTolerances:
-    return SolverTolerances(eps_feas=args.eps_feas, eps_compat=args.eps_compat)
+def _load_pair(args):
+    """(tol, space, e, f, label) from a pair command's model and effect arguments."""
+    tol = SolverTolerances(eps_feas=args.eps_feas, eps_compat=args.eps_compat)
+    space, effects, label = _resolve_model(args.model, tol)
+    e, f = (_pick_effect(effects, name) for name in (args.effect_e, args.effect_f))
+    return tol, space, e, f, label
 
 
 def _print(text: str, out=None) -> None:
@@ -94,10 +98,7 @@ def _print(text: str, out=None) -> None:
 
 
 def cmd_check(args) -> int:
-    tol = _tolerances(args)
-    space, effects, label = _resolve_model(args.model, tol)
-    e = _pick_effect(effects, args.effect_e)
-    f = _pick_effect(effects, args.effect_f)
+    tol, space, e, f, label = _load_pair(args)
     report = compute_lambda0(space, e, f, tol)
     witness_values = report.witness.vertex_values(space)
     if args.json:
@@ -139,10 +140,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_joint(args) -> int:
-    tol = _tolerances(args)
-    space, effects, label = _resolve_model(args.model, tol)
-    e = _pick_effect(effects, args.effect_e)
-    f = _pick_effect(effects, args.effect_f)
+    tol, space, e, f, label = _load_pair(args)
     try:
         obs, report = joint_observable(space, e, f, tol)
     except IncompatibilityError as exc:
@@ -231,10 +229,7 @@ def _boundary_comment(params: list[float], flags: list[bool]) -> str:
 
 
 def cmd_scan(args) -> int:
-    tol = _tolerances(args)
-    space, effects, _ = _resolve_model(args.model, tol)
-    e = _pick_effect(effects, args.effect_e)
-    f = _pick_effect(effects, args.effect_f)
+    tol, space, e, f, _ = _load_pair(args)
     a, b, steps = _parse_range(args.param_range)
     if args.kernel == "scaling":
         if a < 1.0:
@@ -290,10 +285,7 @@ def cmd_zoo(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    tol = _tolerances(args)
-    space, effects, label = _resolve_model(args.model, tol)
-    e = _pick_effect(effects, args.effect_e)
-    f = _pick_effect(effects, args.effect_f)
+    tol, space, e, f, label = _load_pair(args)
     result = cross_check(space, e, f, tol, resolution=args.resolution)
     if args.json:
         payload = {
@@ -387,13 +379,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
     except SolverFailure as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return EXIT_SOLVER
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # InputError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

@@ -231,8 +231,8 @@ def _witness_slack(space: StateSpace, e: Effect, f: Effect, tol: SolverTolerance
                    lam: float) -> tuple[float, np.ndarray, int]:
     """The least uniform slack z with which some g meets every row of the
     witness system at level lam (z <= 0 when one meets them all strictly),
-    that g's coefficients and the pivot count."""
-    rhs = _witness_rhs(e.vertex_values(space), f.vertex_values(space), lam)
+    that g's coefficients and the pivot count; e and f are validated first."""
+    rhs = _witness_rhs(*_validated_pair(space, e, f, tol), lam)
     return _solve_witness_dual(space, rhs, -np.ones(rhs.size), 1.0, tol, "z")
 
 
@@ -275,13 +275,11 @@ def compute_lambda0(space: StateSpace, e: Effect, f: Effect,
             )
         lambda0 = max(0.0, float(result.value))
         g, iterations = _free_point(result.point)[: space.dimension + 1], result.iterations
-    witness = Effect(g)
-    sigma = 0.0 if lambda0 <= 1.0 else 2.0 * (1.0 - 1.0 / lambda0)
     return CompatReport(
         lambda0=lambda0,
-        sigma0=sigma,
+        sigma0=sigma0(lambda0) if lambda0 > 0.0 else 0.0,
         compatible=bool(lambda0 <= 1.0 + tol.eps_compat),
-        witness=witness,
+        witness=Effect(g),
         lp_iterations=iterations,
         tolerances=tol,
     )
@@ -321,8 +319,8 @@ def sigma0(lambda0: float) -> float:
 
     Clamped at 0 for lambda0 < 1, where no noise is needed.
     """
-    if lambda0 <= 0.0:
-        raise ValueError(f"lambda0 must be positive, got {lambda0!r}")
+    if not 0.0 < lambda0 < np.inf:  # NaN fails too
+        raise ValueError(f"lambda0 must be positive and finite, got {lambda0!r}")
     return max(0.0, 2.0 * (1.0 - 1.0 / lambda0))
 
 
@@ -475,8 +473,7 @@ def min_depolarizing_noise(space: StateSpace, e: Effect, f: Effect,
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     if compute_lambda0(space, e, f, tol).compatible:
         return 1.0
-    ev = e.vertex_values(space) - 0.5
-    fv = f.vertex_values(space) - 0.5
+    ev, fv = (values - 0.5 for values in _validated_pair(space, e, f, tol))
     rhs = np.repeat([0.0, 0.5, 0.5, tol.eps_compat - _THRESHOLD_MARGIN], space.n_vertices)
     column = np.concatenate([np.zeros(space.n_vertices), -ev, -fv, ev + fv])
     # feasible at t = 0 and bounded by t < 1, as the pair is incompatible at t = 1

@@ -30,10 +30,11 @@ the method from the form:
   row where that entry is zero is redundant and dropped.  The result
   carries the simplex multipliers pi of the rows, which solve the
   problem's own dual: c - rows^T pi >= 0 at the optimum.
-* All rows <= rows, or none: a dense, column-major tableau with Bland's
-  rule for both the entering and the leaving choice, every pivot rewriting
-  the whole tableau.  The package poses only one such LP, the lambda primal
-  of a space with at most 4 vertices (at most 16 rows); no size limit.
+* All rows <= rows, or none: a dense tableau on Bland's rule, the leaving
+  row taken by the revised method's ratio test (_ratio_test, Bland mode) and
+  every pivot rewriting the whole tableau by its elimination step
+  (_eliminate).  The package poses only one such LP, the lambda primal of a
+  space with at most 4 vertices (at most 16 rows); no size limit.
 
 In both, iterations counts the simplex pivots of both phases, or of phase
 two alone when the start basis is taken; pivots that drive artificials out
@@ -221,15 +222,16 @@ class _Budget:
             )
 
 
+def _eliminate(T: np.ndarray, column: np.ndarray, row: int) -> None:
+    """Gauss-Jordan step in place: T[row] /= column[row], then T[i] -= column[i] * T[row]
+    for every i != row.  column must not be a view of T; column[row] is set to 0."""
+    T[row] /= column[row]
+    column[row] = 0.0
+    T -= np.multiply.outer(column, T[row])
+
+
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    prow = T[row]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    Tt = T.T  # C-ordered: a column of T is a contiguous row of T.T
-    Tt -= np.multiply.outer(prow, factors)
-    T[:, col] = 0.0
-    T[row, col] = 1.0
+    _eliminate(T, T[:, col].copy(), row)
     basis[row] = col
 
 
@@ -243,26 +245,18 @@ def _install_cost_row(T: np.ndarray, basis: list[int], cost: np.ndarray) -> None
 
 
 def _run_simplex(T: np.ndarray, basis: list[int], budget: _Budget) -> str:
-    """Minimize the installed cost row in place; 'optimal' or 'unbounded'."""
+    """Minimize the installed cost row in place by Bland's rule; 'optimal' or 'unbounded'."""
     m = T.shape[0] - 1
     while True:
-        reduced = T[-1, :-1]
-        improving = np.flatnonzero(reduced < -_REVISED_ENTER_EPS)
+        improving = np.flatnonzero(T[-1, :-1] < -_REVISED_ENTER_EPS)
         if improving.size == 0:
             return "optimal"
-        col = int(improving[0])  # Bland: smallest improving index
-        column = T[:m, col]
-        positive = column > _PIVOT_EPS
-        if not positive.any():
+        col = int(improving[0])  # smallest improving index
+        leaving = _ratio_test(T[:m, -1].tolist(), T[:m, col].tolist(), basis, True)
+        if leaving is None:
             return "unbounded"
-        rhs = np.maximum(T[:m, -1], 0.0)
-        ratios = np.full(m, np.inf)
-        ratios[positive] = rhs[positive] / column[positive]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + 1e-12 * max(1.0, best))
-        row = min(ties, key=lambda i: basis[i])  # Bland again on ties
         budget.spend()
-        _pivot(T, basis, int(row), col)
+        _pivot(T, basis, leaving[0], col)
 
 
 def _build_tableau(A: np.ndarray, b: np.ndarray):
@@ -273,8 +267,7 @@ def _build_tableau(A: np.ndarray, b: np.ndarray):
     flip = b < 0.0  # make the right-hand side nonnegative
     kept, negated = np.flatnonzero(~flip), np.flatnonzero(flip)
     art_start = p + m  # one slack or surplus per row
-    # column-major: pivots touch columns
-    T = np.zeros((m + 1, art_start + negated.size + 1), order="F")
+    T = np.zeros((m + 1, art_start + negated.size + 1))
     T[:m, :p] = np.where(flip[:, None], -A, A)
     T[:m, -1] = np.where(flip, -b, b)
     T[kept, p + np.arange(kept.size)] = 1.0
@@ -297,12 +290,9 @@ def _drop_artificials(T: np.ndarray, basis: list[int], art_start: int):
                 _pivot(T, basis, i, int(candidates[0]))
             else:
                 drop_rows.append(i)  # all-zero structural row: redundant
-    if drop_rows:
-        T = np.delete(T, drop_rows, axis=0)
-        dropped = set(drop_rows)
-        basis = [bv for i, bv in enumerate(basis) if i not in dropped]
-    T = T[:, list(range(art_start)) + [T.shape[1] - 1]]
-    return np.asfortranarray(T), basis
+    T = np.delete(T, drop_rows, axis=0)
+    basis = [bv for i, bv in enumerate(basis) if i not in drop_rows]
+    return T[:, list(range(art_start)) + [T.shape[1] - 1]], basis
 
 
 def _verify_solution(problem: LpProblem, y: np.ndarray, eps: float) -> None:
@@ -334,9 +324,9 @@ def _solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _ratio_test(x: list[float], column: list[float], basis: list[int],
                 bland: bool) -> tuple[int, bool] | None:
-    """The leaving row for the entering column d = B^-1 a and whether the
-    step is degenerate, on Python floats; None when no entry of d exceeds
-    _PIVOT_EPS (unbounded).
+    """The leaving row for the entering column d (B^-1 a, or a column of the
+    dense tableau) at the point x, and whether the step is degenerate, on
+    Python floats; None when no entry of d exceeds _PIVOT_EPS (unbounded).
 
     The ratios max(x_i, 0) / d_i over d_i > _PIVOT_EPS tie within 1e-12 *
     max(1, least); among the tied rows Dantzig takes the largest pivot, the
@@ -363,9 +353,9 @@ def _revised_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: list
     otherwise they are computed here.  The loop keeps T = [B^-1 | B^-1 b]: a
     pivot on row r and entering column a = A[:, col], with d = B^-1 a,
     divides row r of T by d_r and subtracts d_i times that row from every
-    other row i, which is the inverse and the point of the new basis.  After
-    _REFACTOR_INTERVAL such updates T is recomputed from the basis columns.
-    The ratio test runs on x and d read out as Python floats (_ratio_test).
+    other row i (_eliminate), which gives the new basis's inverse and point.
+    After _REFACTOR_INTERVAL such updates T is recomputed from the basis
+    columns.  The ratio test runs on x and d as Python floats (_ratio_test).
     """
     m = A.shape[0]
     T = np.empty((m, m + 1))
@@ -403,9 +393,7 @@ def _revised_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: list
             T[:, m] = T[:, :m] @ b
             updates = 0
         else:
-            T[row] /= column[row]
-            column[row] = 0.0
-            T -= np.multiply.outer(column, T[row])
+            _eliminate(T, column, row)
 
 
 def _revised_phase_one(problem: LpProblem):
@@ -542,16 +530,14 @@ def solve_lp(problem: LpProblem, tol: SolverTolerances | None = None) -> LpResul
     cost = np.zeros(T.shape[1] - 1)
     cost[: problem.n_variables] = problem.objective
     _install_cost_row(T, basis, cost)
-    outcome = _run_simplex(T, basis, budget)
-    if outcome == "unbounded":
+    if _run_simplex(T, basis, budget) == "unbounded":
         return LpResult(LpStatus.UNBOUNDED, None, None, budget.used)
     y = np.zeros(art_start)
     y[basis] = T[:-1, -1]
     y = y[: problem.n_variables]
     _verify_solution(problem, y, tol.eps_feas)
-    value = float(problem.objective @ y)
     y.flags.writeable = False
-    return LpResult(LpStatus.OPTIMAL, value, y, budget.used)
+    return LpResult(LpStatus.OPTIMAL, float(problem.objective @ y), y, budget.used)
 
 
 def check_feasible(problem: LpProblem, tol: SolverTolerances | None = None) -> bool:

@@ -24,11 +24,14 @@ from .tolerances import DEFAULT_TOLERANCES, SolverTolerances
 
 MAX_GRID_DIMENSION = 3
 
+# grid_lambda0's cap on resolution**(d+1), about 1.5 times the d = 3 default 51**4
+MAX_GRID_CANDIDATES = 10**7
+
 # Feasibility slack for grid candidates; fixed and tiny so that exact
 # boundary witnesses (like g = 0) survive float rounding.
 _GRID_SLACK = 1e-12
 
-_CHUNK = 1 << 18
+_CHUNK_ENTRIES = 1 << 20  # candidates x vertices per chunk: about 17 MB at any k
 
 
 def simplex_lambda0_closed_form(e_values, f_values) -> float:
@@ -77,7 +80,8 @@ def grid_lambda0(space: StateSpace, e: Effect, f: Effect,
     The box defaults to [-1, 1] per coefficient and is expanded (and
     flagged) when the coefficients of e, f, or the simplex-interpolated
     pointwise minimum, escape it.  Cost grows as resolution**(d+1), so the
-    state-space dimension is capped at MAX_GRID_DIMENSION.
+    state-space dimension is capped at MAX_GRID_DIMENSION and the candidate
+    count at MAX_GRID_CANDIDATES.
     """
     if space.dimension > MAX_GRID_DIMENSION:
         raise ValueError(
@@ -86,6 +90,11 @@ def grid_lambda0(space: StateSpace, e: Effect, f: Effect,
         )
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
+    n_axes = space.dimension + 1
+    total = resolution**n_axes
+    if total > MAX_GRID_CANDIDATES:
+        raise ValueError(f"grid oracle enumerates at most {MAX_GRID_CANDIDATES} candidates, "
+                         f"got resolution {resolution}**{n_axes} = {total}")
     M = space.vertex_matrix()
     ev = e.vertex_values(space)
     fv = f.vertex_values(space)
@@ -103,12 +112,11 @@ def grid_lambda0(space: StateSpace, e: Effect, f: Effect,
     expanded = lo < -1.0 or hi > 1.0
 
     axis = np.linspace(lo, hi, resolution)
-    n_axes = space.dimension + 1
-    total = resolution**n_axes
+    chunk = max(1, _CHUNK_ENTRIES // space.n_vertices)
     best = np.inf
     n_feasible = 0
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
         coords = np.empty((idx.size, n_axes))
         rem = idx
         for a in range(n_axes - 1, -1, -1):

@@ -10,6 +10,7 @@ import pytest
 from effectcompat.cli import MAX_SCAN_STEPS, InputError, _parse_range, build_parser, main
 from effectcompat.core import effect_from_affine
 from effectcompat.models import gbit_square, save_model
+from effectcompat.oracle import MAX_GRID_CANDIDATES
 
 
 def run(args, capsys):
@@ -303,6 +304,13 @@ class TestOracleCommand:
         payload = json.loads(out)
         assert payload["discrepancies"] == []
         assert payload["closed_form"] == 0.9
+
+    def test_huge_resolution_rejected_before_any_grid(self, capsys):
+        code, out, err = run(
+            ["oracle", "gbit", "e_x", "e_y", "--resolution", str(10**12)], capsys
+        )
+        assert (code, out) == (1, "")
+        assert f"at most {MAX_GRID_CANDIDATES} candidates, got resolution {10**12}**3" in err
 
     def test_hidden_from_help(self):
         helptext = build_parser().format_help()

@@ -125,6 +125,18 @@ class TestComputeLambda0:
         with pytest.raises(EffectRangeError, match=r"nan at vertex .* \(index 0\)"):
             compute_lambda0(square, Effect([0.5, np.nan, 0.0]), unit_effect(2))
 
+    @pytest.mark.parametrize("space", [gbit_square(), regular_polygon(5)],
+                             ids=lambda space: space.name)
+    @pytest.mark.parametrize("value", [np.nan, 1.5])
+    def test_eq3_feasible_validates_its_effects(self, space, value):
+        # every vertex value is nan or in [1.36, 1.64], so vertex 0 is named
+        bad = Effect([value, 0.1, 0.1])
+        vertex = str(space.vertices[0].tolist()).replace("[", r"\[").replace("]", r"\]")
+        for e, f in ((bad, unit_effect(2)), (unit_effect(2), bad)):
+            with pytest.raises(EffectRangeError, match=rf"^effect value (nan|1\.\d+) at vertex "
+                                                       rf"{vertex} \(index 0\) outside"):
+                eq3_feasible(space, e, f)
+
     def test_witness_attains_the_minimum(self, square):
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -282,6 +294,11 @@ class TestSigma0:
             sigma0(0.0)
         with pytest.raises(ValueError):
             sigma0(-1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sigma0(value)
 
 
 class TestKernels:

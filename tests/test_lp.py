@@ -132,9 +132,10 @@ def test_check_feasible_empty_interval():
     assert check_feasible(prob) is False
 
 
-# Reference: the full-tableau pivot, row by row.  Every entry gets the same
-# floating-point operation in _pivot's column-wise update, so solve_lp must
-# return ==-equal results.
+# Reference: the full-tableau pivot with the pivot column reset to a unit
+# vector afterwards.  Every entry gets the same floating-point operation in
+# _pivot's elimination step (_eliminate), where that reset is a no-op, so
+# solve_lp must return ==-equal results.
 def _reference_pivot(T, basis, row, col):
     T[row] /= T[row, col]
     factors = T[:, col].copy()

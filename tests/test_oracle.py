@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import effectcompat.oracle as oracle
 
 from effectcompat.compat import compute_lambda0, depolarizing_kernel, random_effect, smear
 from effectcompat.core import (
@@ -10,7 +14,7 @@ from effectcompat.core import (
     make_state_space,
     unit_effect,
 )
-from effectcompat.models import gbit_square, regular_polygon, simplex, zoo_model
+from effectcompat.models import gbit_square, hypercube, regular_polygon, simplex, zoo_model
 from effectcompat.oracle import (
     cross_check,
     grid_lambda0,
@@ -103,6 +107,34 @@ class TestGrid:
     def test_resolution_validation(self, square, sharp_pair):
         with pytest.raises(ValueError):
             grid_lambda0(square, *sharp_pair, resolution=1)
+
+    def test_candidate_cap_is_inclusive(self, square, sharp_pair, monkeypatch):
+        half = effect_from_affine(hypercube(3), [0.5, 0.0, 0.0, 0.0])
+        assert grid_lambda0(hypercube(3), half, half).n_feasible > 0  # 51**4 candidates
+        monkeypatch.setattr(oracle, "MAX_GRID_CANDIDATES", 9**3)
+        assert grid_lambda0(square, *sharp_pair, resolution=9).n_feasible > 0
+        with pytest.raises(ValueError,
+                           match=r"at most 729 candidates, got resolution 10\*\*3 = 1000"):
+            grid_lambda0(square, *sharp_pair, resolution=10)
+        monkeypatch.setattr(oracle, "MAX_GRID_CANDIDATES", 9**3 - 1)
+        with pytest.raises(ValueError, match="at most 728 candidates"):
+            grid_lambda0(square, *sharp_pair, resolution=9)
+
+    def test_peak_memory_does_not_grow_with_the_vertex_count(self):
+        # 51**3 candidates over 128 and 512 vertices: 136 and 543 MB of
+        # candidate values in one piece, about 17 MB at a time in chunks
+        rng = np.random.default_rng(3)
+        for k in (128, 512):
+            space = regular_polygon(k)
+            e, f = (random_effect(space, rng) for _ in range(2))
+            tracemalloc.start()
+            try:
+                grid = grid_lambda0(space, e, f, resolution=51)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert grid.lower_bound <= grid.value
+            assert peak < 32e6, (k, peak)
 
     def test_sandwich_on_random_pairs(self, square):
         rng = np.random.default_rng(59)
