@@ -27,12 +27,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    PAIR_SUMS,
+    X_BLOCKS,
+    Y_BLOCKS,
     Effect,
     Observable,
     StateSpace,
+    WitnessDual,
     checked_vertex_values,
     effect_from_affine,
     unit_effect,
+    witness_dual,
 )
 # solve_lp, check_feasible and effect_from_affine stay bound here: perfbench
 # --trace 1 rebinds them by name.
@@ -126,102 +131,87 @@ def _free_point(y: np.ndarray) -> np.ndarray:
 
 
 def _witness_rhs(ev: np.ndarray, fv: np.ndarray, level: float) -> np.ndarray:
-    """rhs of the four row blocks at a fixed level: 0, e, f, level - (e + f).
+    """rhs of the four row blocks at a fixed level: 0, e, f, level - (e + f),
+    read-only, so that an LpProblem holds it without a copy.
 
     The witness system space.dual_rows^T g + column s <= rhs, over free g and
-    one more variable s, is g >= 0, g <= e, g <= f, e + f - g <= level per vertex.
+    one more variable s, is g >= 0, g <= e, g <= f, e + f - g <= level per
+    vertex.  For lambda0, level is 0 and column is [0]*3k + [-1]*k, the last
+    row of space.lambda_dual.rows: per vertex, e(v)+f(v)-g(v) <= lambda.
     """
-    return np.concatenate([np.zeros(ev.size), ev, fv, level - (ev + fv)])
-
-
-def _lambda_system(space: StateSpace, ev: np.ndarray,
-                   fv: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """(rhs, column, cost) of minimize lambda over (g-coefficients, lambda),
-    per vertex: g(v) >= 0, g(v) <= e(v), g(v) <= f(v), e(v)+f(v)-g(v) <= lambda.
-    g <= 1 is implied by g <= e, so the optimal g is automatically an effect.
-    """
-    k = space.n_vertices
-    return _witness_rhs(ev, fv, 0.0), np.concatenate([np.zeros(3 * k), -np.ones(k)]), 1.0
+    rhs = np.concatenate([np.zeros(ev.size), ev, fv, level - (ev + fv)])
+    rhs.flags.writeable = False
+    return rhs
 
 
 def _lambda_problem(space: StateSpace, ev: np.ndarray, fv: np.ndarray) -> LpProblem:
     """The lambda LP as the dense tableau solves it, each free variable split:
-    minimize cost * s over the witness system's rows [dual_rows^T | column]."""
-    rhs, column, cost = _lambda_system(space, ev, fv)
-    A = np.column_stack([space.dual_rows.T, column])
-    objective = np.append(np.zeros(space.dimension + 1), cost)
-    return LpProblem(_split(objective), _split(A), (LE,) * A.shape[0], rhs)
+    minimize lambda over the witness system's rows [dual_rows^T | column].
+    g <= 1 is implied by g <= e, so the optimal g is automatically an effect."""
+    A = np.column_stack([space.dual_rows.T, space.lambda_dual.rows[-1]])
+    objective = np.append(np.zeros(space.dimension + 1), 1.0)
+    return LpProblem(_split(objective), _split(A), (LE,) * A.shape[0], _witness_rhs(ev, fv, 0.0))
 
 
-# The pairs of row blocks (alpha, beta, gamma, delta = 0, 1, 2, 3) whose
-# weights cancel in M^T(-alpha + beta + gamma - delta) when equal on one vertex;
-# row p of _PAIR_SUMS adds blocks X_p and Y_p of a (4, k) array.
-_X_BLOCKS, _Y_BLOCKS = np.array([(1, 3), (2, 3), (0, 1), (0, 2)]).T
-_PAIR_SUMS = np.eye(4)[_X_BLOCKS] + np.eye(4)[_Y_BLOCKS]
-
-
-def _dual_start(space: StateSpace, rhs: np.ndarray, column: np.ndarray,
-                cost: float) -> tuple[int, ...] | None:
+def _dual_start(space: StateSpace, rhs: np.ndarray, dual: WitnessDual) -> tuple[int, ...] | None:
     """A feasible basis of the witness dual that skips phase one, or None.
 
     Equal weights c on blocks X and Y of one vertex v, where (X, Y) is one of
-    the pairs in _X_BLOCKS, _Y_BLOCKS, meet the dual's rows when c = -cost /
-    (column_X(v) + column_Y(v)) > 0; among those points the one of least
-    dual value c * (rhs_X(v) + rhs_Y(v)) is taken (for lambda0, the trivial
-    bound max_v max(e(v), f(v))).  Its basis is block X on space.frame with
-    v swapped in at space.frame_swap[v], plus Y_v: nonsingular, as M is on
-    that frame and column_X(v) + column_Y(v) != 0.
+    the pairs in X_BLOCKS, Y_BLOCKS, meet the dual's rows when c = -cost /
+    (column_X(v) + column_Y(v)) = 1 / dual.denominators > 0; among those
+    points the one of least dual value c * (rhs_X(v) + rhs_Y(v)) is taken
+    (for lambda0, the trivial bound max_v max(e(v), f(v))).  Its basis is
+    block X on space.frame with v swapped in at space.frame_swap[v], plus
+    Y_v: nonsingular, as M is on that frame and column_X(v) + column_Y(v) != 0.
     """
     frame = space.frame
     if frame is None:
         return None
     k = space.n_vertices
-    denom = _PAIR_SUMS @ column.reshape(4, k)
-    # c * (rhs_X + rhs_Y) with c = -cost / denom, as cost is +1 or -1
-    value = np.divide(_PAIR_SUMS @ rhs.reshape(4, k), -cost * denom,
-                      out=np.full(denom.shape, np.inf), where=cost * denom < 0.0)
-    best = int(np.argmin(value))
+    value = np.divide(PAIR_SUMS.dot(rhs.reshape(4, k)), dual.denominators,
+                      out=np.full((4, k), np.inf), where=dual.usable)
+    best = int(value.argmin())
     if value.flat[best] == np.inf:
         return None
     pair, v = divmod(best, k)
     chosen = list(frame)
     chosen[space.frame_swap[v]] = v
-    x, y = int(_X_BLOCKS[pair]) * k, int(_Y_BLOCKS[pair]) * k
+    x, y = int(X_BLOCKS[pair]) * k, int(Y_BLOCKS[pair]) * k
     return tuple(x + u for u in chosen) + (y + v,)
 
 
-def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, column: np.ndarray, cost: float,
+def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, dual: WitnessDual,
                         tol: SolverTolerances, name: str) -> tuple[float, np.ndarray, int]:
     """The optimal s, the witness coefficients g and the pivot count of
     minimize cost * s subject to the witness system (cost is +1 or -1),
     solved as its dual: minimize rhs . w subject to A^T w = -objective, w >= 0.
 
     w = (alpha, beta, gamma, delta) weighs the four row blocks per vertex,
-    and the dual's value is -cost * s.  A^T is space.dual_rows, shared by
-    every witness dual of the space, over the pair's own row, column^T.  The
-    solve starts at the basis of _dual_start, so it runs no phase one
-    (without a frame it does).  The simplex multipliers are a primal point
-    (g, s) with A (g, s) <= rhs, so g is read from them and checked on all
-    4k primal rows at the optimal s, dual_rows^T g + column s <= rhs, in
-    O(k*d); a violation raises SolverFailure.  Every caller's primal is
-    feasible and bounded, so its dual is too.
+    and the dual's value is -cost * s.  A^T is dual.rows, space.dual_rows
+    over the dual's own row, column^T, and -objective is dual.rhs; both,
+    and the start's denominators, are built once per dual (for lambda0,
+    once per space), so a pair brings only rhs.  The solve starts at the
+    basis of _dual_start, so it runs no phase one (without a frame it
+    does).  The simplex multipliers are a primal point (g, s) with
+    A (g, s) <= rhs, so g is read from them and checked on all 4k primal
+    rows at the optimal s, dual_rows^T g + column s <= rhs, in O(k*d); a
+    violation raises SolverFailure.  Every caller's primal is feasible and
+    bounded, so its dual is too.
     """
-    rows = np.vstack([space.dual_rows, column])
-    dual_rhs = np.zeros(rows.shape[0])  # -objective: 0 on g, -cost on s
-    dual_rhs[-1] = -cost
-    start = _dual_start(space, rhs, column, cost)
-    result = solve_lp(LpProblem(rhs, rows, (EQ,) * rows.shape[0], dual_rhs, start), tol)
+    rows = dual.rows
+    start = _dual_start(space, rhs, dual)
+    result = solve_lp(LpProblem(rhs, rows, (EQ,) * rows.shape[0], dual.rhs, start), tol)
     if result.status is not LpStatus.OPTIMAL:
         raise SolverFailure(
             f"dual of the witness LP for {name} reported {result.status.value}, but it "
             "is feasible and bounded, as the primal is"
         )
-    s = -cost * float(result.value)
+    s = dual.rhs.item(-1) * result.value  # -cost times the dual's value
     g = result.multipliers[:-1]
-    residual = space.dual_rows.T @ g + column * s - rhs
-    bad = np.flatnonzero(residual > tol.eps_feas)
-    if bad.size:
-        i = int(bad[0])
+    residual = space.dual_rows.T.dot(g) + rows[-1] * s - rhs
+    violated = residual > tol.eps_feas
+    if violated.any():
+        i = int(np.flatnonzero(violated)[0])
         raise SolverFailure(f"witness at {name} = {s!r} violates constraint {i} "
                             f"({LE} residual {residual[i]:.3e})")
     return s, g, result.iterations
@@ -233,7 +223,8 @@ def _witness_slack(space: StateSpace, e: Effect, f: Effect, tol: SolverTolerance
     witness system at level lam (z <= 0 when one meets them all strictly),
     that g's coefficients and the pivot count; e and f are validated first."""
     rhs = _witness_rhs(*_validated_pair(space, e, f, tol), lam)
-    return _solve_witness_dual(space, rhs, -np.ones(rhs.size), 1.0, tol, "z")
+    dual = witness_dual(space.dual_rows, -np.ones(rhs.size), 1.0)
+    return _solve_witness_dual(space, rhs, dual, tol, "z")
 
 
 def eq3_feasible(space: StateSpace, e: Effect, f: Effect,
@@ -261,10 +252,15 @@ def compute_lambda0(space: StateSpace, e: Effect, f: Effect,
     basis; both phases on the dense tableau or without a frame).
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
-    ev, fv = _validated_pair(space, e, f, tol)
+    return _lambda0_report(space, *_validated_pair(space, e, f, tol), tol)
+
+
+def _lambda0_report(space: StateSpace, ev: np.ndarray, fv: np.ndarray,
+                    tol: SolverTolerances) -> CompatReport:
+    """compute_lambda0 from the vertex values of a validated pair."""
     if space.n_vertices >= _DUAL_MIN_VERTICES:
-        s, g, iterations = _solve_witness_dual(space, *_lambda_system(space, ev, fv), tol,
-                                               "lambda0")
+        s, g, iterations = _solve_witness_dual(space, _witness_rhs(ev, fv, 0.0),
+                                               space.lambda_dual, tol, "lambda0")
         lambda0 = max(0.0, s)
     else:
         result = solve_lp(_lambda_problem(space, ev, fv), tol)
@@ -468,16 +464,19 @@ def min_depolarizing_noise(space: StateSpace, e: Effect, f: Effect,
     otherwise the threshold is the optimum of one LP over (g, t), solved as
     its (d+2)-row dual: maximize t subject to the witness system of the
     depolarized pair, whose vertex values 1/2 + t*(e - 1/2) are linear in t,
-    at level 1 + eps_compat less _THRESHOLD_MARGIN.
+    at level 1 + eps_compat less _THRESHOLD_MARGIN.  Both LPs read the
+    vertex values of one check of e and f.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
-    if compute_lambda0(space, e, f, tol).compatible:
+    ev, fv = _validated_pair(space, e, f, tol)
+    if _lambda0_report(space, ev, fv, tol).compatible:
         return 1.0
-    ev, fv = (values - 0.5 for values in _validated_pair(space, e, f, tol))
+    ev, fv = ev - 0.5, fv - 0.5
     rhs = np.repeat([0.0, 0.5, 0.5, tol.eps_compat - _THRESHOLD_MARGIN], space.n_vertices)
     column = np.concatenate([np.zeros(space.n_vertices), -ev, -fv, ev + fv])
     # feasible at t = 0 and bounded by t < 1, as the pair is incompatible at t = 1
-    return _solve_witness_dual(space, rhs, column, -1.0, tol, "t")[0]
+    dual = witness_dual(space.dual_rows, column, -1.0)
+    return _solve_witness_dual(space, rhs, dual, tol, "t")[0]
 
 
 def random_effect(space: StateSpace, rng: np.random.Generator,

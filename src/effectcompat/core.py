@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +81,44 @@ def _frame_swaps(m: np.ndarray, frame: tuple[int, ...] | None) -> np.ndarray | N
     return np.argmax(np.abs(weights), axis=0)
 
 
+# The pairs (X, Y) of witness-dual row blocks (alpha, beta, gamma, delta =
+# 0, 1, 2, 3) whose weights cancel in M^T(-alpha + beta + gamma - delta) when
+# equal on one vertex; row p of PAIR_SUMS adds blocks X_p and Y_p of a (4, k)
+# array.  compat._dual_start builds the witness duals' start basis on them.
+X_BLOCKS, Y_BLOCKS = np.array([(1, 3), (2, 3), (0, 1), (0, 2)]).T
+PAIR_SUMS = np.eye(4)[X_BLOCKS] + np.eye(4)[Y_BLOCKS]
+
+
+class WitnessDual(NamedTuple):
+    """The parts of one witness dual that no effect pair changes, read-only
+    (see compat._solve_witness_dual), for a row of its own, column^T, and
+    its cost, +1 or -1:
+    rows          (d+2, 4k): dual_rows over column^T;
+    rhs           (d+2,): 0, and -cost on the last row;
+    denominators  (4, k): -cost * (column_X(v) + column_Y(v)) per start pair
+                  p = (X, Y) and vertex v, whose start point puts the weight
+                  1/denominators[p, v] on both blocks of v;
+    usable        (4, k): denominators > 0, where that point exists.
+    """
+
+    rows: np.ndarray
+    rhs: np.ndarray
+    denominators: np.ndarray
+    usable: np.ndarray
+
+
+def witness_dual(dual_rows: np.ndarray, column: np.ndarray, cost: float) -> WitnessDual:
+    """The WitnessDual of the row column^T and the cost over dual_rows."""
+    rows = np.vstack([dual_rows, column])
+    rhs = np.zeros(rows.shape[0])
+    rhs[-1] = -cost
+    denominators = -cost * (PAIR_SUMS @ column.reshape(4, -1))
+    usable = denominators > 0.0
+    for array in (rows, rhs, denominators, usable):
+        array.flags.writeable = False
+    return WitnessDual(rows, rhs, denominators, usable)
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """Convex polytope of states, vertex representation.
@@ -97,6 +136,10 @@ class StateSpace:
                (None without a frame).
     dual_rows  the (d+1, 4k) matrix [-M^T, M^T, M^T, -M^T], the rows that
                every witness dual shares; each dual adds one row of its own.
+    lambda_dual
+               the WitnessDual of compute_lambda0, whose own row is the
+               lambda column [0]*3k + [-1]*k at cost 1; dual_rows is a view
+               of its first d+1 rows.
     """
 
     vertices: np.ndarray
@@ -110,15 +153,18 @@ class StateSpace:
         m = np.hstack([np.ones((v.shape[0], 1)), v])
         frame = _affine_frame(v)
         swap = _frame_swaps(m, frame)
-        rows = np.hstack([-m.T, m.T, m.T, -m.T])
-        for array in (v, m, swap, rows):
+        k = v.shape[0]
+        lambda_dual = witness_dual(np.hstack([-m.T, m.T, m.T, -m.T]),
+                                   np.concatenate([np.zeros(3 * k), -np.ones(k)]), 1.0)
+        for array in (v, m, swap):
             if array is not None:
                 array.flags.writeable = False
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "_vertex_matrix", m)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "frame_swap", swap)
-        object.__setattr__(self, "dual_rows", rows)
+        object.__setattr__(self, "dual_rows", lambda_dual.rows[:-1])
+        object.__setattr__(self, "lambda_dual", lambda_dual)
 
     @property
     def dimension(self) -> int:
@@ -315,10 +361,10 @@ def checked_vertex_values(space: StateSpace, coefficients,
         raise ValueError(
             f"expected {space.dimension + 1} coefficients for {space!r}, got {c.shape}"
         )
-    values = space.vertex_matrix() @ c
-    outside = np.flatnonzero(~((values >= -tol.eps_geom) & (values <= 1.0 + tol.eps_geom)))
-    if outside.size:  # NaN fails too
-        i = int(outside[0])
+    values = space.vertex_matrix().dot(c)
+    inside = (values >= -tol.eps_geom) & (values <= 1.0 + tol.eps_geom)
+    if not inside.all():  # NaN fails too
+        i = int(np.flatnonzero(~inside)[0])
         raise EffectRangeError(
             f"effect value {values[i]:.12g} at vertex {space.vertices[i].tolist()} "
             f"(index {i}) outside [0, 1]"

@@ -3,8 +3,12 @@
 Internal to effectcompat: only SolverFailure is part of the public API.
 A problem has one of two forms, minimize c . y subject to rows . y = rhs or
 to rows . y <= rhs, with y >= 0; a caller with free variables poses each as
-the difference of two nonnegative ones.  solve_lp and check_feasible pick
-the method from the form:
+the difference of two nonnegative ones.  An LpProblem holds read-only
+float64 arrays: one the caller passes already read-only and owning its data
+is held as it is, so the witness duals share their constraint rows across
+pairs, and anything else (writable, a view, another dtype) is copied, so
+that no later write by the caller reaches the problem.  solve_lp and
+check_feasible pick the method from the form:
 
 * All rows equalities (the duals of the witness LPs, d+2 rows over 4k
   vertex weights, and the hull LPs of the redundancy scan): the revised
@@ -17,9 +21,12 @@ the method from the form:
   the updates never reach them.  Pricing is Dantzig's (most negative
   reduced cost, smallest index on ties); after _DEGENERATE_RUN degenerate
   pivots in a row it hands over to Bland's rule until the point moves
-  again, so it cannot cycle.  Pricing and the update run in numpy; the
-  ratio test runs on Python floats read out of x and the entering column,
-  since on m entries numpy's per-call cost outweighs the arithmetic.
+  again, so it cannot cycle.  Pricing and the update run in numpy, the
+  reduced costs written into one buffer that each solve allocates once;
+  the ratio test runs on Python floats read out of x and the entering
+  column, since on m entries numpy's per-call cost outweighs the arithmetic.
+  The products on that path are written ndarray.dot: the same BLAS calls
+  as @, at about half its per-call cost on these small operands.
   A problem may carry a start basis, one column per row.  When B =
   rows[:, start] is nonsingular (condition number below 1/_PIVOT_EPS) and
   B^-1 rhs >= -eps_feas, phase two starts there, from the inverse and the
@@ -116,7 +123,8 @@ class LpProblem:
 
     relations are all EQ or all LE, else LpInputError.  start optionally
     names a basis to try before phase one: one distinct column index per
-    row, on a problem whose rows are all equalities.
+    row, on a problem whose rows are all equalities.  The arrays are held
+    read-only, copied unless already read-only float64 owning their data.
     """
 
     objective: np.ndarray
@@ -126,12 +134,11 @@ class LpProblem:
     start: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        # copies keep the frozen instance detached from caller-owned arrays
-        c = np.atleast_1d(np.array(self.objective, dtype=float))
+        c = np.atleast_1d(_read_only(self.objective))
         if c.ndim != 1 or c.size < 1:
             raise LpInputError("objective must be a nonempty 1-d vector")
         n = c.size
-        rows = np.array(self.rows, dtype=float)
+        rows = _read_only(self.rows)
         if rows.size == 0:
             rows = rows.reshape(0, n)
         if rows.ndim != 2 or rows.shape[1] != n:
@@ -145,14 +152,11 @@ class LpProblem:
                                f"{EQ!r} nor all {LE!r}, the two problem forms")
         if len(rels) != m:
             raise LpInputError(f"{m} rows but {len(rels)} relations")
-        rhs = np.atleast_1d(np.array(self.rhs, dtype=float))
+        rhs = np.atleast_1d(_read_only(self.rhs))
         if rhs.shape != (m,):
             raise LpInputError(f"rhs must have shape ({m},), got {rhs.shape}")
         if self.start is not None:
             object.__setattr__(self, "start", _checked_start(self.start, rels, n))
-        c.flags.writeable = False
-        rows.flags.writeable = False
-        rhs.flags.writeable = False
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "relations", rels)
@@ -171,6 +175,17 @@ class LpProblem:
         # perfbench.tracing.tableau_shape reads per-variable bounds to count
         # tableau columns; every variable is nonnegative.
         return ((0.0, None),) * self.n_variables
+
+
+def _read_only(a) -> np.ndarray:
+    """a itself when it is a read-only float64 array that owns its data, which
+    no caller can write through; otherwise a read-only float64 copy, which
+    keeps the problem detached from caller-owned arrays."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and not a.flags.writeable and a.flags.owndata):
+        a = np.array(a, dtype=float)
+        a.flags.writeable = False
+    return a
 
 
 def _checked_start(start, relations: tuple[str, ...], n: int) -> tuple[int, ...]:
@@ -225,9 +240,10 @@ class _Budget:
 def _eliminate(T: np.ndarray, column: np.ndarray, row: int) -> None:
     """Gauss-Jordan step in place: T[row] /= column[row], then T[i] -= column[i] * T[row]
     for every i != row.  column must not be a view of T; column[row] is set to 0."""
-    T[row] /= column[row]
+    pivot_row = T[row]
+    pivot_row /= column[row]
     column[row] = 0.0
-    T -= np.multiply.outer(column, T[row])
+    T -= column[:, None] * pivot_row
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -299,15 +315,16 @@ def _verify_solution(problem: LpProblem, y: np.ndarray, eps: float) -> None:
     """Raise SolverFailure naming the first row (|residual| on an equality,
     the signed residual on a <= row) or bound that y breaks by more than eps;
     one numpy pass, O(rows.size)."""
-    residual = problem.rows @ y - problem.rhs
-    bad = np.flatnonzero((np.abs(residual) if _equality_form(problem) else residual) > eps)
-    if bad.size:
-        i = int(bad[0])
+    residual = problem.rows.dot(y) - problem.rhs
+    bad = (np.abs(residual) if _equality_form(problem) else residual) > eps
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
         raise SolverFailure(f"returned point violates constraint {i} "
                             f"({problem.relations[i]} residual {residual[i]:.3e})")
-    negative = np.flatnonzero(y < -eps)
-    if negative.size:
-        raise SolverFailure(f"returned point violates lower bound on variable {negative[0]}")
+    negative = y < -eps
+    if negative.any():
+        raise SolverFailure("returned point violates lower bound on variable "
+                            f"{np.flatnonzero(negative)[0]}")
 
 
 def _equality_form(problem: LpProblem) -> bool:
@@ -331,16 +348,25 @@ def _ratio_test(x: list[float], column: list[float], basis: list[int],
     The ratios max(x_i, 0) / d_i over d_i > _PIVOT_EPS tie within 1e-12 *
     max(1, least); among the tied rows Dantzig takes the largest pivot, the
     first on equal pivots, which keeps B well conditioned, and Bland the
-    row whose basic column comes first.
+    row whose basic column comes first.  The first loop finds the least
+    ratio and the second applies the tie rule: which rows tie depends on
+    the least ratio, so one loop could not decide it.
     """
-    ratios = [max(xi, 0.0) / di if di > _PIVOT_EPS else math.inf for xi, di in zip(x, column)]
-    best = min(ratios, default=math.inf)
+    best = math.inf
+    for xi, di in zip(x, column):
+        if di > _PIVOT_EPS:
+            ratio = (0.0 if xi < 0.0 else xi) / di
+            if ratio < best:
+                best = ratio
     if best == math.inf:
         return None
-    slack = 1e-12 * max(1.0, best)
+    slack = 1e-12 * (best if best > 1.0 else 1.0)
     bound = best + slack
-    tied = [i for i, ratio in enumerate(ratios) if ratio <= bound]
-    row = min(tied, key=basis.__getitem__) if bland else max(tied, key=column.__getitem__)
+    row = -1
+    for i, (xi, di) in enumerate(zip(x, column)):
+        if di > _PIVOT_EPS and (0.0 if xi < 0.0 else xi) / di <= bound and (
+                row < 0 or (basis[i] < basis[row] if bland else di > column[row])):
+            row = i
     return row, best <= slack
 
 
@@ -355,21 +381,24 @@ def _revised_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: list
     divides row r of T by d_r and subtracts d_i times that row from every
     other row i (_eliminate), which gives the new basis's inverse and point.
     After _REFACTOR_INTERVAL such updates T is recomputed from the basis
-    columns.  The ratio test runs on x and d as Python floats (_ratio_test).
+    columns.  The reduced costs are priced into one buffer per solve, and
+    the ratio test runs on x and d as Python floats (_ratio_test).
     """
     m = A.shape[0]
     T = np.empty((m, m + 1))
     if start is None:
-        T[:, :m] = _solve(A[:, basis], np.eye(m))
+        T[:, :m] = _solve(A.take(basis, axis=1), np.eye(m))
         T[:, m] = T[:, :m] @ b
     else:
         T[:, :m], T[:, m] = start
     inv, x = T[:, :m], T[:, m]
-    basic_cost = cost[basis]
     basic = np.array(basis, dtype=int)  # pricing indexes with it, not with the list
+    basic_cost = cost[basic]
+    reduced = np.empty(cost.size)  # every pricing round writes into it
     degenerate = updates = 0
     while True:
-        reduced = cost - (basic_cost @ inv) @ A
+        basic_cost.dot(inv).dot(A, out=reduced)
+        np.subtract(cost, reduced, out=reduced)
         reduced[basic] = 0.0
         col = int(reduced.argmin())  # Dantzig: most negative, smallest index on ties
         if reduced[col] >= -_REVISED_ENTER_EPS:
@@ -377,7 +406,7 @@ def _revised_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: list
         bland = degenerate >= _DEGENERATE_RUN
         if bland:
             col = int((reduced < -_REVISED_ENTER_EPS).argmax())  # smallest improving index
-        column = inv @ A[:, col]
+        column = inv.dot(A[:, col])
         leaving = _ratio_test(x.tolist(), column.tolist(), basis, bland)
         if leaving is None:
             return "unbounded"
@@ -389,7 +418,7 @@ def _revised_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: list
         basic_cost[row] = cost[col]
         updates += 1
         if updates == _REFACTOR_INTERVAL:
-            T[:, :m] = _solve(A[:, basis], np.eye(m))
+            T[:, :m] = _solve(A.take(basis, axis=1), np.eye(m))
             T[:, m] = T[:, :m] @ b
             updates = 0
         else:
@@ -413,7 +442,7 @@ def _revised_phase_one(problem: LpProblem):
     # the artificial sum is bounded below by 0
     if _revised_simplex(A, b, cost, basis, budget, (np.eye(m), b)) != "optimal":
         raise SolverFailure("phase one reported unbounded; solver invariant broken")
-    residual = float(cost[basis] @ _solve(A[:, basis], b))
+    residual = float(cost[basis] @ _solve(A.take(basis, axis=1), b))
     return A, b, basis, residual, budget, signs
 
 
@@ -431,7 +460,7 @@ def _drive_out_artificials(A: np.ndarray, n: int, basis: list[int]) -> list[int]
     for r in range(m):
         if basis[r] < n:
             continue
-        entries = _solve(A[:, basis].T, np.eye(m)[r]) @ A[:, :n]
+        entries = _solve(A.take(basis, axis=1).T, np.eye(m)[r]) @ A[:, :n]
         entries[[j for j in basis if j < n]] = 0.0
         j = int(np.argmax(np.abs(entries)))
         if abs(entries[j]) > _PIVOT_EPS:
@@ -456,15 +485,15 @@ def _start_basis(problem: LpProblem, tol: SolverTolerances
     if problem.start is None:
         return None
     basis = list(problem.start)
-    B = problem.rows[:, basis]
+    B = problem.rows.take(basis, axis=1)
     try:
         inverse = np.linalg.inv(B)
     except np.linalg.LinAlgError:
         return None
     if not np.abs(B).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max() < 1.0 / _PIVOT_EPS:
         return None
-    point = inverse @ problem.rhs
-    if not np.all(point >= -tol.eps_feas):  # NaN fails too
+    point = inverse.dot(problem.rhs)
+    if not (point >= -tol.eps_feas).all():  # NaN fails too
         return None
     return basis, (inverse, point)
 
@@ -480,20 +509,23 @@ def _solve_revised(problem: LpProblem, tol: SolverTolerances) -> LpResult:
         A, b, start = A[kept, :n], b[kept], None
     else:
         basis, start = taken
-        A, b, budget, signs, kept = problem.rows, problem.rhs, _Budget(problem), 1.0, slice(None)
+        A, b, budget, kept = problem.rows, problem.rhs, _Budget(problem), None
     cost = problem.objective
     if _revised_simplex(A, b, cost, basis, budget, start) == "unbounded":
         return LpResult(LpStatus.UNBOUNDED, None, None, budget.used)
-    B = A[:, basis]
+    B = A.take(basis, axis=1)
     y = np.zeros(n)
     y[basis] = _solve(B, b)
     _verify_solution(problem, y, tol.eps_feas)
-    pi = np.zeros(problem.n_constraints)
-    pi[kept] = _solve(B.T, cost[basis])
-    pi *= signs
+    if kept is None:  # no phase one: no row was signed or dropped
+        pi = _solve(B.T, cost[basis])
+    else:
+        pi = np.zeros(problem.n_constraints)
+        pi[kept] = _solve(B.T, cost[basis])
+        pi *= signs
     y.flags.writeable = False
     pi.flags.writeable = False
-    return LpResult(LpStatus.OPTIMAL, float(cost @ y), y, budget.used, pi)
+    return LpResult(LpStatus.OPTIMAL, float(cost.dot(y)), y, budget.used, pi)
 
 
 def _phase_one(problem: LpProblem):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compat import compute_lambda0
-from .core import Effect, StateSpace
+from .core import Effect, StateSpace, checked_vertex_values
 from .tolerances import DEFAULT_TOLERANCES, SolverTolerances
 
 MAX_GRID_DIMENSION = 3
@@ -81,7 +81,8 @@ def grid_lambda0(space: StateSpace, e: Effect, f: Effect,
     flagged) when the coefficients of e, f, or the simplex-interpolated
     pointwise minimum, escape it.  Cost grows as resolution**(d+1), so the
     state-space dimension is capped at MAX_GRID_DIMENSION and the candidate
-    count at MAX_GRID_CANDIDATES.
+    count at MAX_GRID_CANDIDATES.  e and f are checked as effects on space
+    first: EffectRangeError names a vertex where one leaves [0, 1].
     """
     if space.dimension > MAX_GRID_DIMENSION:
         raise ValueError(
@@ -96,8 +97,8 @@ def grid_lambda0(space: StateSpace, e: Effect, f: Effect,
         raise ValueError(f"grid oracle enumerates at most {MAX_GRID_CANDIDATES} candidates, "
                          f"got resolution {resolution}**{n_axes} = {total}")
     M = space.vertex_matrix()
-    ev = e.vertex_values(space)
-    fv = f.vertex_values(space)
+    ev = checked_vertex_values(space, e.coefficients, tol)
+    fv = checked_vertex_values(space, f.coefficients, tol)
     minef = np.minimum(ev, fv)
     target = ev + fv
 

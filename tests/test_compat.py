@@ -562,6 +562,22 @@ class TestMinDepolarizingNoise:
         min_depolarizing_noise(square, *sharp_pair)
         assert len(calls) == 2
 
+    def test_checks_each_effect_once(self, monkeypatch):
+        # the lambda LP and the threshold LP share one check of each effect
+        calls = []
+        check = compat_module.checked_vertex_values
+        monkeypatch.setattr(compat_module, "checked_vertex_values",
+                            lambda *a: calls.append(1) or check(*a))
+        rng = np.random.default_rng(2024)
+        incompatible = 0
+        for space in (gbit_square(), regular_polygon(8), hypercube(3)):
+            for _ in range(6):
+                e, f = (random_effect(space, rng, span_range=(1.0, 1.0)) for _ in range(2))
+                del calls[:]
+                incompatible += min_depolarizing_noise(space, e, f) < 1.0
+                assert len(calls) == 2, space.name
+        assert incompatible >= 6
+
     def test_threshold_is_the_last_compatible_t(self):
         # Seeded pairs of both spans: the smeared pair is compatible at t*
         # and incompatible just past it, unless no noise is needed.

@@ -215,7 +215,7 @@ class TestStateSpaceDerivedData:
 
         from effectcompat.models import hypercube, regular_polygon
 
-        assert {"frame", "frame_swap", "dual_rows"}.isdisjoint(
+        assert {"frame", "frame_swap", "dual_rows", "lambda_dual"}.isdisjoint(
             field.name for field in dataclasses.fields(core.StateSpace))
         for space in (segment, square, triangle, regular_polygon(16), hypercube(4),
                       make_state_space([[]])):
@@ -223,6 +223,19 @@ class TestStateSpaceDerivedData:
             rows = space.dual_rows
             assert np.array_equal(rows, np.hstack([-m.T, m.T, m.T, -m.T])), space.name
             assert rows is space.dual_rows
+            k = space.n_vertices
+            dual = space.lambda_dual
+            assert dual is space.lambda_dual and dual.rows is space.lambda_dual.rows
+            column = np.concatenate([np.zeros(3 * k), -np.ones(k)])
+            assert np.array_equal(dual.rows, np.vstack([rows, column])), space.name
+            assert rows.base is dual.rows  # a view: the shared rows are stored once
+            assert np.array_equal(dual.rhs, np.append(np.zeros(m.shape[1]), -1.0))
+            # delta pairs with beta and with gamma: 1 / (0 + 1) per vertex, none elsewhere
+            expected = np.repeat([[1.0], [1.0], [0.0], [0.0]], k, axis=1)
+            assert np.array_equal(dual.denominators, expected)
+            assert np.array_equal(dual.usable, expected > 0.0)
+            for array in dual:
+                assert not array.flags.writeable, space.name
             frame = list(space.frame)
             assert space.frame_swap.shape == (space.n_vertices,)
             for v in range(space.n_vertices):
@@ -237,6 +250,10 @@ class TestStateSpaceDerivedData:
                 space.frame_swap[0] = 1
             with pytest.raises(dataclasses.FrozenInstanceError):
                 space.dual_rows = rows.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                dual.rows[-1, -1] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                space.lambda_dual = dual
         flat = make_state_space([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         m = flat.vertex_matrix()
         assert flat.frame is None and flat.frame_swap is None

@@ -65,6 +65,63 @@ def test_agrees_with_highs_from_8_to_1024_vertices():
             assert _witness_violation(space, e, f, report) <= EPS_FEAS, space.name
 
 
+# The witness duals as they were posed per pair before their fixed parts
+# moved to StateSpace: the rows stacked, the start found from the pair's own
+# column and the problem handed to solve_lp.  Returns (s, g, pivots).
+_START_PAIRS = [(1, 3), (2, 3), (0, 1), (0, 2)]
+
+
+def _stacked_dual(space, rhs, column, cost):
+    k = space.n_vertices
+    rows = np.vstack([space.dual_rows, column])
+    dual_rhs = np.zeros(rows.shape[0])
+    dual_rhs[-1] = -cost
+    sums = np.array([[float(block in pair) for block in range(4)] for pair in _START_PAIRS])
+    denom = sums @ column.reshape(4, k)
+    value = np.divide(sums @ rhs.reshape(4, k), -cost * denom,
+                      out=np.full(denom.shape, np.inf), where=cost * denom < 0.0)
+    pair, v = divmod(int(np.argmin(value)), k)
+    chosen = list(space.frame)
+    chosen[space.frame_swap[v]] = v
+    x, y = (block * k for block in _START_PAIRS[pair])
+    start = tuple(x + u for u in chosen) + (y + v,)
+    result = solve_lp(LpProblem(rhs, rows, (EQ,) * rows.shape[0], dual_rhs, start))
+    assert result.status is LpStatus.OPTIMAL
+    return -cost * result.value, result.multipliers[:-1], result.iterations
+
+
+def test_bit_identical_to_the_dual_stacked_per_pair(monkeypatch):
+    posed = _spy_problems(monkeypatch)
+    incompatible = 0
+    for space in (regular_polygon(5), hypercube(3), regular_polygon(16), hypercube(5),
+                  regular_polygon(128), hypercube(7), regular_polygon(1024), hypercube(10)):
+        k = space.n_vertices
+        for e, f in _pairs(space, 61, 6):
+            ev, fv = e.vertex_values(space), f.vertex_values(space)
+            rhs = np.concatenate([np.zeros(k), ev, fv, 0.0 - (ev + fv)])
+            s, g, pivots = _stacked_dual(space, rhs, np.repeat([0.0, 0.0, 0.0, -1.0], k), 1.0)
+            del posed[:]
+            report = compat.compute_lambda0(space, e, f)
+            # the per-space rows and right-hand side, held without a copy
+            assert len(posed) == 1 and posed[0].rows is space.lambda_dual.rows
+            assert posed[0].rhs is space.lambda_dual.rhs
+            assert report.lambda0.hex() == max(0.0, s).hex(), space.name
+            assert list(map(float.hex, report.witness.coefficients.tolist())) == \
+                list(map(float.hex, g.tolist())), space.name
+            assert report.lp_iterations == pivots, space.name
+            t = compat.min_depolarizing_noise(space, e, f)
+            if report.compatible:
+                assert t == 1.0
+                continue
+            incompatible += 1
+            ev, fv = ev - 0.5, fv - 0.5
+            rhs = np.repeat([0.0, 0.5, 0.5, DEFAULT_TOLERANCES.eps_compat
+                             - compat._THRESHOLD_MARGIN], k)
+            column = np.concatenate([np.zeros(k), -ev, -fv, ev + fv])
+            assert t.hex() == _stacked_dual(space, rhs, column, -1.0)[0].hex(), space.name
+    assert incompatible >= 10
+
+
 def _spy_linalg(monkeypatch):
     """Record each call of numpy.linalg.solve and numpy.linalg.inv by name."""
     calls = []

@@ -74,6 +74,28 @@ def test_duplicate_rows_are_harmless():
         assert res.value == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_problem_holds_only_read_only_owned_arrays_without_a_copy():
+    objective, rows, rhs = np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([1.0])
+    for array in (objective, rows, rhs):
+        array.flags.writeable = False
+    held = LpProblem(objective, rows, (EQ,), rhs)
+    assert held.objective is objective and held.rows is rows and held.rhs is rhs
+    # writable arrays, read-only views of a writable base and other dtypes are
+    # copied, so that later writes by the caller never reach the problem
+    base = np.array([[1.0, 1.0], [2.0, 2.0]])
+    view = base[:1]
+    view.flags.writeable = False
+    writable = np.array([1.0, 2.0])
+    copied = LpProblem(writable, view, (EQ,), np.array([1], dtype=np.int64))
+    assert copied.objective is not writable and copied.rows is not view
+    assert copied.rhs.dtype == np.float64
+    writable[0] = base[0, 0] = 5.0
+    assert copied.objective.tolist() == [1.0, 2.0] and copied.rows.tolist() == [[1.0, 1.0]]
+    for array in (copied.objective, copied.rows, copied.rhs):
+        assert not array.flags.writeable
+    assert solve_lp(copied).value == solve_lp(held).value == 1.0
+
+
 def test_row_permutation_preserves_value():
     rng = np.random.default_rng(7)
     rows = [[2.0, 1.0], [1.0, 3.0], [-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]]

@@ -8,6 +8,7 @@ import effectcompat.oracle as oracle
 from effectcompat.compat import compute_lambda0, depolarizing_kernel, random_effect, smear
 from effectcompat.core import (
     Effect,
+    EffectRangeError,
     dichotomic_observable,
     effect_from_affine,
     effect_from_vertex_values,
@@ -107,6 +108,15 @@ class TestGrid:
     def test_resolution_validation(self, square, sharp_pair):
         with pytest.raises(ValueError):
             grid_lambda0(square, *sharp_pair, resolution=1)
+
+    @pytest.mark.parametrize("value", [float("nan"), 1.5])
+    def test_rejects_an_effect_outside_the_unit_interval(self, square, sharp_pair, value):
+        # as every other entry point: before, NaN gave value=inf, lower_bound=nan
+        # and 1.5 the bracket [1.5, 1.5]
+        bad = Effect([value, 0.0, 0.0])
+        for pair in ((bad, sharp_pair[1]), (sharp_pair[0], bad)):
+            with pytest.raises(EffectRangeError, match=r"at vertex \[1\.0, 1\.0\] \(index 0\)"):
+                grid_lambda0(square, *pair, resolution=11)
 
     def test_candidate_cap_is_inclusive(self, square, sharp_pair, monkeypatch):
         half = effect_from_affine(hypercube(3), [0.5, 0.0, 0.0, 0.0])
