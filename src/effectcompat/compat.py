@@ -208,7 +208,7 @@ def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, dual: WitnessDual,
         )
     s = dual.rhs.item(-1) * result.value  # -cost times the dual's value
     g = result.multipliers[:-1]
-    residual = space.dual_rows.T.dot(g) + rows[-1] * s - rhs
+    residual = space.dual_rows.T @ g + rows[-1] * s - rhs
     violated = residual > tol.eps_feas
     if violated.any():
         i = int(np.flatnonzero(violated)[0])
