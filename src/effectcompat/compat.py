@@ -9,11 +9,12 @@ vertex checks on a polytope, lambda0 is the optimum of one small LP over
 the affine coefficients of g and lambda, and the minimum is attained: the
 optimal g comes out of the LP as a witness.  Every LP over the witness
 system (lambda0, the depolarizing threshold, the least slack behind
-eq3_feasible) is solved as its dual, d+2 rows over weights on the vertices,
-from a start basis built on two equal weights at one vertex (for lambda0,
-the trivial bound max_v max(e, f)), and g comes out as its simplex
-multipliers (see _solve_witness_dual).  Only lambda0 on spaces of at most 4
-vertices is solved as the primal.
+eq3_feasible) is solved as its dual, r+2 rows over weights on the vertices
+of a space whose affine hull has dimension r, from a start basis built on
+two equal weights at one vertex (for lambda0, the trivial bound
+max_v max(e, f)), and g comes out as its simplex multipliers, lifted from
+the hull's coordinates to ambient ones (see _solve_witness_dual).  Only
+lambda0 on spaces of at most 4 vertices is solved as the primal.
 
 lambda0 is always in [0, 2] (g = 0, lambda = 2 is feasible for any pair),
 and for an incompatible pair sigma0 = 2*(1 - 1/lambda0) in (0, 1] measures
@@ -41,7 +42,7 @@ from .core import (
 )
 # solve_lp, check_feasible and effect_from_affine stay bound here: perfbench
 # --trace 1 rebinds them by name.
-from .lp import EQ, LE, LpProblem, LpStatus, SolverFailure, check_feasible, solve_lp
+from .lp import EQ, LE, LpInputError, LpProblem, LpStatus, SolverFailure, check_feasible, solve_lp
 from .tolerances import DEFAULT_TOLERANCES, SolverTolerances
 
 # The depolarizing LP is posed this far inside lambda0 <= 1 + eps_compat, so the
@@ -80,9 +81,9 @@ class CompatReport:
 
     witness is the effect g attaining the minimum: g <= e, g <= f and
     e + f <= g + lambda0*u hold on every vertex up to solver tolerance.
-    lp_iterations counts the simplex pivots of the lambda LP: of phase two
-    alone when the dual starts from its start basis (0 when the trivial
-    bound max_v max(e, f) is already optimal there), of both phases otherwise.
+    lp_iterations counts the simplex pivots of the lambda LP: from the
+    dual's start basis (0 when the trivial bound max_v max(e, f) is already
+    optimal there), or of both phases of the dense primal below 5 vertices.
     """
 
     lambda0: float
@@ -146,15 +147,16 @@ def _witness_rhs(ev: np.ndarray, fv: np.ndarray, level: float) -> np.ndarray:
 
 def _lambda_problem(space: StateSpace, ev: np.ndarray, fv: np.ndarray) -> LpProblem:
     """The lambda LP as the dense tableau solves it, each free variable split:
-    minimize lambda over the witness system's rows [dual_rows^T | column].
-    g <= 1 is implied by g <= e, so the optimal g is automatically an effect."""
+    minimize lambda over the witness system's rows [dual_rows^T | column],
+    g in the coordinates of space.dual_rows.  g <= 1 is implied by g <= e,
+    so the optimal g is automatically an effect."""
     A = np.column_stack([space.dual_rows.T, space.lambda_dual.rows[-1]])
-    objective = np.append(np.zeros(space.dimension + 1), 1.0)
+    objective = np.append(np.zeros(space.dual_rows.shape[0]), 1.0)
     return LpProblem(_split(objective), _split(A), (LE,) * A.shape[0], _witness_rhs(ev, fv, 0.0))
 
 
-def _dual_start(space: StateSpace, rhs: np.ndarray, dual: WitnessDual) -> tuple[int, ...] | None:
-    """A feasible basis of the witness dual that skips phase one, or None.
+def _dual_start(space: StateSpace, rhs: np.ndarray, dual: WitnessDual) -> tuple[int, ...]:
+    """A feasible basis of the witness dual.
 
     Equal weights c on blocks X and Y of one vertex v, where (X, Y) is one of
     the pairs in X_BLOCKS, Y_BLOCKS, meet the dual's rows when c = -cost /
@@ -162,19 +164,14 @@ def _dual_start(space: StateSpace, rhs: np.ndarray, dual: WitnessDual) -> tuple[
     points the one of least dual value c * (rhs_X(v) + rhs_Y(v)) is taken
     (for lambda0, the trivial bound max_v max(e(v), f(v))).  Its basis is
     block X on space.frame with v swapped in at space.frame_swap[v], plus
-    Y_v: nonsingular, as M is on that frame and column_X(v) + column_Y(v) != 0.
+    Y_v: nonsingular, as the reduced vertex matrix is on that frame and
+    column_X(v) + column_Y(v) != 0.
     """
-    frame = space.frame
-    if frame is None:
-        return None
     k = space.n_vertices
     value = np.divide(PAIR_SUMS.dot(rhs.reshape(4, k)), dual.denominators,
                       out=np.full((4, k), np.inf), where=dual.usable)
-    best = int(value.argmin())
-    if value.flat[best] == np.inf:
-        return None
-    pair, v = divmod(best, k)
-    chosen = list(frame)
+    pair, v = divmod(int(value.argmin()), k)
+    chosen = list(space.frame)
     chosen[space.frame_swap[v]] = v
     x, y = int(X_BLOCKS[pair]) * k, int(Y_BLOCKS[pair]) * k
     return tuple(x + u for u in chosen) + (y + v,)
@@ -182,8 +179,8 @@ def _dual_start(space: StateSpace, rhs: np.ndarray, dual: WitnessDual) -> tuple[
 
 def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, dual: WitnessDual,
                         tol: SolverTolerances, name: str) -> tuple[float, np.ndarray, int]:
-    """The optimal s, the witness coefficients g and the pivot count of
-    minimize cost * s subject to the witness system (cost is +1 or -1),
+    """The optimal s, the ambient witness coefficients g and the pivot count
+    of minimize cost * s subject to the witness system (cost is +1 or -1),
     solved as its dual: minimize rhs . w subject to A^T w = -objective, w >= 0.
 
     w = (alpha, beta, gamma, delta) weighs the four row blocks per vertex,
@@ -191,16 +188,20 @@ def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, dual: WitnessDual,
     over the dual's own row, column^T, and -objective is dual.rhs; both,
     and the start's denominators, are built once per dual (for lambda0,
     once per space), so a pair brings only rhs.  The solve starts at the
-    basis of _dual_start, so it runs no phase one (without a frame it
-    does).  The simplex multipliers are a primal point (g, s) with
-    A (g, s) <= rhs, so g is read from them and checked on all 4k primal
-    rows at the optimal s, dual_rows^T g + column s <= rhs, in O(k*d); a
-    violation raises SolverFailure.  Every caller's primal is feasible and
-    bounded, so its dual is too.
+    basis of _dual_start; a start the solver refuses raises ValueError
+    naming the space and the failed condition, before any pivot.  The
+    simplex multipliers are a primal point (h, s) with A (h, s) <= rhs, so
+    h is read from them and checked on all 4k primal rows at the optimal s,
+    dual_rows^T h + column s <= rhs, in O(k*r); a violation raises
+    SolverFailure.  h is returned lifted to ambient coefficients (_lift).
+    Every caller's primal is feasible and bounded, so its dual is too.
     """
     rows = dual.rows
-    start = _dual_start(space, rhs, dual)
-    result = solve_lp(LpProblem(rhs, rows, (EQ,) * rows.shape[0], dual.rhs, start), tol)
+    try:
+        result = solve_lp(LpProblem(rhs, rows, (EQ,) * rows.shape[0], dual.rhs,
+                                    _dual_start(space, rhs, dual)), tol)
+    except LpInputError as exc:
+        raise ValueError(f"{space!r}: the witness dual for {name} cannot start: {exc}") from exc
     if result.status is not LpStatus.OPTIMAL:
         raise SolverFailure(
             f"dual of the witness LP for {name} reported {result.status.value}, but it "
@@ -214,7 +215,17 @@ def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, dual: WitnessDual,
         i = int(np.flatnonzero(violated)[0])
         raise SolverFailure(f"witness at {name} = {s!r} violates constraint {i} "
                             f"({LE} residual {residual[i]:.3e})")
-    return s, g, result.iterations
+    return s, _lift(space, g), result.iterations
+
+
+def _lift(space: StateSpace, h: np.ndarray) -> np.ndarray:
+    """The ambient coefficients of the affine functional with coefficients h
+    over the rows of space.dual_rows: h itself on a space that spans R^d,
+    else c0 = h0 - c . v0 and c = Q h[1:], Q = space.hull_basis."""
+    if space.hull_basis is None:
+        return h
+    c = space.hull_basis.dot(h[1:])
+    return np.append(h[0] - c.dot(space.vertices[0]), c)
 
 
 def _witness_slack(space: StateSpace, e: Effect, f: Effect, tol: SolverTolerances,
@@ -223,8 +234,7 @@ def _witness_slack(space: StateSpace, e: Effect, f: Effect, tol: SolverTolerance
     witness system at level lam (z <= 0 when one meets them all strictly),
     that g's coefficients and the pivot count; e and f are validated first."""
     rhs = _witness_rhs(*_validated_pair(space, e, f, tol), lam)
-    dual = witness_dual(space.dual_rows, -np.ones(rhs.size), 1.0)
-    return _solve_witness_dual(space, rhs, dual, tol, "z")
+    return _solve_witness_dual(space, rhs, space.slack_dual, tol, "z")
 
 
 def eq3_feasible(space: StateSpace, e: Effect, f: Effect,
@@ -242,14 +252,14 @@ def compute_lambda0(space: StateSpace, e: Effect, f: Effect,
 
     The LP is always feasible (g = 0, lambda = 2) and bounded below by
     max_v max(e, f) >= 0, so any non-optimal status is a solver failure.
-    With at least _DUAL_MIN_VERTICES vertices its dual is solved, d+2
-    equality rows over 4k vertex weights, by the revised simplex method
-    from the dual point of the trivial bound, with no phase one when the
-    vertices span R^d: lambda0 is the dual's value and the witness its
-    simplex multipliers, checked on all 4k primal rows.  Below that, the
-    4k-row primal is solved on a dense tableau.  lp_iterations counts the
-    simplex pivots of the phases that ran (phase two alone from the start
-    basis; both phases on the dense tableau or without a frame).
+    With at least _DUAL_MIN_VERTICES vertices its dual is solved, r+2
+    equality rows over 4k vertex weights (r the dimension of the vertices'
+    affine hull), by the revised simplex method from the dual point of the
+    trivial bound: lambda0 is the dual's value and the witness its simplex
+    multipliers, checked on all 4k primal rows and lifted to ambient
+    coefficients.  Below that, the 4k-row primal over the same rows is
+    solved on a dense tableau.  lp_iterations counts the simplex pivots of
+    the phases that ran.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     return _lambda0_report(space, *_validated_pair(space, e, f, tol), tol)
@@ -270,7 +280,7 @@ def _lambda0_report(space: StateSpace, ev: np.ndarray, fv: np.ndarray,
                 "and bounded by construction"
             )
         lambda0 = max(0.0, float(result.value))
-        g, iterations = _free_point(result.point)[: space.dimension + 1], result.iterations
+        g, iterations = _lift(space, _free_point(result.point)[:-1]), result.iterations
     return CompatReport(
         lambda0=lambda0,
         sigma0=sigma0(lambda0) if lambda0 > 0.0 else 0.0,
@@ -462,7 +472,7 @@ def min_depolarizing_noise(space: StateSpace, e: Effect, f: Effect,
     Compatible means lambda0 <= 1 + eps_compat, the verdict of
     compute_lambda0.  A pair compatible as given returns exactly 1.0;
     otherwise the threshold is the optimum of one LP over (g, t), solved as
-    its (d+2)-row dual: maximize t subject to the witness system of the
+    its (r+2)-row dual: maximize t subject to the witness system of the
     depolarized pair, whose vertex values 1/2 + t*(e - 1/2) are linear in t,
     at level 1 + eps_compat less _THRESHOLD_MARGIN.  Both LPs read the
     vertex values of one check of e and f.
@@ -485,13 +495,14 @@ def random_effect(space: StateSpace, rng: np.random.Generator,
     """Seeded random effect: uniform affine coefficients rescaled so the
     vertex values fill a random subinterval of [0, 1].
 
-    All-constant draws are rejected (they carry no geometry); on a
-    zero-dimensional space a random constant effect is returned instead.
+    All-constant draws are rejected (they carry no geometry); on a space of
+    one point (affine dimension 0, any d) a random constant effect is
+    returned instead.  ValueError when 100 draws all vary by at most 1e-6.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     d = space.dimension
-    if d == 0:
-        return Effect(np.array([rng.uniform(0.0, 1.0)]))
+    if len(space.frame) == 1:
+        return Effect(np.append(rng.uniform(0.0, 1.0), np.zeros(d)))
     M = space.vertex_matrix()
     for _ in range(100):
         c = rng.uniform(-1.0, 1.0, size=d + 1)
@@ -500,7 +511,7 @@ def random_effect(space: StateSpace, rng: np.random.Generator,
         if hi - lo > 1e-6:
             break
     else:
-        raise CrossCheckError("could not draw a non-constant affine functional")
+        raise ValueError(f"could not draw a non-constant affine functional on {space!r}")
     span = rng.uniform(*span_range)
     base = rng.uniform(0.0, 1.0 - span) if span < 1.0 else 0.0
     scale = span / (hi - lo)

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .lp import EQ, LpProblem, check_feasible
+# check_feasible stays bound here: perfbench --trace 1 rebinds it by name.
+from .lp import EQ, LpProblem, check_feasible, solve_lp
 from .tolerances import DEFAULT_TOLERANCES, SolverTolerances
 
 # Above this vertex count the convex-hull redundancy scan is skipped;
@@ -24,14 +26,14 @@ from .tolerances import DEFAULT_TOLERANCES, SolverTolerances
 # _hull_residual_bounds) and one small LP otherwise.
 REDUNDANCY_CHECK_LIMIT = 512
 
-# A vertex skips its hull LP only when the certified residual exceeds
-# eps_feas by this factor, which absorbs the rounding of both the bound and
-# the LP's own residual.
+# A vertex skips its hull LP only when the certified bound on the LP's
+# optimum exceeds eps_feas by this factor, which absorbs the rounding of both
+# the bound and the LP.
 _CERTIFICATE_MARGIN = 1e3
 
 # A vertex joins the affine frame only if its distance from the span of the
 # frame so far exceeds this fraction of the largest distance from vertex 0;
-# below it the space counts as not full-dimensional.
+# below it the space counts as lying in the affine hull of the frame so far.
 _FRAME_EPS = 1e-9
 
 
@@ -47,36 +49,39 @@ class RepresentabilityError(ValueError):
     """A vertex-value assignment is not realizable by an affine functional."""
 
 
-def _affine_frame(vertices: np.ndarray) -> tuple[int, ...] | None:
-    """d+1 affinely independent vertex indices, or None when the vertices do
-    not span R^d.
+def _affine_frame(vertices: np.ndarray):
+    """(frame, basis, coordinates) of the affine hull of the vertices, of
+    dimension r: r+1 affinely independent vertex indices starting with 0;
+    None and the vertices themselves when r = d, else the orthonormal (d, r)
+    basis Q of the hull's directions and the coordinates (V - v0) Q.
 
     Greedy: from vertex 0, add the vertex farthest from the affine span of
-    those chosen, as in QR with column pivoting.  A distance below
-    _FRAME_EPS times the largest one from vertex 0 counts as none.
+    those chosen, as in QR with column pivoting; the unit directions it
+    projects out are Q.  A distance below _FRAME_EPS times the largest one
+    from vertex 0 counts as none, and ends the frame.
     """
     residual = vertices - vertices[0]
     sq = np.einsum("ij,ij->i", residual, residual)
     floor = (_FRAME_EPS**2) * sq.max(initial=0.0)
-    frame = [0]
+    frame, directions = [0], []
     for _ in range(vertices.shape[1]):
         j = int(np.argmax(sq))
         if not sq[j] > floor:
-            return None
+            basis = np.array(directions).reshape(-1, vertices.shape[1]).T
+            return tuple(frame), basis, (vertices - vertices[0]).dot(basis)
         q = residual[j] / np.sqrt(sq[j])
         residual -= np.outer(residual @ q, q)
         sq = np.einsum("ij,ij->i", residual, residual)
         frame.append(j)
-    return tuple(frame)
+        directions.append(q)
+    return tuple(frame), None, vertices
 
 
-def _frame_swaps(m: np.ndarray, frame: tuple[int, ...] | None) -> np.ndarray | None:
+def _frame_swaps(m: np.ndarray, frame: tuple[int, ...]) -> np.ndarray:
     """Per vertex v, the position in frame of the vertex that v replaces in
     the witness duals' start basis: that of the largest |barycentric weight|
     of v over the frame, so that the frame with v swapped in stays affinely
-    independent and well conditioned.  One (d+1)-square solve for all k."""
-    if frame is None:
-        return None
+    independent and well conditioned.  One (r+1)-square solve for all k."""
     weights = np.linalg.solve(m[list(frame)].T, m.T)
     return np.argmax(np.abs(weights), axis=0)
 
@@ -93,8 +98,8 @@ class WitnessDual(NamedTuple):
     """The parts of one witness dual that no effect pair changes, read-only
     (see compat._solve_witness_dual), for a row of its own, column^T, and
     its cost, +1 or -1:
-    rows          (d+2, 4k): dual_rows over column^T;
-    rhs           (d+2,): 0, and -cost on the last row;
+    rows          (r+2, 4k): dual_rows over column^T;
+    rhs           (r+2,): 0, and -cost on the last row;
     denominators  (4, k): -cost * (column_X(v) + column_Y(v)) per start pair
                   p = (X, Y) and vertex v, whose start point puts the weight
                   1/denominators[p, v] on both blocks of v;
@@ -127,19 +132,27 @@ class StateSpace:
     found inside the convex hull of the others; they are kept, not dropped.
 
     __post_init__ derives read-only data from the vertices once; none of it
-    is a dataclass field.  With M = vertex_matrix():
-    frame      d+1 affinely independent vertex indices (None when the
-               vertices do not span R^d); the witness LPs build their start
-               basis on it.
+    is a dataclass field.  The vertices span an affine hull of dimension
+    r <= d, and every space has a frame of it:
+    frame      r+1 affinely independent vertex indices, vertex 0 first; the
+               witness LPs build their start basis on it.
+    hull_basis None when r = d, else the orthonormal (d, r) basis Q of the
+               hull's directions.
     frame_swap per vertex v, the position in frame of the vertex v replaces
-               in that start basis, the argmax of |barycentric weight| of v
-               (None without a frame).
-    dual_rows  the (d+1, 4k) matrix [-M^T, M^T, M^T, -M^T], the rows that
+               in that start basis, the argmax of |barycentric weight| of v.
+    dual_rows  the (r+1, 4k) matrix [-R^T, R^T, R^T, -R^T], the rows that
                every witness dual shares; each dual adds one row of its own.
+               R is vertex_matrix() = [1 | V] when r = d, else the reduced
+               [1 | (V - v0) Q], v0 = vertex 0, so that no direction of the
+               duals changes nothing.  A witness h over R has the ambient
+               coefficients c = Q h[1:], c0 = h[0] - c . v0 (compat lifts
+               it); effects are evaluated on the ambient vertex_matrix().
     lambda_dual
                the WitnessDual of compute_lambda0, whose own row is the
                lambda column [0]*3k + [-1]*k at cost 1; dual_rows is a view
-               of its first d+1 rows.
+               of its first r+1 rows.
+    slack_dual the WitnessDual of eq3_feasible's least uniform slack, own
+               row [-1]*4k at cost 1; built on first use, then kept.
     """
 
     vertices: np.ndarray
@@ -150,21 +163,26 @@ class StateSpace:
         v = np.array(self.vertices, dtype=float)  # copy: detach from the caller
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError(f"vertices must form a nonempty (k, d) array, got {v.shape}")
-        m = np.hstack([np.ones((v.shape[0], 1)), v])
-        frame = _affine_frame(v)
-        swap = _frame_swaps(m, frame)
         k = v.shape[0]
-        lambda_dual = witness_dual(np.hstack([-m.T, m.T, m.T, -m.T]),
+        m = np.hstack([np.ones((k, 1)), v])
+        frame, basis, coordinates = _affine_frame(v)
+        reduced = m if basis is None else np.hstack([np.ones((k, 1)), coordinates])
+        swap = _frame_swaps(reduced, frame)
+        lambda_dual = witness_dual(np.hstack([-reduced.T, reduced.T, reduced.T, -reduced.T]),
                                    np.concatenate([np.zeros(3 * k), -np.ones(k)]), 1.0)
-        for array in (v, m, swap):
-            if array is not None:
-                array.flags.writeable = False
+        for array in (v, m, swap) + (() if basis is None else (basis,)):
+            array.flags.writeable = False
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "_vertex_matrix", m)
         object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "hull_basis", basis)
         object.__setattr__(self, "frame_swap", swap)
         object.__setattr__(self, "dual_rows", lambda_dual.rows[:-1])
         object.__setattr__(self, "lambda_dual", lambda_dual)
+
+    @cached_property
+    def slack_dual(self) -> WitnessDual:
+        return witness_dual(self.dual_rows, -np.ones(4 * self.n_vertices), 1.0)
 
     @property
     def dimension(self) -> int:
@@ -241,39 +259,60 @@ def zero_effect(dimension: int) -> Effect:
 
 def _point_in_hull(point: np.ndarray, others: np.ndarray,
                    tol: SolverTolerances) -> bool:
-    """Is point a convex combination of the rows of others?  LP feasibility."""
-    k = others.shape[0]
-    if k == 0:
+    """Is point (in R^r) a convex combination of the n rows of others?
+
+    One LP from a feasible basis: minimize mu subject to
+    sum_j lambda_j o_j + mu (point - q) = point, sum_j lambda_j = 1 and
+    lambda, mu >= 0.  q is the centroid of the facet, of a frame of the
+    others, opposite the frame vertex of largest |barycentric weight| of
+    point; as that weight is nonzero, point - q leaves the facet's flat, so
+    mu = 1 with lambda = 1/r on the facet's r vertices is a nonsingular
+    start.  point lies in the hull iff the minimum is at most eps_feas.
+    Others without a frame of R^r lie in a lower flat, which point leaves
+    in coordinates where point and others together span R^r (those of
+    make_state_space's scan): then point is not in the hull.
+    """
+    frame, basis, _ = _affine_frame(others)
+    if basis is not None:
         return False
-    rows = np.vstack([others.T, np.ones((1, k))])
-    rhs = np.append(point, 1.0)
-    return check_feasible(LpProblem(np.zeros(k), rows, (EQ,) * rows.shape[0], rhs), tol)
+    # mu is the same for moved and scaled points: centred on a frame vertex
+    # and scaled to unit size, the coordinate rows balance the row of ones
+    size = np.abs(others - others[0]).max()
+    others, point = (others - others[0]) / size, (point - others[0]) / size
+    n, r = others.shape
+    weights = np.linalg.solve(np.vstack([np.ones(r + 1), others[list(frame)].T]),
+                              np.append(1.0, point))
+    facet = np.delete(frame, np.argmax(np.abs(weights)))
+    rows = np.vstack([np.column_stack([others.T, point - others[facet].mean(axis=0)]),
+                      np.append(np.ones(n), 0.0)])
+    cost = np.zeros(n + 1)
+    cost[n] = 1.0
+    # bounded below by mu >= 0; the ratio test always finds a row, as an
+    # entering lambda column has a 1 in the sum row
+    return solve_lp(LpProblem(cost, rows, (EQ,) * (r + 1), np.append(point, 1.0),
+                              tuple(facet.tolist()) + (n,)), tol).value <= tol.eps_feas
 
 
 def _hull_residual_bounds(arr: np.ndarray) -> np.ndarray:
-    """Lower bound, per vertex i, on the phase-one residual of
+    """Lower bound, per vertex i, on the optimal mu of
     _point_in_hull(arr[i], the other rows).
 
-    Take u = v_i - centroid, M = max_{j != i} u.v_j and delta = u.v_i - M.
-    For weights z >= 0 with residuals r = sum_j z_j v_j - v_i and
-    s = sum_j z_j - 1, u.v_i + u.r = sum_j z_j u.v_j <= (1 + s) M, so
-    delta <= s M - u.r <= max(|M|, |u|_inf) (|s| + |r|_1).  Phase one
-    minimizes the one-sided artificials b - Az over z >= 0, Az <= b (rows
-    signed so that b >= 0); that residual is at least min_{z >= 0} |s| +
-    |r|_1, hence residual >= delta / max(|M|, |u|_inf).
-    O(k*d) per vertex; a bound <= 0 certifies nothing.
+    Take u = v_i - centroid, and top and bottom the largest and least u.v_j
+    over j != i.  A feasible (lambda, mu) has u.v_i = sum_j lambda_j u.v_j +
+    mu u.(v_i - q) <= top + mu (u.v_i - bottom), as q is a convex
+    combination of the others; so mu >= (u.v_i - top) / (u.v_i - bottom)
+    when u.v_i > top.  O(k*d) per vertex; a bound of 0 certifies nothing.
     """
     centroid = arr.mean(axis=0)
     bounds = np.zeros(arr.shape[0])
     for i in range(arr.shape[0]):
-        u = arr[i] - centroid
-        proj = arr @ u
+        proj = arr @ (arr[i] - centroid)
         own = proj[i]
         proj[i] = -np.inf
         top = proj.max()
-        scale = max(abs(top), np.abs(u).max())
-        if scale > 0.0:
-            bounds[i] = (own - top) / scale
+        if own > top:
+            proj[i] = np.inf
+            bounds[i] = (own - top) / (own - proj.min())
     return bounds
 
 
@@ -310,9 +349,10 @@ def make_state_space(
     Vertices coinciding within eps_geom are deduplicated (first occurrence
     kept).  A remaining vertex inside the convex hull of the others triggers
     a RedundantVertexWarning and is recorded in StateSpace.redundant.  The
-    scan skips a vertex that a separating direction certifies as outside
-    that hull and runs one small LP for each other vertex; it is skipped
-    above REDUNDANCY_CHECK_LIMIT vertices unless check_redundant forces it.
+    scan runs in coordinates of the vertices' affine hull (see StateSpace).
+    It skips a vertex that a separating direction certifies as outside that
+    hull and runs one small LP for each other vertex; it is skipped above
+    REDUNDANCY_CHECK_LIMIT vertices unless check_redundant forces it.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     try:
@@ -335,10 +375,11 @@ def make_state_space(
         check_redundant = k <= REDUNDANCY_CHECK_LIMIT
     redundant: list[int] = []
     if check_redundant and k >= 2:
-        certified = _hull_residual_bounds(deduped) > _CERTIFICATE_MARGIN * tol.eps_feas
+        coordinates = _affine_frame(deduped)[2]
+        certified = _hull_residual_bounds(coordinates) > _CERTIFICATE_MARGIN * tol.eps_feas
         for i in map(int, np.flatnonzero(~certified)):
-            others = np.delete(deduped, i, axis=0)
-            if _point_in_hull(deduped[i], others, tol):
+            others = np.delete(coordinates, i, axis=0)
+            if _point_in_hull(coordinates[i], others, tol):
                 redundant.append(i)
                 warnings.warn(
                     f"vertex {deduped[i].tolist()} (index {i}) lies in the convex hull "

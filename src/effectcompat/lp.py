@@ -1,4 +1,4 @@
-"""Linear programming by the two-phase simplex method, in two forms.
+"""Linear programming by the simplex method, in two forms.
 
 Internal to effectcompat: only SolverFailure is part of the public API.
 A problem has one of two forms, minimize c . y subject to rows . y = rhs or
@@ -10,43 +10,43 @@ pairs, and anything else (writable, a view, another dtype) is copied, so
 that no later write by the caller reaches the problem.  solve_lp and
 check_feasible pick the method from the form:
 
-* All rows equalities (the duals of the witness LPs, d+2 rows over 4k
+* All rows equalities (the duals of the witness LPs, r+2 rows over 4k
   vertex weights, and the hull LPs of the redundancy scan): the revised
-  simplex method.  The basis is kept as a list of columns with an explicit
-  inverse B^-1 beside it.  Each pivot updates B^-1 and the basic point
-  x = B^-1 b by one rank-one (eta) step, and every _REFACTOR_INTERVAL
-  pivots both are recomputed from the basis columns, so round-off cannot
-  build up over a long solve.  The point and the multipliers returned are
-  read out with two fresh numpy.linalg.solve calls on the final basis, so
-  the updates never reach them.  Pricing is Dantzig's (most negative
-  reduced cost, smallest index on ties); after _DEGENERATE_RUN degenerate
-  pivots in a row it hands over to Bland's rule until the point moves
-  again, so it cannot cycle.  Pricing and the update run in numpy, the
-  reduced costs written into one buffer that each solve allocates once;
-  the ratio test runs on Python floats read out of x and the entering
-  column, since on m entries numpy's per-call cost outweighs the arithmetic.
+  simplex method from a feasible start basis that the caller supplies,
+  one column per row, with no phase one.  The start is usable when B =
+  rows[:, start] is nonsingular (1-norm condition number below
+  1/_PIVOT_EPS) and B^-1 rhs >= -eps_feas; the pivots start from that
+  inverse and point, and check_feasible answers True with no pivot.  A
+  problem of this form without a start, or with an unusable one, raises
+  LpInputError naming the failed condition, before any pivot.  The basis
+  is kept as a list of columns with an explicit inverse B^-1 beside it.
+  Each pivot updates B^-1 and the basic point x = B^-1 b by one rank-one
+  (eta) step, and every _REFACTOR_INTERVAL pivots both are recomputed from
+  the basis columns, so round-off cannot build up over a long solve.  The
+  point and the multipliers returned are read out with two fresh
+  numpy.linalg.solve calls on the final basis, so the updates never reach
+  them.  Pricing is Dantzig's (most negative reduced cost, smallest index
+  on ties); after _DEGENERATE_RUN degenerate pivots in a row it hands over
+  to Bland's rule until the point moves again, so it cannot cycle.
+  Pricing and the update run in numpy, the reduced costs written into one
+  buffer that each solve allocates once; the ratio test runs on Python
+  floats read out of x and the entering column, since on m entries numpy's
+  per-call cost outweighs the arithmetic.
   The products on that path are written ndarray.dot: the same BLAS calls
-  as @, at about half its per-call cost on these small operands.
-  A problem may carry a start basis, one column per row.  When B =
-  rows[:, start] is nonsingular (condition number below 1/_PIVOT_EPS) and
-  B^-1 rhs >= -eps_feas, phase two starts there, from the inverse and the
-  point that check computed, and phase one is skipped; check_feasible then
-  answers True with no pivot.  The witness duals all carry one.  Otherwise phase
-  one starts from one artificial per row; an artificial left in the basis
-  is driven out on the largest-magnitude entry of its row of B^-1 A, and a
-  row where that entry is zero is redundant and dropped.  The result
-  carries the simplex multipliers pi of the rows, which solve the
+  as @, at about half its per-call cost on these small operands.  The
+  result carries the simplex multipliers pi of the rows, which solve the
   problem's own dual: c - rows^T pi >= 0 at the optimum.
-* All rows <= rows, or none: a dense tableau on Bland's rule, the leaving
-  row taken by the revised method's ratio test (_ratio_test, Bland mode) and
-  every pivot rewriting the whole tableau by its elimination step
+* All rows <= rows, or none: a dense tableau on Bland's rule, two phases
+  from the slack basis (an artificial on each row with rhs < 0), the
+  leaving row taken by the revised method's ratio test (_ratio_test, Bland
+  mode) and every pivot rewriting the whole tableau by its elimination step
   (_eliminate).  The package poses only one such LP, the lambda primal of a
   space with at most 4 vertices (at most 16 rows); no size limit.
 
-In both, iterations counts the simplex pivots of both phases, or of phase
-two alone when the start basis is taken; pivots that drive artificials out
-of the basis after phase one are not counted.  Every returned point is
-checked against every row and bound within eps_feas.
+iterations counts the simplex pivots of the phases that ran; on the dense
+tableau, pivots that drive artificials out of the basis after phase one are
+not counted.  Every returned point is checked against every row and bound
+within eps_feas.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ _DEGENERATE_RUN = 50
 # SolverFailure; it is never reported as Infeasible.  The most measured is
 # 1.98 pivots per row plus column (539, the 256 x 16 dense lambda primal of
 # hypercube-6); the witness duals at k = 256 to 4096 take at most 0.026 (68
-# pivots on hypercube-12), those of polygon-1024 laid flat in 3-D (phase
-# one) 0.0066.  At 50, the 9 x 512 lambda dual of hypercube-7 gets 26,050.
+# pivots on hypercube-12).  At 50, the 9 x 512 lambda dual of hypercube-7
+# gets 26,050.
 ITERATION_CAP_FACTOR = 50
 
 
@@ -101,7 +101,8 @@ class LpError(Exception):
 
 
 class LpInputError(LpError):
-    """Malformed problem data: shape mismatch, or relations of neither form."""
+    """Malformed problem data: shape mismatch, relations of neither form, or
+    an equality-form problem without a usable start basis."""
 
 
 class SolverFailure(LpError):
@@ -121,10 +122,11 @@ class LpStatus(Enum):
 class LpProblem:
     """minimize objective . y subject to rows[i] . y (relations[i]) rhs[i], y >= 0.
 
-    relations are all EQ or all LE, else LpInputError.  start optionally
-    names a basis to try before phase one: one distinct column index per
-    row, on a problem whose rows are all equalities.  The arrays are held
-    read-only, copied unless already read-only float64 owning their data.
+    relations are all EQ or all LE, else LpInputError.  start names the
+    feasible basis the revised method starts from, one distinct column index
+    per row; a problem whose rows are all equalities needs one, and no other
+    takes one.  The arrays are held read-only, copied unless already
+    read-only float64 owning their data.
     """
 
     objective: np.ndarray
@@ -155,7 +157,7 @@ class LpProblem:
         rhs = np.atleast_1d(_read_only(self.rhs))
         if rhs.shape != (m,):
             raise LpInputError(f"rhs must have shape ({m},), got {rhs.shape}")
-        if self.start is not None:
+        if self.start is not None or 0 < m == rels.count(EQ):
             object.__setattr__(self, "start", _checked_start(self.start, rels, n))
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "rows", rows)
@@ -192,6 +194,8 @@ def _checked_start(start, relations: tuple[str, ...], n: int) -> tuple[int, ...]
     m = len(relations)
     if not 0 < m == relations.count(EQ):
         raise LpInputError("a start basis needs a problem whose rows are all equalities")
+    if start is None:
+        raise LpInputError("a problem whose rows are all equalities needs a start basis")
     try:
         start = tuple(operator.index(j) for j in start)
     except TypeError:
@@ -212,8 +216,7 @@ class LpResult:
 
     multipliers holds the simplex multipliers pi of the rows at the optimum,
     with objective - rows^T pi >= 0 and rhs . pi equal to value up to
-    round-off.  Only the revised method (every row an equality) sets them;
-    a row dropped as redundant gets 0.
+    round-off.  Only the revised method (every row an equality) sets them.
     """
 
     status: LpStatus
@@ -371,26 +374,22 @@ def _ratio_test(x: list[float], column: list[float], basis: list[int],
 
 
 def _revised_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: list[int],
-                     budget: _Budget, start: tuple[np.ndarray, np.ndarray] | None = None) -> str:
+                     budget: _Budget, start: tuple[np.ndarray, np.ndarray]) -> str:
     """Minimize cost . y over A y = b, y >= 0 from a feasible basis, in place;
     'optimal' or 'unbounded'.
 
-    start is (B^-1, B^-1 b) of the given basis when the caller has them;
-    otherwise they are computed here.  The loop keeps T = [B^-1 | B^-1 b]: a
-    pivot on row r and entering column a = A[:, col], with d = B^-1 a,
-    divides row r of T by d_r and subtracts d_i times that row from every
-    other row i (_eliminate), which gives the new basis's inverse and point.
-    After _REFACTOR_INTERVAL such updates T is recomputed from the basis
-    columns.  The reduced costs are priced into one buffer per solve, and
-    the ratio test runs on x and d as Python floats (_ratio_test).
+    start is (B^-1, B^-1 b) of the given basis.  The loop keeps
+    T = [B^-1 | B^-1 b]: a pivot on row r and entering column a = A[:, col],
+    with d = B^-1 a, divides row r of T by d_r and subtracts d_i times that
+    row from every other row i (_eliminate), which gives the new basis's
+    inverse and point.  After _REFACTOR_INTERVAL such updates T is
+    recomputed from the basis columns.  The reduced costs are priced into
+    one buffer per solve, and the ratio test runs on x and d as Python
+    floats (_ratio_test).
     """
     m = A.shape[0]
     T = np.empty((m, m + 1))
-    if start is None:
-        T[:, :m] = _solve(A.take(basis, axis=1), np.eye(m))
-        T[:, m] = T[:, :m] @ b
-    else:
-        T[:, :m], T[:, m] = start
+    T[:, :m], T[:, m] = start
     inv, x = T[:, :m], T[:, m]
     basic = np.array(basis, dtype=int)  # pricing indexes with it, not with the list
     basic_cost = cost[basic]
@@ -425,104 +424,45 @@ def _revised_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: list
             _eliminate(T, column, row)
 
 
-def _revised_phase_one(problem: LpProblem):
-    """Minimize the artificial sum from one artificial per row.
-
-    Rows are signed so that the right-hand side is nonnegative and
-    artificial column n + i belongs to row i.  Returns (A, b, basis,
-    residual infeasibility, budget, signs), A with the artificial columns.
-    """
-    m, n = problem.n_constraints, problem.n_variables
-    budget = _Budget(problem)
-    signs = np.where(problem.rhs < 0.0, -1.0, 1.0)
-    A = np.hstack([problem.rows * signs[:, None], np.eye(m)])
-    b = problem.rhs * signs
-    cost = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = list(range(n, n + m))
-    # the artificial sum is bounded below by 0
-    if _revised_simplex(A, b, cost, basis, budget, (np.eye(m), b)) != "optimal":
-        raise SolverFailure("phase one reported unbounded; solver invariant broken")
-    residual = float(cost[basis] @ _solve(A.take(basis, axis=1), b))
-    return A, b, basis, residual, budget, signs
-
-
-def _drive_out_artificials(A: np.ndarray, n: int, basis: list[int]) -> list[int]:
-    """Pivot each artificial left in the basis out on the largest-magnitude
-    entry of its row of B^-1 A over the structural columns.
-
-    Where that row is zero, the artificial's own row is a combination of the
-    others (B^-1 has a 1 on it) and is redundant: the row and the artificial
-    are dropped, which leaves B nonsingular.  Returns the rows kept; basis
-    shrinks to their structural columns.
-    """
-    m = A.shape[0]
-    dropped = []
-    for r in range(m):
-        if basis[r] < n:
-            continue
-        entries = _solve(A.take(basis, axis=1).T, np.eye(m)[r]) @ A[:, :n]
-        entries[[j for j in basis if j < n]] = 0.0
-        j = int(np.argmax(np.abs(entries)))
-        if abs(entries[j]) > _PIVOT_EPS:
-            basis[r] = j
-        else:
-            dropped.append(r)
-    kept = sorted(set(range(m)) - {basis[r] - n for r in dropped})
-    basis[:] = [bv for r, bv in enumerate(basis) if r not in dropped]
-    return kept
-
-
 def _start_basis(problem: LpProblem, tol: SolverTolerances
-                 ) -> tuple[list[int], tuple[np.ndarray, np.ndarray]] | None:
-    """(problem.start, (B^-1, B^-1 rhs)) when B = rows[:, start] is
-    nonsingular and B^-1 rhs >= -eps_feas, a feasible basis for phase two
-    with the inverse and the point it starts from; otherwise None.
+                 ) -> tuple[list[int], tuple[np.ndarray, np.ndarray]]:
+    """(problem.start, (B^-1, B^-1 rhs)), the feasible basis the revised
+    method starts from with its inverse and point; LpInputError naming the
+    failed condition unless B = rows[:, start] is nonsingular and B^-1 rhs
+    >= -eps_feas.
 
     B counts as singular when its 1-norm condition number reaches
     1/_PIVOT_EPS: rows that are equal up to round-off leave B invertible in
-    floating point, and phase two would then stop on a singular basis.
+    floating point, and the pivots would then stop on a singular basis.
     """
-    if problem.start is None:
-        return None
     basis = list(problem.start)
     B = problem.rows.take(basis, axis=1)
     try:
         inverse = np.linalg.inv(B)
     except np.linalg.LinAlgError:
-        return None
-    if not np.abs(B).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max() < 1.0 / _PIVOT_EPS:
-        return None
+        raise LpInputError(f"start basis {problem.start} is singular") from None
+    condition = np.abs(B).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()
+    if not condition < 1.0 / _PIVOT_EPS:
+        raise LpInputError(f"start basis {problem.start} is singular to working precision "
+                           f"(condition number {condition:.3g}, limit {1.0 / _PIVOT_EPS:.0e})")
     point = inverse.dot(problem.rhs)
     if not (point >= -tol.eps_feas).all():  # NaN fails too
-        return None
+        i = int(np.flatnonzero(~(point >= -tol.eps_feas))[0])
+        raise LpInputError(f"start basis {problem.start} is infeasible: its point has "
+                           f"{point[i]:.3g} on column {basis[i]}, below -eps_feas")
     return basis, (inverse, point)
 
 
 def _solve_revised(problem: LpProblem, tol: SolverTolerances) -> LpResult:
-    n = problem.n_variables
-    taken = _start_basis(problem, tol)
-    if taken is None:
-        A, b, basis, residual, budget, signs = _revised_phase_one(problem)
-        if residual > tol.eps_feas:
-            return LpResult(LpStatus.INFEASIBLE, None, None, budget.used)
-        kept = _drive_out_artificials(A, n, basis)
-        A, b, start = A[kept, :n], b[kept], None
-    else:
-        basis, start = taken
-        A, b, budget, kept = problem.rows, problem.rhs, _Budget(problem), None
-    cost = problem.objective
+    basis, start = _start_basis(problem, tol)
+    A, b, cost, budget = problem.rows, problem.rhs, problem.objective, _Budget(problem)
     if _revised_simplex(A, b, cost, basis, budget, start) == "unbounded":
         return LpResult(LpStatus.UNBOUNDED, None, None, budget.used)
     B = A.take(basis, axis=1)
-    y = np.zeros(n)
+    y = np.zeros(problem.n_variables)
     y[basis] = _solve(B, b)
     _verify_solution(problem, y, tol.eps_feas)
-    if kept is None:  # no phase one: no row was signed or dropped
-        pi = _solve(B.T, cost[basis])
-    else:
-        pi = np.zeros(problem.n_constraints)
-        pi[kept] = _solve(B.T, cost[basis])
-        pi *= signs
+    pi = _solve(B.T, cost[basis])
     y.flags.writeable = False
     pi.flags.writeable = False
     return LpResult(LpStatus.OPTIMAL, float(cost.dot(y)), y, budget.used, pi)
@@ -550,7 +490,8 @@ def solve_lp(problem: LpProblem, tol: SolverTolerances | None = None) -> LpResul
     """Solve the LP; deterministic for a fixed problem.
 
     Raises SolverFailure when the pivot budget runs out, which is reported
-    distinctly from infeasibility.
+    distinctly from infeasibility, and LpInputError when an equality-form
+    problem's start basis is unusable (see _start_basis).
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     if _equality_form(problem):
@@ -573,11 +514,11 @@ def solve_lp(problem: LpProblem, tol: SolverTolerances | None = None) -> LpResul
 
 
 def check_feasible(problem: LpProblem, tol: SolverTolerances | None = None) -> bool:
-    """Phase-one feasibility test; the objective is ignored.  A feasible start
-    basis answers True without phase one."""
+    """Feasibility test; the objective is ignored.  A <= problem runs the
+    dense phase one; an equality-form problem is feasible at its start
+    basis, which _start_basis checks (LpInputError when unusable)."""
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     if not _equality_form(problem):
         return bool(_phase_one(problem)[3] <= tol.eps_feas)
-    if _start_basis(problem, tol) is not None:
-        return True
-    return bool(_revised_phase_one(problem)[3] <= tol.eps_feas)
+    _start_basis(problem, tol)
+    return True

@@ -9,7 +9,8 @@ Two routes that share no code with the simplex solver:
   witness) while max_v max(e, f) brackets it from below.
 
 Verification tooling: the library's own computations never consult this
-module; only tests and the hidden `oracle` CLI command import it.
+module.  effectcompat re-exports its public names, and the tests and the
+hidden `oracle` CLI command call it.
 """
 
 from __future__ import annotations

@@ -204,6 +204,18 @@ class TestComputeLambda0:
         assert report.lambda0 == pytest.approx(0.7, abs=1e-12)
         assert report.compatible
 
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_random_effect_on_a_one_point_space(self, d):
+        # affine dimension 0 in any R^d: every effect is a constant
+        point = make_state_space([[0.5] * d])
+        rng = np.random.default_rng(3)
+        e, f = (random_effect(point, rng) for _ in range(2))
+        for g in (e, f):
+            assert g.coefficients.shape == (d + 1,) and not g.coefficients[1:].any()
+            assert 0.0 <= g.coefficients[0] <= 1.0
+        assert compute_lambda0(point, e, f).lambda0 == pytest.approx(
+            max(e.coefficients[0], f.coefficients[0]), abs=1e-12)
+
 
 @pytest.mark.parametrize("field", ["eps_feas", "eps_opt", "eps_geom", "eps_compat"])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])

@@ -111,7 +111,8 @@ class TestMakeStateSpace:
 
     @staticmethod
     def _assert_scan_matches_the_lp_scan(cloud, monkeypatch):
-        # Reference: one hull LP per vertex, no certificate.
+        # Reference: one hull LP per vertex, no certificate, in the
+        # coordinates of the vertices' affine hull, where the scan runs.
         def scan(margin):
             with monkeypatch.context() as m, warnings.catch_warnings(record=True) as caught:
                 m.setattr(core, "_CERTIFICATE_MARGIN", margin)
@@ -122,9 +123,10 @@ class TestMakeStateSpace:
                 if issubclass(w.category, RedundantVertexWarning)]
 
         vertices, redundant, messages = scan(core._CERTIFICATE_MARGIN)
+        coordinates = core._affine_frame(vertices)[2]
         expected = tuple(
             i for i in range(len(vertices))
-            if core._point_in_hull(vertices[i], np.delete(vertices, i, axis=0),
+            if core._point_in_hull(coordinates[i], np.delete(coordinates, i, axis=0),
                                    DEFAULT_TOLERANCES)
         )
         assert redundant == expected
@@ -163,11 +165,35 @@ class TestMakeStateSpace:
             cloud = (np.vstack([base, point]) + 3.0) * scale
             self._assert_scan_matches_the_lp_scan(cloud, monkeypatch)
 
+    def test_hull_scan_on_tilted_flat_clouds(self):
+        # Lower-dimensional clouds, rotated out of the axes and moved off the
+        # origin: the scan runs in coordinates of their affine hull.
+        rotation = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))[0]
+        segment = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        square = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                           [1.0, 1.0, 0.0], [0.3, 0.6, 0.0]])
+        for points, redundant in ((segment, (1,)), (square, (4,))):
+            for scale in (1e-3, 1.0, 1e3):
+                with pytest.warns(RedundantVertexWarning):
+                    space = make_state_space(points @ rotation.T * scale + 0.5 * scale)
+                assert space.redundant == redundant, scale
+                assert space.hull_basis.shape == (3, len(space.frame) - 1)
+
+    def test_a_point_off_the_flat_of_the_others_is_not_in_their_hull(self):
+        # The others span no frame of R^3, so no LP is posed: the point,
+        # 1e-6 above their plane, cannot be a convex combination of them.
+        square = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+        for height, inside in ((1e-6, False), (0.0, True)):
+            point = np.array([0.5, 0.5, height])
+            others = square if height else square[:, :2]
+            assert core._point_in_hull(point[: others.shape[1]], others,
+                                       DEFAULT_TOLERANCES) is inside
+
     def test_certified_polytopes_run_no_hull_lp(self, monkeypatch):
         from effectcompat import models
 
         calls = []
-        monkeypatch.setattr(core, "check_feasible", lambda *a: calls.append(a))
+        monkeypatch.setattr(core, "solve_lp", lambda *a: calls.append(a))
         for space in (models.regular_polygon(128), models.hypercube(7)):
             rebuilt = make_state_space(space.vertices)
             assert rebuilt.redundant == ()
@@ -204,11 +230,16 @@ class TestStateSpaceDerivedData:
             assert len(frame) == len(set(frame)) == space.dimension + 1, space.name
             assert np.linalg.matrix_rank(space.vertex_matrix()[list(frame)]) == len(frame)
 
-    def test_no_frame_when_the_vertices_do_not_span(self):
+    def test_a_space_that_does_not_span_gets_the_frame_of_its_hull(self):
         flat = make_state_space([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                                  [1.0, 1.0, 0.0]])
         point = make_state_space([[0.5, 0.5]])
-        assert flat.frame is None and point.frame is None
+        assert len(flat.frame) == 3 and point.frame == (0,)
+        basis = flat.hull_basis  # orthonormal, spanning the plane z = 0
+        assert np.allclose(basis.T @ basis, np.eye(2)) and np.allclose(basis[2], 0.0)
+        assert point.hull_basis.shape == (2, 0)
+        for array in (flat.hull_basis, point.hull_basis):
+            assert not array.flags.writeable
 
     def test_dual_rows_and_frame_swap_equal_their_formulas(self, segment, square, triangle):
         import dataclasses
@@ -219,6 +250,7 @@ class TestStateSpaceDerivedData:
             field.name for field in dataclasses.fields(core.StateSpace))
         for space in (segment, square, triangle, regular_polygon(16), hypercube(4),
                       make_state_space([[]])):
+            assert space.hull_basis is None, space.name
             m = space.vertex_matrix()
             rows = space.dual_rows
             assert np.array_equal(rows, np.hstack([-m.T, m.T, m.T, -m.T])), space.name
@@ -235,6 +267,14 @@ class TestStateSpaceDerivedData:
             assert np.array_equal(dual.denominators, expected)
             assert np.array_equal(dual.usable, expected > 0.0)
             for array in dual:
+                assert not array.flags.writeable, space.name
+            slack = space.slack_dual
+            assert slack is space.slack_dual and slack.rows is space.slack_dual.rows
+            assert np.array_equal(slack.rows, np.vstack([rows, -np.ones(4 * k)])), space.name
+            assert np.array_equal(slack.rhs, dual.rhs)
+            assert np.array_equal(slack.denominators, np.full((4, k), 2.0))
+            assert slack.usable.all()
+            for array in slack:
                 assert not array.flags.writeable, space.name
             frame = list(space.frame)
             assert space.frame_swap.shape == (space.n_vertices,)
@@ -254,10 +294,20 @@ class TestStateSpaceDerivedData:
                 dual.rows[-1, -1] = 1.0
             with pytest.raises(dataclasses.FrozenInstanceError):
                 space.lambda_dual = dual
-        flat = make_state_space([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        m = flat.vertex_matrix()
-        assert flat.frame is None and flat.frame_swap is None
-        assert np.array_equal(flat.dual_rows, np.hstack([-m.T, m.T, m.T, -m.T]))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                space.slack_dual = slack
+        # A triangle tilted in R^3 and moved off the origin: its shared rows
+        # are built on [1 | (V - v0) Q], and vertex_matrix() stays ambient.
+        tilted = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        tilted = tilted @ np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))[0].T + 2.0
+        flat = make_state_space(tilted)
+        v, basis = flat.vertices, flat.hull_basis
+        assert np.array_equal(flat.vertex_matrix(), np.hstack([np.ones((3, 1)), v]))
+        reduced = np.hstack([np.ones((3, 1)), (v - v[0]) @ basis])
+        assert np.array_equal(flat.dual_rows, np.hstack([-reduced.T, reduced.T, reduced.T,
+                                                         -reduced.T]))
+        assert len(flat.frame) == 3 and flat.frame_swap.shape == (3,)
+        assert np.array_equal(flat.slack_dual.rows[:-1], flat.dual_rows)
 
 
 class TestEffectConstruction:

@@ -265,12 +265,27 @@ def test_duals_agree_with_the_primal_formulations():
     assert incompatible >= 20
 
 
-def _spy_phase_one(monkeypatch):
-    calls = []
-    phase_one = lp._revised_phase_one
-    monkeypatch.setattr(lp, "_revised_phase_one",
-                        lambda problem: calls.append(problem) or phase_one(problem))
-    return calls
+def _spy_starts(monkeypatch):
+    """Record every equality-form problem the solver is handed, and every one
+    whose start basis it takes; with no phase one, the two lists agree
+    unless a start is refused."""
+    posed, taken = [], []
+    solve, start_basis = lp.solve_lp, lp._start_basis
+
+    def spy_solve(problem, tol=None):
+        if lp._equality_form(problem):
+            posed.append(problem)
+        return solve(problem, tol)
+
+    def spy_start(problem, tol):
+        started = start_basis(problem, tol)
+        taken.append(problem)
+        return started
+
+    for module in (compat, core):
+        monkeypatch.setattr(module, "solve_lp", spy_solve)
+    monkeypatch.setattr(lp, "_start_basis", spy_start)
+    return posed, taken
 
 
 @pytest.mark.parametrize("make", [lambda: regular_polygon(8), lambda: hypercube(3)],
@@ -278,7 +293,7 @@ def _spy_phase_one(monkeypatch):
 def test_witness_duals_start_without_phase_one(monkeypatch, make):
     space = make()
     pairs = _pairs(space, 31, 12)
-    calls = _spy_phase_one(monkeypatch)
+    posed, taken = _spy_starts(monkeypatch)
     incompatible = 0
     for e, f in pairs:
         compat.compute_lambda0(space, e, f)
@@ -286,24 +301,105 @@ def test_witness_duals_start_without_phase_one(monkeypatch, make):
         compat.eq3_feasible(space, e, f)
         compat.eq3_feasible(space, e, f, lam=0.9)
     assert incompatible >= 3
-    assert calls == []
+    assert len(posed) >= 3 * len(pairs) and taken == posed
 
 
-def test_space_without_a_frame_falls_back_to_phase_one(monkeypatch):
-    # polygon-8 at z = 0 in 3-D spans no 3-d frame, so its duals run phase
-    # one; lambda0 and the threshold are those of the planar polygon-8.
+def _tilted(vertices, d, seed):
+    """vertices rotated into R^d by the Q of default_rng(seed), moved off the origin."""
+    rotation = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))[0]
+    padded = np.hstack([vertices, np.zeros((len(vertices), d - vertices.shape[1]))])
+    return padded @ rotation.T + 1.5, rotation
+
+
+def test_every_space_takes_its_start_basis(monkeypatch):
+    # polygon-8 at z = 0 in 3-D, and tilted and moved in R^4, spans no d-dim
+    # frame; its duals are built on the hull's coordinates and start from
+    # their basis.  lambda0, the threshold and the eq3 verdict are those of
+    # the planar polygon-8, and the lifted witness holds on the ambient vertices.
     planar = regular_polygon(8)
-    flat = make_state_space(np.hstack([planar.vertices, np.zeros((8, 1))]))
-    assert flat.frame is None and planar.frame is not None
-    calls = _spy_phase_one(monkeypatch)
-    for e, f in _pairs(planar, 37, 8):
-        e3, f3 = (compat.Effect(np.append(g.coefficients, 0.0)) for g in (e, f))
-        assert compat.compute_lambda0(flat, e3, f3).lambda0 == pytest.approx(
-            compat.compute_lambda0(planar, e, f).lambda0, abs=1e-12)
-        assert compat.min_depolarizing_noise(flat, e3, f3) == pytest.approx(
-            compat.min_depolarizing_noise(planar, e, f), abs=1e-12)
-        assert compat.eq3_feasible(flat, e3, f3) is compat.eq3_feasible(planar, e, f)
-    assert calls and all(problem.start is None for problem in calls)
+    tilted, rotation = _tilted(planar.vertices, 4, 19)
+    for flat in (make_state_space(np.hstack([planar.vertices, np.zeros((8, 1))])),
+                 make_state_space(tilted)):
+        assert flat.hull_basis.shape == (flat.dimension, 2) and len(flat.frame) == 3
+        lift = np.eye(flat.dimension + 1)[:, :3]
+        if flat.dimension == 4:  # g(x) = h(R^T (x - 1.5)) for h on the plane
+            lift = np.zeros((5, 3))
+            lift[0, 0] = 1.0
+            lift[1:, 1:] = rotation[:, :2]
+            lift[0, 1:] = -1.5 * rotation[:, :2].sum(axis=0)
+        posed, taken = _spy_starts(monkeypatch)
+        for e, f in _pairs(planar, 37, 8):
+            e3, f3 = (compat.Effect(lift @ g.coefficients) for g in (e, f))
+            report = compat.compute_lambda0(flat, e3, f3)
+            assert report.lambda0 == pytest.approx(
+                compat.compute_lambda0(planar, e, f).lambda0, abs=1e-12)
+            assert _witness_violation(flat, e3, f3, report) <= EPS_FEAS
+            assert compat.min_depolarizing_noise(flat, e3, f3) == pytest.approx(
+                compat.min_depolarizing_noise(planar, e, f), abs=1e-12)
+            assert compat.eq3_feasible(flat, e3, f3) is compat.eq3_feasible(planar, e, f)
+        assert len(posed) >= 16 and taken == posed
+
+
+# A triangle in R^4 with coordinates near 1e3, once a late SolverFailure
+# ("phase one reported unbounded") on its rank-deficient lambda LP.
+_TRIANGLE_R4 = [
+    [1457.6026842414908, 658.9097700963885, -195.81909958045, 41.998389997573256],
+    [1716.847558301555, -10.457995862265761, 409.34404161844384, 375.0642334077642],
+    [1090.844867399007, 766.4677680931732, 1711.698980347339, 481.858860572664],
+]
+_TRIANGLE_R4_E = [0.15326016101984707, 3.9716820395829494e-05, -0.00023504466886496497,
+                  0.00013373131641396715, 2.3513569383720128e-05]
+_TRIANGLE_R4_F = [-0.6631737970840245, 0.0009998741953125341, -0.00034266371317301223,
+                  -3.257504679001649e-05, -0.00013866613357814517]
+
+
+def test_triangle_in_r4_matches_the_simplex_closed_form():
+    from effectcompat.oracle import simplex_lambda0_closed_form
+
+    space = make_state_space(_TRIANGLE_R4)
+    e, f = compat.Effect(_TRIANGLE_R4_E), compat.Effect(_TRIANGLE_R4_F)
+    report = compat.compute_lambda0(space, e, f)
+    expected = simplex_lambda0_closed_form(e.vertex_values(space), f.vertex_values(space))
+    assert abs(report.lambda0 - expected) <= 1e-12
+    assert _witness_violation(space, e, f, report) <= EPS_FEAS
+    assert compat.is_compatible(space, e, f, cross_check=True)
+
+
+def _lower_dimensional_spaces(n):
+    """The first n spaces of a seeded family that spans r < d dimensions:
+    d in [2, 6), r in [1, d), k in [r+1, 9), scale 1e-3, 1 or 1e3, and an
+    offset of 0, 1 or scale, from default_rng(11)."""
+    rng = np.random.default_rng(11)
+    for _ in range(n):
+        d = int(rng.integers(2, 6))
+        r = int(rng.integers(1, d))
+        k = int(rng.integers(r + 1, 9))
+        rotation = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        scale = float(rng.choice([1e-3, 1.0, 1e3]))
+        offset = float(rng.choice([0.0, 1.0, scale]))
+        vertices = rng.normal(size=(k, r)) @ rotation[:r] * scale + rng.normal(size=d) * offset
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RedundantVertexWarning)
+            yield make_state_space(vertices), rng
+
+
+def test_seeded_lower_dimensional_spaces_agree_with_highs(monkeypatch):
+    pytest.importorskip("scipy")
+    from perfbench import reference
+
+    posed, taken = _spy_starts(monkeypatch)
+    pairs = 0
+    for space, rng in _lower_dimensional_spaces(60):
+        assert space.hull_basis is not None
+        m = reference.vertex_matrix(space.vertices)
+        for _ in range(4):
+            e, f = compat.random_effect(space, rng), compat.random_effect(space, rng)
+            report = compat.compute_lambda0(space, e, f)
+            expected = reference.lambda0(m, m @ e.coefficients, m @ f.coefficients, 1e-10)
+            assert abs(report.lambda0 - expected) <= 1e-11, space
+            assert _witness_violation(space, e, f, report) <= EPS_FEAS, space
+            pairs += 1
+    assert pairs == 240 and taken == posed
 
 
 def test_pivot_budget_of_the_hypercube_7_lambda_dual(monkeypatch):
@@ -323,7 +419,7 @@ def _spy_problems(monkeypatch):
     """Record every LpProblem that compat and core hand to the solver."""
     posed = []
     for module, name in ((compat, "solve_lp"), (compat, "check_feasible"),
-                         (core, "check_feasible")):
+                         (core, "solve_lp")):
         def spy(problem, tol=None, _fn=getattr(module, name)):
             posed.append(problem)
             return _fn(problem, tol)
@@ -372,3 +468,26 @@ def test_the_redundancy_scan_poses_only_equalities(monkeypatch):
         space = make_state_space(cloud)
     assert posed and space.redundant
     assert all(set(problem.relations) == {EQ} for problem in posed)
+
+
+def test_a_start_the_solver_refuses_is_rejected_before_any_pivot(monkeypatch):
+    # A 16-gon prism 1e-8 thick keeps a frame, but the start basis of this
+    # pair's lambda dual is too ill-conditioned to be feasible in floating
+    # point; it is rejected with the space and the failed condition named.
+    angles = 2.0 * np.pi * np.arange(16) / 16
+    ring = np.column_stack([np.cos(angles), np.sin(angles)])
+    prism = np.vstack([np.hstack([ring, np.zeros((16, 1))]),
+                       np.hstack([ring, np.full((16, 1), 1e-8)])])
+    rotation = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))[0]
+    space = make_state_space(prism @ rotation.T + 0.5, name="thin prism")
+    assert space.hull_basis is None and space.n_vertices == 32
+    rng = np.random.default_rng(9)
+    e, f = compat.random_effect(space, rng), compat.random_effect(space, rng)
+    pivots = []
+    revised = lp._revised_simplex
+    monkeypatch.setattr(lp, "_revised_simplex", lambda *a: pivots.append(a) or revised(*a))
+    with pytest.raises(ValueError, match=r"'thin prism'.*lambda0 cannot start: start basis "
+                                         r".* is infeasible"):
+        compat.compute_lambda0(space, e, f)
+    assert pivots == []
+

@@ -63,22 +63,22 @@ def test_unknown_relation_is_input_error():
 
 
 def test_duplicate_rows_are_harmless():
-    for rows, rels, rhs in (
-        ([[1.0, 1.0]] * 4 + [[-1.0, 1.0]], (LE,) * 5, [1.0, 1.0, 1.0, 1.0, 0.0]),
-        # Redundant equalities: phase one leaves artificials on all-zero rows,
-        # which are dropped before phase two.
-        ([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]], (EQ, EQ, EQ), [1.0, 1.0, 2.0]),
-    ):
-        res = solve_lp(LpProblem([-1.0, 0.0], rows, rels, rhs))
-        assert res.status is LpStatus.OPTIMAL
-        assert res.value == pytest.approx(-1.0, abs=1e-9)
+    res = solve_lp(LpProblem([-1.0, 0.0], [[1.0, 1.0]] * 4 + [[-1.0, 1.0]], (LE,) * 5,
+                             [1.0, 1.0, 1.0, 1.0, 0.0]))
+    assert res.status is LpStatus.OPTIMAL
+    assert res.value == pytest.approx(-1.0, abs=1e-9)
+    # Repeated equalities leave every basis singular; the revised method has
+    # no phase one to drop them, so it refuses the start before any pivot.
+    with pytest.raises(LpInputError, match="singular"):
+        solve_lp(LpProblem([-1.0, 0.0, 0.0], [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 1.0]],
+                           (EQ, EQ, EQ), [1.0, 1.0, 2.0], (0, 1, 2)))
 
 
 def test_problem_holds_only_read_only_owned_arrays_without_a_copy():
     objective, rows, rhs = np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([1.0])
     for array in (objective, rows, rhs):
         array.flags.writeable = False
-    held = LpProblem(objective, rows, (EQ,), rhs)
+    held = LpProblem(objective, rows, (EQ,), rhs, (0,))
     assert held.objective is objective and held.rows is rows and held.rhs is rhs
     # writable arrays, read-only views of a writable base and other dtypes are
     # copied, so that later writes by the caller never reach the problem
@@ -86,7 +86,7 @@ def test_problem_holds_only_read_only_owned_arrays_without_a_copy():
     view = base[:1]
     view.flags.writeable = False
     writable = np.array([1.0, 2.0])
-    copied = LpProblem(writable, view, (EQ,), np.array([1], dtype=np.int64))
+    copied = LpProblem(writable, view, (EQ,), np.array([1], dtype=np.int64), (0,))
     assert copied.objective is not writable and copied.rows is not view
     assert copied.rhs.dtype == np.float64
     writable[0] = base[0, 0] = 5.0
@@ -178,10 +178,11 @@ def _small_problems():
         LpProblem([-1.0], np.zeros((0, 1)), (), []),
         LpProblem([-1.0], [[1.0]], (LE,), [5.0]),
         # x + 2y = 3 with 0 <= x <= 10, -1 <= y <= 1, shifted to y + 1 >= 0,
-        # the two bounds as equalities with slack columns s1, s2
+        # the two bounds as equalities with slack columns s1, s2, started at
+        # x = 5, y + 1 = 0
         LpProblem([1.0, 1.0, 0.0, 0.0],
                   [[1.0, 2.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]],
-                  (EQ, EQ, EQ), [5.0, 10.0, 2.0]),
+                  (EQ, EQ, EQ), [5.0, 10.0, 2.0], (0, 2, 3)),
         LpProblem([-1.0, 0.0], [[1.0, 1.0]] * 4 + [[-1.0, 1.0]],
                   (LE,) * 5, [1.0, 1.0, 1.0, 1.0, 0.0]),
         LpProblem([-3.0, -5.0], [[2.0, 1.0], [1.0, 3.0], [-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]],
@@ -215,11 +216,11 @@ def _hull_problems(monkeypatch):
 
     def record(problem, tol=None):
         captured.append(problem)
-        return check_feasible(problem, tol)
+        return solve_lp(problem, tol)
 
     rng = np.random.default_rng(9)
     with monkeypatch.context() as m:
-        m.setattr(core, "check_feasible", record)
+        m.setattr(core, "solve_lp", record)
         for d, k in ((2, 12), (3, 20), (5, 30)):
             cloud = rng.normal(size=(k, d))
             for i in range(k):
@@ -366,22 +367,24 @@ def test_cross_checked_hypercube_7_verdict_is_small_and_agrees_with_highs(tmp_pa
 
 
 def _equality_problems():
-    """Seeded all-equality LPs: feasible and bounded, possibly unbounded,
-    infeasible, and with a redundant row."""
+    """Seeded all-equality LPs, each started at a planted feasible basis:
+    feasible and bounded, possibly unbounded, and with each column repeated,
+    so that many bases are singular."""
     rng = np.random.default_rng(41)
     problems = []
     for m, n in ((1, 3), (2, 5), (3, 8), (5, 12), (8, 40)):
-        for case in ("bounded", "bounded", "bounded", "signed cost", "infeasible", "redundant"):
+        for case in ("bounded", "bounded", "bounded", "signed cost", "signed cost", "repeated"):
             rows = rng.normal(size=(m, n))
-            if case == "redundant":
-                rows[-1] = rows[0]
-            y0 = rng.uniform(0.0, 1.0, size=n) * (rng.uniform(size=n) < 0.5)
-            rhs = rows @ y0
-            if case == "infeasible":  # nonnegative rows cannot reach a negative rhs
-                rows, rhs = np.abs(rows), -1.0 - np.abs(rhs)
-            # a nonnegative cost keeps a feasible problem bounded
+            distinct = np.arange(n)
+            if case == "repeated":
+                rows[:, 1::2] = rows[:, : n // 2 * 2 : 2]
+                distinct = distinct[0::2]
+            start = tuple(int(j) for j in rng.choice(distinct, m, replace=False))
+            y0 = np.zeros(n)
+            y0[list(start)] = rng.uniform(0.1, 1.0, size=m)
+            # a nonnegative cost keeps the problem bounded
             cost = rng.normal(size=n) if case == "signed cost" else rng.uniform(size=n)
-            problems.append(LpProblem(cost, rows, (EQ,) * m, rhs))
+            problems.append(LpProblem(cost, rows, (EQ,) * m, rows @ y0, start))
     return problems
 
 
@@ -397,13 +400,13 @@ def test_revised_method_matches_the_dense_tableau(monkeypatch, run):
                                    (LE,) * 2 * prob.n_constraints, np.repeat(prob.rhs, 2) * signs))
         statuses.add(res.status)
         assert res.status is dense.status
-        assert check_feasible(prob) == (res.status is not LpStatus.INFEASIBLE)
+        assert check_feasible(prob) is True
         if res.status is LpStatus.OPTIMAL:
             assert res.value == pytest.approx(dense.value, abs=1e-9)
             pi = res.multipliers
             assert np.all(prob.objective - prob.rows.T @ pi >= -1e-9)
             assert prob.rhs @ pi == pytest.approx(res.value, abs=1e-9)
-    assert statuses == set(LpStatus)
+    assert statuses == {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}
 
 
 @pytest.mark.parametrize("start, relations, match", [
@@ -420,36 +423,35 @@ def test_malformed_start_is_input_error(start, relations, match):
                   start)
 
 
-def test_start_basis_gives_the_same_status_and_value(monkeypatch):
+def test_start_basis_gives_the_same_status_and_value():
     # Seeded starts on the equality problems: a nonsingular, feasible start
-    # skips phase one; a singular or infeasible one falls back to it.
+    # gives the status and value of the planted one; solve_lp and
+    # check_feasible refuse a singular or infeasible one, naming why.
     rng = np.random.default_rng(43)
-    phase_one = []
-    revised_phase_one = lp._revised_phase_one
-    monkeypatch.setattr(lp, "_revised_phase_one",
-                        lambda problem: phase_one.append(problem) or revised_phase_one(problem))
     kinds = {"taken": 0, "singular": 0, "infeasible": 0}
     for prob in _equality_problems():
-        plain = solve_lp(prob)
+        planted = solve_lp(prob)
         for _ in range(6):
             start = tuple(rng.choice(prob.n_variables, prob.n_constraints, replace=False))
             started = LpProblem(prob.objective, prob.rows, prob.relations, prob.rhs, start)
-            del phase_one[:]
-            res = solve_lp(started)
-            assert check_feasible(started) == (plain.status is not LpStatus.INFEASIBLE)
             B = prob.rows[:, list(start)]
             if np.linalg.matrix_rank(B) < prob.n_constraints:
-                kinds["singular"] += 1
-                assert len(phase_one) == 2
+                kind = "singular"
             elif np.all(np.linalg.solve(B, prob.rhs) >= -lp.DEFAULT_TOLERANCES.eps_feas):
-                kinds["taken"] += 1
-                assert phase_one == []
+                kind = "taken"
             else:
-                kinds["infeasible"] += 1
-                assert len(phase_one) == 2
-            assert res.status is plain.status
-            if plain.status is LpStatus.OPTIMAL:
-                assert res.value == pytest.approx(plain.value, abs=1e-9)
+                kind = "infeasible"
+            kinds[kind] += 1
+            if kind != "taken":
+                for method in (solve_lp, check_feasible):
+                    with pytest.raises(LpInputError, match=kind):
+                        method(started)
+                continue
+            assert check_feasible(started) is True
+            res = solve_lp(started)
+            assert res.status is planted.status
+            if planted.status is LpStatus.OPTIMAL:
+                assert res.value == pytest.approx(planted.value, abs=1e-9)
     assert min(kinds.values()) >= 5, kinds
 
 
@@ -522,13 +524,15 @@ def test_ratio_test_matches_the_numpy_expressions(bland):
     assert min(seen.values()) >= 10, seen
 
 
-def test_rows_all_dropped_leave_an_unbounded_or_trivial_problem():
-    # 0 . y = 0 is redundant and dropped after phase one, which leaves no row.
-    unbounded = solve_lp(LpProblem([-0.3, 0.0, 0.3], [[0.0, -0.0, 0.0]], (EQ,), [0.0]))
-    assert (unbounded.status, unbounded.iterations) == (LpStatus.UNBOUNDED, 0)
-    trivial = solve_lp(LpProblem([0.3, 0.0], [[0.0, 0.0]], (EQ,), [0.0]))
-    assert trivial.status is LpStatus.OPTIMAL and trivial.value == 0.0
-    assert list(trivial.point) == [0.0, 0.0] and list(trivial.multipliers) == [0.0]
+def test_equality_form_without_a_usable_start_is_input_error():
+    # There is no phase one: an equality-form problem needs a start basis,
+    # and one that is singular (an all-zero row has no other) is refused.
+    with pytest.raises(LpInputError, match="needs a start basis"):
+        LpProblem([0.3, 0.0], [[1.0, 1.0]], (EQ,), [1.0])
+    zero_row = LpProblem([-0.3, 0.0, 0.3], [[0.0, -0.0, 0.0]], (EQ,), [0.0], (1,))
+    for method in (solve_lp, check_feasible):
+        with pytest.raises(LpInputError, match=r"start basis \(1,\) is singular"):
+            method(zero_row)
 
 
 @pytest.mark.parametrize("run, pivots", [(lp._DEGENERATE_RUN, 1), (0, 2)],
