@@ -497,7 +497,8 @@ def random_effect(space: StateSpace, rng: np.random.Generator,
 
     All-constant draws are rejected (they carry no geometry); on a space of
     one point (affine dimension 0, any d) a random constant effect is
-    returned instead.  ValueError when 100 draws all vary by at most 1e-6.
+    returned instead.  ValueError when 100 draws all vary by at most 1e-6
+    times the vertex set's half-width, half its largest coordinate range.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     d = space.dimension
@@ -508,7 +509,7 @@ def random_effect(space: StateSpace, rng: np.random.Generator,
         c = rng.uniform(-1.0, 1.0, size=d + 1)
         values = M @ c
         lo, hi = float(values.min()), float(values.max())
-        if hi - lo > 1e-6:
+        if hi - lo > 1e-6 * space.half_width:
             break
     else:
         raise ValueError(f"could not draw a non-constant affine functional on {space!r}")

@@ -77,6 +77,12 @@ def _affine_frame(vertices: np.ndarray):
     return tuple(frame), None, vertices
 
 
+def _check_finite(vertices: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if bad.size:
+        raise ValueError(f"vertex {bad[0]} is not finite: {vertices[bad[0]].tolist()}")
+
+
 def _frame_swaps(m: np.ndarray, frame: tuple[int, ...]) -> np.ndarray:
     """Per vertex v, the position in frame of the vertex that v replaces in
     the witness duals' start basis: that of the largest |barycentric weight|
@@ -130,6 +136,8 @@ class StateSpace:
 
     redundant lists indices (into the deduplicated vertex array) of vertices
     found inside the convex hull of the others; they are kept, not dropped.
+    A vertex that is not finite, or a redundant index out of range or
+    repeated, raises ValueError naming it.
 
     __post_init__ derives read-only data from the vertices once; none of it
     is a dataclass field.  The vertices span an affine hull of dimension
@@ -147,12 +155,14 @@ class StateSpace:
                duals changes nothing.  A witness h over R has the ambient
                coefficients c = Q h[1:], c0 = h[0] - c . v0 (compat lifts
                it); effects are evaluated on the ambient vertex_matrix().
+               R is kept as _reduced, for make_state_space's hull scan.
     lambda_dual
                the WitnessDual of compute_lambda0, whose own row is the
                lambda column [0]*3k + [-1]*k at cost 1; dual_rows is a view
                of its first r+1 rows.
     slack_dual the WitnessDual of eq3_feasible's least uniform slack, own
                row [-1]*4k at cost 1; built on first use, then kept.
+    half_width half the largest coordinate range of the vertices.
     """
 
     vertices: np.ndarray
@@ -163,22 +173,29 @@ class StateSpace:
         v = np.array(self.vertices, dtype=float)  # copy: detach from the caller
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError(f"vertices must form a nonempty (k, d) array, got {v.shape}")
+        _check_finite(v)
         k = v.shape[0]
+        for n, i in enumerate(self.redundant):
+            if not 0 <= i < k or i in self.redundant[:n]:
+                problem = "repeated" if 0 <= i < k else f"out of range for {k} vertices"
+                raise ValueError(f"redundant index {i} is {problem}")
         m = np.hstack([np.ones((k, 1)), v])
         frame, basis, coordinates = _affine_frame(v)
         reduced = m if basis is None else np.hstack([np.ones((k, 1)), coordinates])
         swap = _frame_swaps(reduced, frame)
         lambda_dual = witness_dual(np.hstack([-reduced.T, reduced.T, reduced.T, -reduced.T]),
                                    np.concatenate([np.zeros(3 * k), -np.ones(k)]), 1.0)
-        for array in (v, m, swap) + (() if basis is None else (basis,)):
+        for array in (v, m, reduced, swap) + (() if basis is None else (basis,)):
             array.flags.writeable = False
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "_vertex_matrix", m)
+        object.__setattr__(self, "_reduced", reduced)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "hull_basis", basis)
         object.__setattr__(self, "frame_swap", swap)
         object.__setattr__(self, "dual_rows", lambda_dual.rows[:-1])
         object.__setattr__(self, "lambda_dual", lambda_dual)
+        object.__setattr__(self, "half_width", 0.5 * float(np.ptp(v, axis=0).max(initial=0.0)))
 
     @cached_property
     def slack_dual(self) -> WitnessDual:
@@ -257,45 +274,39 @@ def zero_effect(dimension: int) -> Effect:
     return Effect(np.zeros(dimension + 1))
 
 
-def _point_in_hull(point: np.ndarray, others: np.ndarray,
-                   tol: SolverTolerances) -> bool:
-    """Is point (in R^r) a convex combination of the n rows of others?
+def _point_in_hull(space: StateSpace, i: int, tol: SolverTolerances) -> bool:
+    """Is vertex i of space a convex combination of the others?
 
-    One LP from a feasible basis: minimize mu subject to
-    sum_j lambda_j o_j + mu (point - q) = point, sum_j lambda_j = 1 and
-    lambda, mu >= 0.  q is the centroid of the facet, of a frame of the
-    others, opposite the frame vertex of largest |barycentric weight| of
-    point; as that weight is nonzero, point - q leaves the facet's flat, so
-    mu = 1 with lambda = 1/r on the facet's r vertices is a nonsingular
-    start.  point lies in the hull iff the minimum is at most eps_feas.
-    Others without a frame of R^r lie in a lower flat, which point leaves
-    in coordinates where point and others together span R^r (those of
-    make_state_space's scan): then point is not in the hull.
+    One LP in the coordinates of the reduced matrix R (see StateSpace) from
+    a feasible basis: minimize mu subject to sum_j lambda_j v_j + mu (v_i - q)
+    = v_i, sum_j lambda_j = 1, lambda, mu >= 0, over the others j.  q is the
+    centroid of the facet of space.frame opposite frame[frame_swap[i]], the
+    vertex of largest |barycentric weight| of v_i (i itself when i is in
+    the frame).  That weight is nonzero, so v_i - q leaves the facet's flat
+    and mu = 1 with lambda = 1/r on the facet's r vertices is a nonsingular
+    start.  v_i is in the hull iff the minimum is at most eps_feas; when the
+    others lie in a lower flat, which v_i leaves, every feasible mu is 1.
     """
-    frame, basis, _ = _affine_frame(others)
-    if basis is not None:
-        return False
-    # mu is the same for moved and scaled points: centred on a frame vertex
+    facet = [j for p, j in enumerate(space.frame) if p != space.frame_swap[i]]
+    # mu is the same for moved and scaled points: centred on a facet vertex
     # and scaled to unit size, the coordinate rows balance the row of ones
-    size = np.abs(others - others[0]).max()
-    others, point = (others - others[0]) / size, (point - others[0]) / size
+    centred = space._reduced[:, 1:] - space._reduced[facet[0], 1:]
+    centred = centred / np.abs(centred).max()
+    others, point = np.delete(centred, i, axis=0), centred[i]
     n, r = others.shape
-    weights = np.linalg.solve(np.vstack([np.ones(r + 1), others[list(frame)].T]),
-                              np.append(1.0, point))
-    facet = np.delete(frame, np.argmax(np.abs(weights)))
+    facet = [j - (j > i) for j in facet]  # their rows in others
     rows = np.vstack([np.column_stack([others.T, point - others[facet].mean(axis=0)]),
                       np.append(np.ones(n), 0.0)])
-    cost = np.zeros(n + 1)
-    cost[n] = 1.0
-    # bounded below by mu >= 0; the ratio test always finds a row, as an
-    # entering lambda column has a 1 in the sum row
-    return solve_lp(LpProblem(cost, rows, (EQ,) * (r + 1), np.append(point, 1.0),
-                              tuple(facet.tolist()) + (n,)), tol).value <= tol.eps_feas
+    # minimize mu, bounded below by mu >= 0; the ratio test always finds a
+    # row, as an entering lambda column has a 1 in the sum row
+    return solve_lp(LpProblem(np.append(np.zeros(n), 1.0), rows, (EQ,) * (r + 1),
+                              np.append(point, 1.0), tuple(facet) + (n,)),
+                    tol).value <= tol.eps_feas
 
 
 def _hull_residual_bounds(arr: np.ndarray) -> np.ndarray:
-    """Lower bound, per vertex i, on the optimal mu of
-    _point_in_hull(arr[i], the other rows).
+    """Lower bound, per vertex i, on the optimal mu of the hull LP that
+    _point_in_hull poses for row i of arr against the other rows.
 
     Take u = v_i - centroid, and top and bottom the largest and least u.v_j
     over j != i.  A feasible (lambda, mu) has u.v_i = sum_j lambda_j u.v_j +
@@ -349,10 +360,11 @@ def make_state_space(
     Vertices coinciding within eps_geom are deduplicated (first occurrence
     kept).  A remaining vertex inside the convex hull of the others triggers
     a RedundantVertexWarning and is recorded in StateSpace.redundant.  The
-    scan runs in coordinates of the vertices' affine hull (see StateSpace).
-    It skips a vertex that a separating direction certifies as outside that
-    hull and runs one small LP for each other vertex; it is skipped above
-    REDUNDANCY_CHECK_LIMIT vertices unless check_redundant forces it.
+    scan runs on the built space's coordinates in its affine hull (see
+    StateSpace).  It skips a vertex that a separating direction certifies as
+    outside that hull, poses one small LP (_point_in_hull) for each other
+    vertex, and is skipped above REDUNDANCY_CHECK_LIMIT vertices unless
+    check_redundant forces it.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     try:
@@ -365,29 +377,28 @@ def make_state_space(
         raise ValueError(f"vertices must be a list of equal-length points, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise ValueError("vertex list is empty")
-    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
-    if bad.size:
-        raise ValueError(f"vertex {bad[0]} is not finite: {arr[bad[0]].tolist()}")
+    _check_finite(arr)
 
-    deduped = _dedup(arr, tol.eps_geom)
-    k = deduped.shape[0]
+    space = StateSpace(vertices=_dedup(arr, tol.eps_geom), name=name)
+    k = space.n_vertices
     if check_redundant is None:
         check_redundant = k <= REDUNDANCY_CHECK_LIMIT
     redundant: list[int] = []
     if check_redundant and k >= 2:
-        coordinates = _affine_frame(deduped)[2]
-        certified = _hull_residual_bounds(coordinates) > _CERTIFICATE_MARGIN * tol.eps_feas
+        bounds = _hull_residual_bounds(space._reduced[:, 1:])
+        certified = bounds > _CERTIFICATE_MARGIN * tol.eps_feas
         for i in map(int, np.flatnonzero(~certified)):
-            others = np.delete(coordinates, i, axis=0)
-            if _point_in_hull(coordinates[i], others, tol):
+            if _point_in_hull(space, i, tol):
                 redundant.append(i)
                 warnings.warn(
-                    f"vertex {deduped[i].tolist()} (index {i}) lies in the convex hull "
+                    f"vertex {space.vertices[i].tolist()} (index {i}) lies in the convex hull "
                     "of the other vertices; it is kept but adds only redundant constraints",
                     RedundantVertexWarning,
                     stacklevel=2,
                 )
-    return StateSpace(vertices=deduped, name=name, redundant=tuple(redundant))
+    # no caller holds the space yet; a rebuild would search its frame again
+    object.__setattr__(space, "redundant", tuple(redundant))
+    return space
 
 
 def checked_vertex_values(space: StateSpace, coefficients,

@@ -104,11 +104,8 @@ def grid_lambda0(space: StateSpace, e: Effect, f: Effect,
     target = ev + fv
 
     covers = [e.coefficients, f.coefficients]
-    if space.n_vertices == space.dimension + 1:
-        try:
-            covers.append(np.linalg.solve(M, minef))
-        except np.linalg.LinAlgError:
-            pass
+    if len(space.frame) == space.n_vertices == space.dimension + 1:  # M is invertible
+        covers.append(np.linalg.solve(M, minef))
     lo = min(-1.0, min(float(c.min()) for c in covers))
     hi = max(1.0, max(float(c.max()) for c in covers))
     expanded = lo < -1.0 or hi > 1.0
@@ -143,15 +140,6 @@ def grid_lambda0(space: StateSpace, e: Effect, f: Effect,
     )
 
 
-def _is_simplex(space: StateSpace) -> bool:
-    if space.n_vertices != space.dimension + 1:
-        return False
-    if space.dimension == 0:
-        return True
-    diffs = space.vertices[1:] - space.vertices[0]
-    return int(np.linalg.matrix_rank(diffs)) == space.dimension
-
-
 @dataclass(frozen=True)
 class CrossCheckReport:
     lp_lambda0: float
@@ -171,22 +159,19 @@ def cross_check(space: StateSpace, e: Effect, f: Effect,
 
     Discrepancies are reported, not raised: on simplices the LP must match
     the closed form within eps_opt, and everywhere it must sit inside
-    [grid lower bound, grid value + grid step].
+    [grid lower bound, grid value + grid step].  A space is a simplex when
+    its frame holds every vertex; its closed form is the grid's lower bound.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     report = compute_lambda0(space, e, f, tol)
     grid = grid_lambda0(space, e, f, resolution, tol)
-    closed: float | None = None
+    closed = grid.lower_bound if len(space.frame) == space.n_vertices else None
     issues: list[str] = []
-    if _is_simplex(space):
-        closed = simplex_lambda0_closed_form(
-            e.vertex_values(space), f.vertex_values(space)
+    if closed is not None and abs(report.lambda0 - closed) > tol.eps_opt:
+        issues.append(
+            f"LP lambda0 {report.lambda0:.12g} differs from the simplex "
+            f"closed form {closed:.12g}"
         )
-        if abs(report.lambda0 - closed) > tol.eps_opt:
-            issues.append(
-                f"LP lambda0 {report.lambda0:.12g} differs from the simplex "
-                f"closed form {closed:.12g}"
-            )
     if report.lambda0 > grid.value + grid.step_bound + tol.eps_opt:
         issues.append(
             f"LP lambda0 {report.lambda0:.12g} exceeds the grid upper bound "

@@ -216,6 +216,16 @@ class TestComputeLambda0:
         assert compute_lambda0(point, e, f).lambda0 == pytest.approx(
             max(e.coefficients[0], f.coefficients[0]), abs=1e-12)
 
+    def test_random_effect_on_a_small_triangle(self):
+        # the floor on a draw's spread follows the vertex set's half-width,
+        # 5e-8 here, so a triangle of side 1e-7 is no constant space
+        space = make_state_space([[0.0, 0.0], [1e-7, 0.0], [0.0, 1e-7]])
+        assert space.half_width == 0.5e-7
+        e = random_effect(space, np.random.default_rng(0))
+        values = e.vertex_values(space)
+        assert values.min() >= 0.0 and values.max() <= 1.0
+        assert values.max() - values.min() >= 0.2 - 1e-12  # the default span_range
+
 
 @pytest.mark.parametrize("field", ["eps_feas", "eps_opt", "eps_geom", "eps_compat"])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])

@@ -123,12 +123,9 @@ class TestMakeStateSpace:
                 if issubclass(w.category, RedundantVertexWarning)]
 
         vertices, redundant, messages = scan(core._CERTIFICATE_MARGIN)
-        coordinates = core._affine_frame(vertices)[2]
-        expected = tuple(
-            i for i in range(len(vertices))
-            if core._point_in_hull(coordinates[i], np.delete(coordinates, i, axis=0),
-                                   DEFAULT_TOLERANCES)
-        )
+        space = core.StateSpace(vertices)
+        expected = tuple(i for i in range(len(vertices))
+                         if core._point_in_hull(space, i, DEFAULT_TOLERANCES))
         assert redundant == expected
         assert scan(np.inf)[1:] == (redundant, messages)  # every vertex runs its LP
 
@@ -150,7 +147,7 @@ class TestMakeStateSpace:
             rng.shuffle(cloud)
             self._assert_scan_matches_the_lp_scan(cloud, monkeypatch)
 
-    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4, 1e8])
     @pytest.mark.parametrize("step", [0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3])
     def test_redundancy_certificate_near_a_facet(self, monkeypatch, scale, step):
         # A point just outside a facet centre, extreme in its own direction
@@ -179,15 +176,49 @@ class TestMakeStateSpace:
                 assert space.redundant == redundant, scale
                 assert space.hull_basis.shape == (3, len(space.frame) - 1)
 
-    def test_a_point_off_the_flat_of_the_others_is_not_in_their_hull(self):
-        # The others span no frame of R^3, so no LP is posed: the point,
-        # 1e-6 above their plane, cannot be a convex combination of them.
-        square = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
-        for height, inside in ((1e-6, False), (0.0, True)):
-            point = np.array([0.5, 0.5, height])
-            others = square if height else square[:, :2]
-            assert core._point_in_hull(point[: others.shape[1]], others,
-                                       DEFAULT_TOLERANCES) is inside
+    def test_a_point_off_the_flat_of_the_others_is_not_in_their_hull(self, monkeypatch):
+        # An apex 1e-6 above a square is the one vertex off the square's
+        # plane, so it is a frame vertex, its LP starts on the frame without
+        # it, and every feasible point has mu = 1.  At height 0 it is the
+        # square's centre.  With no certificate every vertex runs its LP.
+        monkeypatch.setattr(core, "_CERTIFICATE_MARGIN", np.inf)
+        square = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
+        for height, frame_size, redundant in ((1e-6, 4, ()), (0.0, 3, (4,))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RedundantVertexWarning)
+                space = make_state_space(square + [[0.5, 0.5, height]])
+            assert len(space.frame) == frame_size and space.redundant == redundant, height
+
+    def test_the_frame_is_searched_once_per_space(self, monkeypatch):
+        # With no certificate every vertex runs its hull LP, and the frame
+        # search still runs once, in StateSpace.__post_init__.
+        from effectcompat import models
+
+        calls, in_hull = [], []
+        affine_frame, point_in_hull = core._affine_frame, core._point_in_hull
+
+        def spy_frame(vertices):
+            calls.append(bool(in_hull))
+            return affine_frame(vertices)
+
+        def spy_hull(space, i, tol):
+            in_hull.append(i)
+            try:
+                return point_in_hull(space, i, tol)
+            finally:
+                in_hull.pop()
+
+        monkeypatch.setattr(core, "_affine_frame", spy_frame)
+        monkeypatch.setattr(core, "_point_in_hull", spy_hull)
+        monkeypatch.setattr(core, "_CERTIFICATE_MARGIN", np.inf)
+        square_with_centre = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]]
+        flat = np.vstack([models.regular_polygon(6).vertices.T, np.zeros(6)]).T
+        for vertices in (square_with_centre, flat, models.hypercube(3).vertices):
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RedundantVertexWarning)
+                make_state_space(vertices)
+            assert calls == [False]
 
     def test_certified_polytopes_run_no_hull_lp(self, monkeypatch):
         from effectcompat import models
@@ -211,6 +242,26 @@ class TestMakeStateSpace:
         space = make_state_space([[]])
         assert space.dimension == 0
         assert space.n_vertices == 1
+
+
+class TestStateSpaceValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vertex_names_its_index(self, bad):
+        with pytest.raises(ValueError, match="vertex 0 is not finite"):
+            core.StateSpace([[bad, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("redundant", [(7,), (1, -1), (3,)])
+    def test_redundant_index_out_of_range(self, redundant):
+        with pytest.raises(ValueError, match=f"redundant index {redundant[-1]} is out of range"):
+            core.StateSpace([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], redundant=redundant)
+
+    def test_repeated_redundant_index(self):
+        with pytest.raises(ValueError, match="redundant index 2 is repeated"):
+            core.StateSpace([[0.0], [1.0], [0.5]], redundant=(2, 2))
+
+    def test_valid_redundant_indices_are_kept(self):
+        space = core.StateSpace([[0.0], [1.0], [0.5]], redundant=(2,))
+        assert space.redundant == (2,)
 
 
 class TestStateSpaceDerivedData:

@@ -222,10 +222,9 @@ def _hull_problems(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(core, "solve_lp", record)
         for d, k in ((2, 12), (3, 20), (5, 30)):
-            cloud = rng.normal(size=(k, d))
+            space = core.StateSpace(rng.normal(size=(k, d)))
             for i in range(k):
-                core._point_in_hull(cloud[i], np.delete(cloud, i, axis=0),
-                                    lp.DEFAULT_TOLERANCES)
+                core._point_in_hull(space, i, lp.DEFAULT_TOLERANCES)
     return captured
 
 

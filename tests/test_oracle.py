@@ -21,6 +21,7 @@ from effectcompat.oracle import (
     grid_lambda0,
     simplex_lambda0_closed_form,
 )
+from effectcompat.tolerances import DEFAULT_TOLERANCES, SolverTolerances
 
 
 @pytest.fixture
@@ -193,6 +194,27 @@ class TestCrossCheck:
         assert result.lp_lambda0 == pytest.approx(
             float(e.vertex_values(square).max()), abs=1e-9
         )
+
+    def test_closed_form_reads_the_callers_tolerances(self):
+        # e exceeds 1 by 5e-7, inside eps_geom = 1e-6 but outside the default
+        space = simplex(3)
+        tol = SolverTolerances(eps_geom=1e-6)
+        result = cross_check(space, Effect([1.0 + 5e-7, 0.0, 0.0]), Effect([0.5, 0.0, 0.0]),
+                             tol, resolution=11)
+        assert result.closed_form == result.grid.lower_bound == 1.0 + 5e-7
+        assert result.lp_lambda0 == pytest.approx(1.0 + 5e-7, abs=tol.eps_opt)
+        assert result.ok, result.discrepancies
+
+    def test_a_triangle_tilted_into_r3_is_a_simplex(self):
+        rotation = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))[0]
+        space = make_state_space(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                           [0.0, 1.0, 0.0]]) @ rotation.T + 0.5)
+        e = effect_from_vertex_values(space, [0.2, 0.9, 0.4])
+        f = effect_from_vertex_values(space, [0.8, 0.1, 0.5])
+        result = cross_check(space, e, f, resolution=11)
+        assert result.closed_form == pytest.approx(0.9, abs=1e-12)
+        assert abs(result.lp_lambda0 - result.closed_form) <= DEFAULT_TOLERANCES.eps_opt
+        assert result.ok, result.discrepancies
 
     def test_zoo_simplices_match_closed_form(self):
         rng = np.random.default_rng(61)
