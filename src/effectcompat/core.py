@@ -21,9 +21,9 @@ from .lp import EQ, LpProblem, check_feasible, solve_lp
 from .tolerances import DEFAULT_TOLERANCES, SolverTolerances
 
 # Above this vertex count the convex-hull redundancy scan is skipped;
-# redundant vertices only add redundant constraints.  Below it, a vertex
-# costs O(k*d) when a separating direction certifies it (see
-# _hull_residual_bounds) and one small LP otherwise.
+# redundant vertices only add redundant constraints.  Below it, one product
+# certifies most vertices outside the hull of the others (see
+# _hull_residual_bounds), and each other vertex costs one small LP.
 REDUNDANCY_CHECK_LIMIT = 512
 
 # A vertex skips its hull LP only when the certified bound on the LP's
@@ -35,6 +35,8 @@ _CERTIFICATE_MARGIN = 1e3
 # frame so far exceeds this fraction of the largest distance from vertex 0;
 # below it the space counts as lying in the affine hull of the frame so far.
 _FRAME_EPS = 1e-9
+
+_CHUNK_ENTRIES = 1 << 20  # entries per block of a product over all k vertices: 8 MB
 
 
 class RedundantVertexWarning(UserWarning):
@@ -312,18 +314,22 @@ def _hull_residual_bounds(arr: np.ndarray) -> np.ndarray:
     over j != i.  A feasible (lambda, mu) has u.v_i = sum_j lambda_j u.v_j +
     mu u.(v_i - q) <= top + mu (u.v_i - bottom), as q is a convex
     combination of the others; so mu >= (u.v_i - top) / (u.v_i - bottom)
-    when u.v_i > top.  O(k*d) per vertex; a bound of 0 certifies nothing.
+    when u.v_i > top.  One product gives every u.v_j, in blocks of at most
+    REDUNDANCY_CHECK_LIMIT columns (no (k, k) matrix in a forced scan) and
+    _CHUNK_ENTRIES entries; a bound of 0 certifies nothing.
     """
+    k = arr.shape[0]
     centroid = arr.mean(axis=0)
-    bounds = np.zeros(arr.shape[0])
-    for i in range(arr.shape[0]):
-        proj = arr @ (arr[i] - centroid)
-        own = proj[i]
-        proj[i] = -np.inf
-        top = proj.max()
-        if own > top:
-            proj[i] = np.inf
-            bounds[i] = (own - top) / (own - proj.min())
+    bounds = np.zeros(k)
+    step = max(1, min(REDUNDANCY_CHECK_LIMIT, _CHUNK_ENTRIES // k))
+    for start in range(0, k, step):
+        cols = np.arange(start, min(start + step, k))
+        proj = arr @ (arr[cols] - centroid).T  # column c: u_c . v_j over j
+        own = proj[cols, cols - start]
+        proj[cols, cols - start] = -np.inf
+        top = proj.max(0)
+        proj[cols, cols - start] = np.inf
+        np.divide(own - top, own - proj.min(0), out=bounds[start:start + step], where=own > top)
     return bounds
 
 
@@ -369,7 +375,7 @@ def make_state_space(
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     try:
         arr = np.asarray(vertices, dtype=float)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"vertices must be a rectangular list of points: {exc}") from None
     if arr.size == 0 and arr.ndim != 2:
         raise ValueError("vertex list is empty")
@@ -401,21 +407,19 @@ def make_state_space(
     return space
 
 
-def checked_vertex_values(space: StateSpace, coefficients,
-                          tol: SolverTolerances | None = None) -> np.ndarray:
-    """The values on the vertices of space of the affine functional with
-    these coefficients, checked to be an effect: ValueError on a wrong
-    number of coefficients, EffectRangeError naming the first vertex where
-    the value leaves [0, 1] (NaN included)."""
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
-    c = np.atleast_1d(np.asarray(coefficients, dtype=float))
-    if c.shape != (space.dimension + 1,):
-        raise ValueError(
-            f"expected {space.dimension + 1} coefficients for {space!r}, got {c.shape}"
-        )
-    values = space.vertex_matrix().dot(c)
+def _floats(values, what: str) -> np.ndarray:
+    """values as a float array, at least 1-d; ValueError on an integer too large."""
+    try:
+        return np.atleast_1d(np.asarray(values, dtype=float))
+    except OverflowError as exc:
+        raise ValueError(f"{what} hold a number too large for a double: {exc}") from None
+
+
+def _checked_range(space: StateSpace, values: np.ndarray, tol: SolverTolerances) -> np.ndarray:
+    """values, one per vertex of space, or EffectRangeError naming the first
+    vertex where a value leaves [0, 1] by more than eps_geom (NaN too)."""
     inside = (values >= -tol.eps_geom) & (values <= 1.0 + tol.eps_geom)
-    if not inside.all():  # NaN fails too
+    if not inside.all():
         i = int(np.flatnonzero(~inside)[0])
         raise EffectRangeError(
             f"effect value {values[i]:.12g} at vertex {space.vertices[i].tolist()} "
@@ -424,13 +428,26 @@ def checked_vertex_values(space: StateSpace, coefficients,
     return values
 
 
+def checked_vertex_values(space: StateSpace, coefficients,
+                          tol: SolverTolerances | None = None) -> np.ndarray:
+    """The values on the vertices of space of the affine functional with
+    these coefficients: ValueError on a wrong number of coefficients, and
+    EffectRangeError as _checked_range raises it."""
+    tol = tol if tol is not None else DEFAULT_TOLERANCES
+    c = _floats(coefficients, "coefficients")
+    if c.shape != (space.dimension + 1,):
+        raise ValueError(
+            f"expected {space.dimension + 1} coefficients for {space!r}, got {c.shape}"
+        )
+    return _checked_range(space, space.vertex_matrix().dot(c), tol)
+
+
 def effect_from_affine(
     space: StateSpace, coefficients, tol: SolverTolerances | None = None
 ) -> Effect:
     """Validate affine coefficients as an effect on space and wrap them."""
-    c = np.atleast_1d(np.asarray(coefficients, dtype=float))
-    checked_vertex_values(space, c, tol)
-    return Effect(c)
+    checked_vertex_values(space, coefficients, tol)
+    return Effect(coefficients)
 
 
 def effect_from_vertex_values(
@@ -438,22 +455,17 @@ def effect_from_vertex_values(
 ) -> Effect:
     """Interpolate vertex values into affine coefficients.
 
-    The assignment must be realizable by an affine functional: the
-    least-squares fit is accepted only if it reproduces every vertex value
-    within eps_geom.  Exact on simplices.
+    The values must lie in [0, 1], and the assignment must be realizable
+    by an affine functional: the least-squares fit is accepted only if it
+    reproduces every vertex value within eps_geom.  Exact on simplices.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
-    vals = np.atleast_1d(np.asarray(values, dtype=float))
+    vals = _floats(values, "vertex values")
     if vals.shape != (space.n_vertices,):
         raise ValueError(
             f"expected {space.n_vertices} vertex values, got shape {vals.shape}"
         )
-    out_of_range = np.flatnonzero(~((vals >= -tol.eps_geom) & (vals <= 1.0 + tol.eps_geom)))
-    if out_of_range.size:
-        bad = int(out_of_range[0])
-        raise EffectRangeError(
-            f"vertex value {vals[bad]:.12g} at index {bad} outside [0, 1]"
-        )
+    _checked_range(space, vals, tol)
     M = space.vertex_matrix()
     coeffs, *_ = np.linalg.lstsq(M, vals, rcond=None)
     residual = M @ coeffs - vals

@@ -175,6 +175,19 @@ def _require(doc: dict, field: str, kind, path) -> object:
     return value
 
 
+def _check_numbers(values: list, field: str, path) -> None:
+    """ModelFormatError naming field unless every entry of values is a
+    number that a double holds: JSON allows integers too large for any."""
+    for x in values:
+        if not isinstance(x, (int, float)) or isinstance(x, bool):
+            raise ModelFormatError(f"{path}: {field} contains non-number {x!r}")
+        try:
+            float(x)
+        except OverflowError:
+            raise ModelFormatError(
+                f"{path}: {field} holds an integer too large for a double") from None
+
+
 def load_model(path, tol: SolverTolerances | None = None
                ) -> tuple[StateSpace, dict[str, Effect]]:
     """Parse and validate a model file.
@@ -215,9 +228,7 @@ def load_model(path, tol: SolverTolerances | None = None
             raise ModelFormatError(
                 f"{path}: vertices[{i}] must be a list of {dimension} numbers"
             )
-        for x in row:
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
-                raise ModelFormatError(f"{path}: vertices[{i}] contains non-number {x!r}")
+        _check_numbers(row, f"vertices[{i}]", path)
     space = make_state_space(raw_vertices, name=name, tol=tol)
     raw_effects = _require(doc, "effects", dict, path)
     effects: dict[str, Effect] = {}
@@ -232,10 +243,9 @@ def load_model(path, tol: SolverTolerances | None = None
             )
         form = forms.pop()
         payload = entry[form]
-        if not isinstance(payload, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in payload
-        ):
+        if not isinstance(payload, list):
             raise ModelFormatError(f"{path}: effects.{key}.{form} must be a number list")
+        _check_numbers(payload, f"effects.{key}.{form}", path)
         if form == "affine":
             if len(payload) != dimension + 1:
                 raise ModelFormatError(

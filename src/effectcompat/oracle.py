@@ -2,11 +2,11 @@
 
 Two routes that share no code with the simplex solver:
 
-* a closed form on simplex state spaces, where the pointwise minimum of
-  the two effects is itself affine, so lambda0 = max_i max(e_i, f_i);
 * brute-force enumeration of witness coefficients on a uniform grid,
   which brackets lambda0 from above (every feasible grid candidate is a
-  witness) while max_v max(e, f) brackets it from below.
+  witness) while max_v max(e, f) brackets it from below;
+* on simplex state spaces, where the pointwise minimum of the two effects
+  is affine, the closed form lambda0 = max_v max(e, f), the grid's lower bound.
 
 Verification tooling: the library's own computations never consult this
 module.  effectcompat re-exports its public names, and the tests and the
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compat import compute_lambda0
-from .core import Effect, StateSpace, checked_vertex_values
+from .core import _CHUNK_ENTRIES, Effect, StateSpace, checked_vertex_values
 from .tolerances import DEFAULT_TOLERANCES, SolverTolerances
 
 MAX_GRID_DIMENSION = 3
@@ -31,27 +31,6 @@ MAX_GRID_CANDIDATES = 10**7
 # Feasibility slack for grid candidates; fixed and tiny so that exact
 # boundary witnesses (like g = 0) survive float rounding.
 _GRID_SLACK = 1e-12
-
-_CHUNK_ENTRIES = 1 << 20  # candidates x vertices per chunk: about 17 MB at any k
-
-
-def simplex_lambda0_closed_form(e_values, f_values) -> float:
-    """lambda0 on a simplex: max_i max(e_i, f_i).
-
-    On a simplex the optimal witness takes the vertex values
-    min(e_i, f_i), which leaves max(e_i, f_i) as the smallest scaling.
-    """
-    ev = np.atleast_1d(np.asarray(e_values, dtype=float))
-    fv = np.atleast_1d(np.asarray(f_values, dtype=float))
-    if ev.shape != fv.shape or ev.ndim != 1 or ev.size == 0:
-        raise ValueError(
-            f"value vectors must be equal-length and nonempty, got {ev.shape} vs {fv.shape}"
-        )
-    eps = DEFAULT_TOLERANCES.eps_geom
-    for label, vals in (("e", ev), ("f", fv)):
-        if vals.min() < -eps or vals.max() > 1.0 + eps:
-            raise ValueError(f"{label} values must lie in [0, 1], got {vals.tolist()}")
-    return float(np.maximum(ev, fv).max())
 
 
 @dataclass(frozen=True)

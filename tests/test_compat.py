@@ -40,6 +40,19 @@ def _depolarized(e, t):
     return smear(dichotomic_observable(e), depolarizing_kernel(t)).effects[0]
 
 
+def _metamorphic_pairs(seed, per_space=8):
+    """Seeded pairs for the metamorphic relations of ROADMAP item 9, on
+    spaces of 5 to 16 vertices; full-span pairs, which are incompatible
+    more often, alternate with pairs of random span."""
+    rng = np.random.default_rng(seed)
+    for space in (regular_polygon(5), regular_polygon(8), regular_polygon(16),
+                  hypercube(3), hypercube(4)):
+        for n in range(per_space):
+            span = (1.0, 1.0) if n % 2 else (0.2, 1.0)
+            yield (space, random_effect(space, rng, span_range=span),
+                   random_effect(space, rng, span_range=span))
+
+
 @pytest.fixture
 def square():
     return make_state_space(
@@ -108,6 +121,33 @@ class TestComputeLambda0:
         a = compute_lambda0(square, e, f)
         b = compute_lambda0(square, f, e)
         assert a.lambda0 == pytest.approx(b.lambda0, abs=1e-9)
+        for space, e, f in _metamorphic_pairs(11):
+            a, b = compute_lambda0(space, e, f), compute_lambda0(space, f, e)
+            assert abs(a.lambda0 - b.lambda0) <= 1e-12, space
+
+    def test_vertex_permutation(self):
+        rng = np.random.default_rng(12)
+        for space, e, f in _metamorphic_pairs(12):
+            shuffled = make_state_space(space.vertices[rng.permutation(space.n_vertices)],
+                                        check_redundant=False)
+            a, b = compute_lambda0(space, e, f), compute_lambda0(shuffled, e, f)
+            assert abs(a.lambda0 - b.lambda0) <= 1e-12, space
+
+    def test_complementing_e_keeps_the_verdict_and_the_threshold(self):
+        # {e, u - e} is the same observable as {u - e, e}, so the verdict
+        # cannot change; it is compared away from the edge 1 + eps_compat,
+        # where solver noise may flip either side.  Depolarizing commutes
+        # with the complement, so the threshold moves by solver noise only.
+        eps_compat = SolverTolerances().eps_compat
+        verdicts = []
+        for space, e, f in _metamorphic_pairs(13):
+            lambdas = [compute_lambda0(space, g, f).lambda0 for g in (e, complement(e))]
+            if all(abs(x - (1.0 + eps_compat)) > 1e-9 for x in lambdas):
+                verdicts.append(is_compatible(space, e, f))
+                assert is_compatible(space, complement(e), f) == verdicts[-1], space
+            t = [min_depolarizing_noise(space, g, f) for g in (e, complement(e))]
+            assert abs(t[0] - t[1]) <= eps_compat, space
+        assert verdicts.count(False) >= 5 and verdicts.count(True) >= 5
 
     def test_invalid_effect_rejected(self, square):
         with pytest.raises(EffectRangeError):

@@ -109,6 +109,52 @@ class TestMakeStateSpace:
             make_state_space([[0.0, 0.0], [bad, 0.0], [0.0, 1.0]],
                              check_redundant=check_redundant)
 
+    def test_integer_too_large_for_a_double_is_a_value_error(self):
+        # numpy raises OverflowError on it; every other bad vertex list
+        # raises ValueError
+        with pytest.raises(ValueError, match="too large"):
+            make_state_space([[10**400, 0], [0, 1], [0, 0]])
+
+    @pytest.mark.parametrize("chunk", [1, 100, 1 << 20])
+    def test_hull_certificate_matches_the_loop(self, monkeypatch, chunk):
+        # Reference: one mat-vec per vertex.  The product sums each u.v_j in
+        # another order, so the bounds agree to rounding, not bit for bit.
+        # A chunk of 1 gives one column per block, 100 a short last block.
+        def loop_bounds(arr):
+            centroid = arr.mean(axis=0)
+            bounds = np.zeros(len(arr))
+            for i in range(len(arr)):
+                proj = arr @ (arr[i] - centroid)
+                others = np.delete(proj, i)
+                if proj[i] > others.max():
+                    bounds[i] = (proj[i] - others.max()) / (proj[i] - others.min())
+            return bounds
+
+        monkeypatch.setattr(core, "_CHUNK_ENTRIES", chunk)
+        rng = np.random.default_rng(300)
+        for trial in range(40):
+            d, k = int(rng.integers(1, 6)), int(rng.integers(2, 40))
+            cloud = rng.normal(size=(k, d)) * 10.0 ** rng.choice([-3, 0, 3])
+            if trial % 2:  # interior points
+                cloud = np.vstack([cloud, rng.dirichlet(np.ones(k), size=3) @ cloud])
+            bounds = core._hull_residual_bounds(cloud)
+            assert np.allclose(bounds, loop_bounds(cloud), rtol=1e-12, atol=1e-15), trial
+
+    def test_forced_scan_above_the_limit_holds_no_square_matrix(self):
+        import tracemalloc
+
+        k = 1500
+        angles = 2.0 * np.pi * np.arange(k) / k
+        polygon = np.column_stack([np.cos(angles), np.sin(angles)])
+        tracemalloc.start()
+        try:
+            space = make_state_space(polygon, check_redundant=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert space.redundant == ()
+        assert peak < k * k * 8
+
     @staticmethod
     def _assert_scan_matches_the_lp_scan(cloud, monkeypatch):
         # Reference: one hull LP per vertex, no certificate, in the
@@ -392,6 +438,12 @@ class TestEffectConstruction:
         with pytest.raises(EffectRangeError, match=r"(nan|inf) at vertex .* \(index 0\)"):
             effect_from_affine(square, [0.5, bad, 0.0])
 
+    @pytest.mark.parametrize("build, numbers", [(effect_from_affine, [0.5, 10**400, 0.0]),
+                                                (effect_from_vertex_values, [1.0, 10**400, 0.0])])
+    def test_integer_too_large_for_a_double_is_a_value_error(self, triangle, build, numbers):
+        with pytest.raises(ValueError, match="too large for a double"):
+            build(triangle, numbers)
+
 
 class TestEffectFromVertexValues:
     def test_exact_on_triangle(self, triangle):
@@ -412,7 +464,8 @@ class TestEffectFromVertexValues:
             effect_from_vertex_values(triangle, [0.2, 1.5, 0.4])
 
     def test_non_finite_value_names_its_index(self, triangle):
-        with pytest.raises(EffectRangeError, match="value nan at index 2"):
+        message = r"^effect value nan at vertex \[0\.0, 1\.0\] \(index 2\) outside"
+        with pytest.raises(EffectRangeError, match=message):
             effect_from_vertex_values(triangle, [0.2, 0.9, np.nan])
 
 

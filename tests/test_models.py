@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from effectcompat.cli import main as cli_main
 from effectcompat.compat import compute_lambda0, is_compatible, random_effect
 from effectcompat.core import (
     Effect,
@@ -120,6 +122,21 @@ class TestZoo:
                 effect_from_affine(space, eff.coefficients)
 
     def test_affine_invariance_of_lambda0(self):
+        # An invertible affine map x -> M x + shift of the vertices, with the
+        # effects carried along, leaves lambda0 unchanged (ROADMAP item 9).
+        def mapped_lambda0(space, e, f, M, shift):
+            mapped = make_state_space(space.vertices @ M.T + shift, name="mapped",
+                                      check_redundant=False)
+            Minv = np.linalg.inv(M)
+
+            def transport(eff):
+                c = eff.coefficients
+                linear = Minv.T @ c[1:]
+                const = c[0] - linear @ shift
+                return Effect(np.concatenate([[const], linear]))
+
+            return compute_lambda0(mapped, transport(e), transport(f)).lambda0
+
         rng = np.random.default_rng(47)
         space, effects = zoo_model("gbit")
         e, f = effects["e_x"], effects["e_y"]
@@ -131,18 +148,20 @@ class TestZoo:
             )
             M = rot @ np.diag(rng.uniform(0.5, 2.0, 2))
             shift = rng.uniform(-1, 1, 2)
-            new_vertices = space.vertices @ M.T + shift
-            mapped = make_state_space(new_vertices, name="mapped", check_redundant=False)
-            Minv = np.linalg.inv(M)
+            assert mapped_lambda0(space, e, f, M, shift) == pytest.approx(base, abs=1e-9)
 
-            def transport(eff):
-                c = eff.coefficients
-                linear = Minv.T @ c[1:]
-                const = c[0] - linear @ shift
-                return Effect(np.concatenate([[const], linear]))
-
-            report = compute_lambda0(mapped, transport(e), transport(f))
-            assert report.lambda0 == pytest.approx(base, abs=1e-9)
+        # Seeded pairs, full-span and random-span alternating, on 5 to 16 vertices
+        rng = np.random.default_rng(48)
+        for space in (regular_polygon(5), regular_polygon(8), regular_polygon(16),
+                      hypercube(3), hypercube(4)):
+            d = space.dimension
+            for n in range(8):
+                span = (1.0, 1.0) if n % 2 else (0.2, 1.0)
+                e, f = (random_effect(space, rng, span_range=span) for _ in range(2))
+                M = np.linalg.qr(rng.normal(size=(d, d)))[0] @ np.diag(rng.uniform(0.5, 2.0, d))
+                shift = rng.uniform(-1.0, 1.0, d)
+                base = compute_lambda0(space, e, f).lambda0
+                assert abs(mapped_lambda0(space, e, f, M, shift) - base) <= 1e-12, (space, n)
 
 
 class TestModelFiles:
@@ -258,6 +277,38 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError) as err:
             load_model(path)
         assert fragment in str(err.value)
+
+    @staticmethod
+    def _huge_integer_model(tmp_path, field):
+        # JSON allows integers that no double holds; 10**400 is one
+        doc = {
+            "version": 1,
+            "name": "tri",
+            "dimension": 2,
+            "vertices": [[0, 0], [1, 0], [0, 1]],
+            "effects": {"a": {"affine": [0.5, 0, 0]}, "b": {"values": [0.2, 0.9, 0.4]}},
+        }
+        lists = {"vertices[1]": doc["vertices"][1],
+                 "effects.a.affine": doc["effects"]["a"]["affine"],
+                 "effects.b.values": doc["effects"]["b"]["values"]}
+        lists[field][1] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("field", ["vertices[1]", "effects.a.affine", "effects.b.values"])
+    def test_integer_too_large_for_a_double_names_the_field(self, tmp_path, field):
+        path = self._huge_integer_model(tmp_path, field)
+        message = re.escape(f"{field} holds an integer too large for a double")
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("field", ["vertices[1]", "effects.a.affine", "effects.b.values"])
+    def test_integer_too_large_for_a_double_is_a_cli_error(self, tmp_path, field, capsys):
+        path = self._huge_integer_model(tmp_path, field)
+        assert cli_main(["check", str(path), "a", "b"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and "Traceback" not in err
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
