@@ -28,7 +28,6 @@ from .core import (
 )
 from .lp import SolverFailure
 from .models import load_model, save_model, zoo_model, zoo_names
-from .oracle import cross_check
 from .tolerances import SolverTolerances
 
 EXIT_OK = 0
@@ -285,6 +284,8 @@ def cmd_zoo(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import cross_check  # only this command loads the oracle
+
     tol, space, e, f, label = _load_pair(args)
     result = cross_check(space, e, f, tol, resolution=args.resolution)
     if args.json:
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("--out", help="output path (default: <name>.json)")
     p_zoo.set_defaults(func=cmd_zoo)
 
-    # CI helper, hidden from the subcommand listing
+    # verification by effectcompat.oracle, hidden from the subcommand listing
     p_oracle = sub.add_parser("oracle")
     _add_pair_arguments(p_oracle)
     p_oracle.add_argument("--resolution", type=int, default=51)

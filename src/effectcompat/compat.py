@@ -42,7 +42,7 @@ from .core import (
 )
 # solve_lp, check_feasible and effect_from_affine stay bound here: perfbench
 # --trace 1 rebinds them by name.
-from .lp import EQ, LE, LpInputError, LpProblem, LpStatus, SolverFailure, check_feasible, solve_lp
+from .lp import EQ, LE, LpInputError, LpProblem, SolverFailure, check_feasible, solve_lp
 from .tolerances import DEFAULT_TOLERANCES, SolverTolerances
 
 # The depolarizing LP is posed this far inside lambda0 <= 1 + eps_compat, so the
@@ -202,11 +202,6 @@ def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, dual: WitnessDual,
                                     _dual_start(space, rhs, dual)), tol)
     except LpInputError as exc:
         raise ValueError(f"{space!r}: the witness dual for {name} cannot start: {exc}") from exc
-    if result.status is not LpStatus.OPTIMAL:
-        raise SolverFailure(
-            f"dual of the witness LP for {name} reported {result.status.value}, but it "
-            "is feasible and bounded, as the primal is"
-        )
     s = dual.rhs.item(-1) * result.value  # -cost times the dual's value
     g = result.multipliers[:-1]
     residual = space.dual_rows.T @ g + rows[-1] * s - rhs
@@ -251,7 +246,7 @@ def compute_lambda0(space: StateSpace, e: Effect, f: Effect,
     """Minimal lambda admitting a witness g, with the witness attached.
 
     The LP is always feasible (g = 0, lambda = 2) and bounded below by
-    max_v max(e, f) >= 0, so any non-optimal status is a solver failure.
+    max_v max(e, f) >= 0, so a SolverFailure from it is a solver fault.
     With at least _DUAL_MIN_VERTICES vertices its dual is solved, r+2
     equality rows over 4k vertex weights (r the dimension of the vertices'
     affine hull), by the revised simplex method from the dual point of the
@@ -274,11 +269,6 @@ def _lambda0_report(space: StateSpace, ev: np.ndarray, fv: np.ndarray,
         lambda0 = max(0.0, s)
     else:
         result = solve_lp(_lambda_problem(space, ev, fv), tol)
-        if result.status is not LpStatus.OPTIMAL:
-            raise SolverFailure(
-                f"compatibility LP reported {result.status.value}, but it is feasible "
-                "and bounded by construction"
-            )
         lambda0 = max(0.0, float(result.value))
         g, iterations = _lift(space, _free_point(result.point)[:-1]), result.iterations
     return CompatReport(

@@ -228,7 +228,7 @@ class Effect:
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.atleast_1d(np.array(self.coefficients, dtype=float))
+        c = _floats(self.coefficients, "coefficients")
         if c.ndim != 1 or c.size < 1:
             raise ValueError("coefficients must be a nonempty 1-d vector")
         c.flags.writeable = False
@@ -408,9 +408,10 @@ def make_state_space(
 
 
 def _floats(values, what: str) -> np.ndarray:
-    """values as a float array, at least 1-d; ValueError on an integer too large."""
+    """values as a float array of its own, at least 1-d; ValueError on an
+    integer too large."""
     try:
-        return np.atleast_1d(np.asarray(values, dtype=float))
+        return np.atleast_1d(np.array(values, dtype=float))
     except OverflowError as exc:
         raise ValueError(f"{what} hold a number too large for a double: {exc}") from None
 

@@ -22,8 +22,12 @@ check_feasible pick the method from the form:
   is kept as a list of columns with an explicit inverse B^-1 beside it.
   Each pivot updates B^-1 and the basic point x = B^-1 b by one rank-one
   (eta) step, and every _REFACTOR_INTERVAL pivots both are recomputed from
-  the basis columns, so round-off cannot build up over a long solve.  The
-  point and the multipliers returned are read out with two fresh
+  the basis columns, so round-off cannot build up over a long solve.  When
+  the reduced costs priced on that inverse show no improving column, they
+  are priced once more with multipliers solved afresh on the final basis;
+  if those find one, the pivots resume from a refactored inverse, with the
+  pivot budget, the degenerate-run count and so Bland's rule carried over.
+  The point and the multipliers returned are read out with two fresh
   numpy.linalg.solve calls on the final basis, so the updates never reach
   them.  Pricing is Dantzig's (most negative reduced cost, smallest index
   on ties); after _DEGENERATE_RUN degenerate pivots in a row it hands over
@@ -43,10 +47,12 @@ check_feasible pick the method from the form:
   (_eliminate).  The package poses only one such LP, the lambda primal of a
   space with at most 4 vertices (at most 16 rows); no size limit.
 
-iterations counts the simplex pivots of the phases that ran; on the dense
-tableau, pivots that drive artificials out of the basis after phase one are
-not counted.  Every returned point is checked against every row and bound
-within eps_feas.
+solve_lp returns an optimum or raises SolverFailure naming the cause: an
+infeasible or unbounded problem, an exhausted pivot budget, or a point that
+fails its check.  iterations counts the simplex pivots of the phases that
+ran; on the dense tableau, pivots that drive artificials out of the basis
+after phase one are not counted.  Every returned point is checked against
+every row and bound within eps_feas.
 """
 
 from __future__ import annotations
@@ -54,7 +60,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -88,11 +93,11 @@ _REFACTOR_INTERVAL = 32
 _DEGENERATE_RUN = 50
 
 # Pivot budget is ITERATION_CAP_FACTOR * (m + n).  Exceeding it raises
-# SolverFailure; it is never reported as Infeasible.  The most measured is
-# 1.98 pivots per row plus column (539, the 256 x 16 dense lambda primal of
-# hypercube-6); the witness duals at k = 256 to 4096 take at most 0.026 (68
-# pivots on hypercube-12).  At 50, the 9 x 512 lambda dual of hypercube-7
-# gets 26,050.
+# SolverFailure, as an infeasible or unbounded problem does.  The most
+# measured is 1.98 pivots per row plus column (539, the 256 x 16 dense lambda
+# primal of hypercube-6); the witness duals at k = 256 to 4096 take at most
+# 0.026 (68 pivots on hypercube-12).  At 50, the 9 x 512 lambda dual of
+# hypercube-7 gets 26,050.
 ITERATION_CAP_FACTOR = 50
 
 
@@ -106,16 +111,8 @@ class LpInputError(LpError):
 
 
 class SolverFailure(LpError):
-    """The solver gave up (pivot budget exhausted or internal check failed).
-
-    Says nothing about the problem itself, unlike an Infeasible status.
-    """
-
-
-class LpStatus(Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
+    """The solver ended without an optimum; the message names the cause: an
+    infeasible or unbounded problem, the pivot budget, or a failed check."""
 
 
 @dataclass(frozen=True)
@@ -212,16 +209,15 @@ def _checked_start(start, relations: tuple[str, ...], n: int) -> tuple[int, ...]
 
 @dataclass(frozen=True)
 class LpResult:
-    """Solver outcome; value and point are None unless status is OPTIMAL.
+    """An optimum: its value, its point and the simplex pivots taken.
 
     multipliers holds the simplex multipliers pi of the rows at the optimum,
     with objective - rows^T pi >= 0 and rhs . pi equal to value up to
     round-off.  Only the revised method (every row an equality) sets them.
     """
 
-    status: LpStatus
-    value: float | None
-    point: np.ndarray | None
+    value: float
+    point: np.ndarray
     iterations: int
     multipliers: np.ndarray | None = None
 
@@ -263,17 +259,18 @@ def _install_cost_row(T: np.ndarray, basis: list[int], cost: np.ndarray) -> None
             T[-1] -= coef * T[i]
 
 
-def _run_simplex(T: np.ndarray, basis: list[int], budget: _Budget) -> str:
-    """Minimize the installed cost row in place by Bland's rule; 'optimal' or 'unbounded'."""
+def _run_simplex(T: np.ndarray, basis: list[int], budget: _Budget) -> None:
+    """Minimize the installed cost row in place by Bland's rule; SolverFailure
+    when unbounded."""
     m = T.shape[0] - 1
     while True:
         improving = np.flatnonzero(T[-1, :-1] < -_REVISED_ENTER_EPS)
         if improving.size == 0:
-            return "optimal"
+            return
         col = int(improving[0])  # smallest improving index
         leaving = _ratio_test(T[:m, -1].tolist(), T[:m, col].tolist(), basis, True)
         if leaving is None:
-            return "unbounded"
+            raise SolverFailure(f"problem is unbounded: no row limits entering column {col}")
         budget.spend()
         _pivot(T, basis, leaving[0], col)
 
@@ -373,10 +370,17 @@ def _ratio_test(x: list[float], column: list[float], basis: list[int],
     return row, best <= slack
 
 
+def _refactor(T: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list[int]) -> None:
+    """T = [B^-1 | B^-1 b] computed afresh from the basis columns, in place."""
+    m = T.shape[0]
+    T[:, :m] = _solve(A.take(basis, axis=1), np.eye(m))
+    T[:, m] = T[:, :m] @ b
+
+
 def _revised_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: list[int],
-                     budget: _Budget, start: tuple[np.ndarray, np.ndarray]) -> str:
+                     budget: _Budget, start: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Minimize cost . y over A y = b, y >= 0 from a feasible basis, in place;
-    'optimal' or 'unbounded'.
+    the simplex multipliers of the final basis, or SolverFailure when unbounded.
 
     start is (B^-1, B^-1 b) of the given basis.  The loop keeps
     T = [B^-1 | B^-1 b]: a pivot on row r and entering column a = A[:, col],
@@ -385,7 +389,8 @@ def _revised_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: list
     inverse and point.  After _REFACTOR_INTERVAL such updates T is
     recomputed from the basis columns.  The reduced costs are priced into
     one buffer per solve, and the ratio test runs on x and d as Python
-    floats (_ratio_test).
+    floats (_ratio_test).  The loop exits only when multipliers solved
+    afresh on the basis price no column below -_REVISED_ENTER_EPS either.
     """
     m = A.shape[0]
     T = np.empty((m, m + 1))
@@ -401,14 +406,23 @@ def _revised_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: list
         reduced[basic] = 0.0
         col = int(reduced.argmin())  # Dantzig: most negative, smallest index on ties
         if reduced[col] >= -_REVISED_ENTER_EPS:
-            return "optimal"
+            # the inverse may have drifted since its refactor: price again
+            # with fresh multipliers, and on an improving column refactor it
+            pi = _solve(A.take(basis, axis=1).T, basic_cost)
+            np.subtract(cost, pi.dot(A, out=reduced), out=reduced)
+            reduced[basic] = 0.0
+            col = int(reduced.argmin())
+            if reduced[col] >= -_REVISED_ENTER_EPS:
+                return pi
+            _refactor(T, A, b, basis)
+            updates = 0
         bland = degenerate >= _DEGENERATE_RUN
         if bland:
             col = int((reduced < -_REVISED_ENTER_EPS).argmax())  # smallest improving index
         column = inv.dot(A[:, col])
         leaving = _ratio_test(x.tolist(), column.tolist(), basis, bland)
         if leaving is None:
-            return "unbounded"
+            raise SolverFailure(f"problem is unbounded: no row limits entering column {col}")
         row, stalled = leaving
         degenerate = degenerate + 1 if stalled else 0
         budget.spend()
@@ -417,8 +431,7 @@ def _revised_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: list
         basic_cost[row] = cost[col]
         updates += 1
         if updates == _REFACTOR_INTERVAL:
-            T[:, :m] = _solve(A.take(basis, axis=1), np.eye(m))
-            T[:, m] = T[:, :m] @ b
+            _refactor(T, A, b, basis)
             updates = 0
         else:
             _eliminate(T, column, row)
@@ -456,16 +469,13 @@ def _start_basis(problem: LpProblem, tol: SolverTolerances
 def _solve_revised(problem: LpProblem, tol: SolverTolerances) -> LpResult:
     basis, start = _start_basis(problem, tol)
     A, b, cost, budget = problem.rows, problem.rhs, problem.objective, _Budget(problem)
-    if _revised_simplex(A, b, cost, basis, budget, start) == "unbounded":
-        return LpResult(LpStatus.UNBOUNDED, None, None, budget.used)
-    B = A.take(basis, axis=1)
+    pi = _revised_simplex(A, b, cost, basis, budget, start)
     y = np.zeros(problem.n_variables)
-    y[basis] = _solve(B, b)
+    y[basis] = _solve(A.take(basis, axis=1), b)
     _verify_solution(problem, y, tol.eps_feas)
-    pi = _solve(B.T, cost[basis])
     y.flags.writeable = False
     pi.flags.writeable = False
-    return LpResult(LpStatus.OPTIMAL, float(cost.dot(y)), y, budget.used, pi)
+    return LpResult(float(cost.dot(y)), y, budget.used, pi)
 
 
 def _phase_one(problem: LpProblem):
@@ -480,37 +490,37 @@ def _phase_one(problem: LpProblem):
         cost = np.zeros(T.shape[1] - 1)
         cost[art_start:] = 1.0
         _install_cost_row(T, basis, cost)
-        if _run_simplex(T, basis, budget) != "optimal":  # the sum is bounded below by 0
-            raise SolverFailure("phase one reported unbounded; solver invariant broken")
+        _run_simplex(T, basis, budget)  # the sum is bounded below by 0
         residual = -T[-1, -1]
     return T, basis, art_start, residual, budget
 
 
 def solve_lp(problem: LpProblem, tol: SolverTolerances | None = None) -> LpResult:
-    """Solve the LP; deterministic for a fixed problem.
+    """The optimum of the LP; deterministic for a fixed problem.
 
-    Raises SolverFailure when the pivot budget runs out, which is reported
-    distinctly from infeasibility, and LpInputError when an equality-form
-    problem's start basis is unusable (see _start_basis).
+    Raises SolverFailure naming the cause when there is none (infeasible,
+    unbounded) or none was found (pivot budget, failed check), and
+    LpInputError when an equality-form problem's start basis is unusable
+    (see _start_basis).
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     if _equality_form(problem):
         return _solve_revised(problem, tol)
     T, basis, art_start, residual, budget = _phase_one(problem)
     if residual > tol.eps_feas:
-        return LpResult(LpStatus.INFEASIBLE, None, None, budget.used)
+        raise SolverFailure(f"problem is infeasible: phase one leaves residual "
+                            f"{residual:.3e} above eps_feas")
     T, basis = _drop_artificials(T, basis, art_start)
     cost = np.zeros(T.shape[1] - 1)
     cost[: problem.n_variables] = problem.objective
     _install_cost_row(T, basis, cost)
-    if _run_simplex(T, basis, budget) == "unbounded":
-        return LpResult(LpStatus.UNBOUNDED, None, None, budget.used)
+    _run_simplex(T, basis, budget)
     y = np.zeros(art_start)
     y[basis] = T[:-1, -1]
     y = y[: problem.n_variables]
     _verify_solution(problem, y, tol.eps_feas)
     y.flags.writeable = False
-    return LpResult(LpStatus.OPTIMAL, float(problem.objective @ y), y, budget.used)
+    return LpResult(float(problem.objective @ y), y, budget.used)
 
 
 def check_feasible(problem: LpProblem, tol: SolverTolerances | None = None) -> bool:

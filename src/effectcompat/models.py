@@ -208,6 +208,8 @@ def load_model(path, tol: SolverTolerances | None = None
         raise ModelFormatError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer past Python's int-string digit limit
+        raise ModelFormatError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: top level must be an object")
     version = _require(doc, "version", int, path)

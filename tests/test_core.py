@@ -439,10 +439,19 @@ class TestEffectConstruction:
             effect_from_affine(square, [0.5, bad, 0.0])
 
     @pytest.mark.parametrize("build, numbers", [(effect_from_affine, [0.5, 10**400, 0.0]),
-                                                (effect_from_vertex_values, [1.0, 10**400, 0.0])])
+                                                (effect_from_vertex_values, [1.0, 10**400, 0.0]),
+                                                pytest.param(lambda space, c: Effect(c),
+                                                             [10**400, 0, 0], id="Effect")])
     def test_integer_too_large_for_a_double_is_a_value_error(self, triangle, build, numbers):
         with pytest.raises(ValueError, match="too large for a double"):
             build(triangle, numbers)
+
+    def test_effect_built_directly_holds_its_own_copy(self):
+        coefficients = np.array([0.5, 0.0, 0.0])
+        e = Effect(coefficients)
+        coefficients[0] = 2.0
+        assert e.coefficients.tolist() == [0.5, 0.0, 0.0]
+        assert not e.coefficients.flags.writeable
 
 
 class TestEffectFromVertexValues:

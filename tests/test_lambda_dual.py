@@ -12,7 +12,7 @@ import effectcompat.compat as compat
 import effectcompat.core as core
 import effectcompat.lp as lp
 from effectcompat.core import RedundantVertexWarning, make_state_space
-from effectcompat.lp import EQ, LE, LpProblem, LpStatus, SolverFailure, check_feasible, solve_lp
+from effectcompat.lp import EQ, LE, LpProblem, SolverFailure, check_feasible, solve_lp
 from effectcompat.models import gbit_square, hypercube, regular_polygon, simplex
 from effectcompat.tolerances import DEFAULT_TOLERANCES
 
@@ -86,7 +86,6 @@ def _stacked_dual(space, rhs, column, cost):
     x, y = (block * k for block in _START_PAIRS[pair])
     start = tuple(x + u for u in chosen) + (y + v,)
     result = solve_lp(LpProblem(rhs, rows, (EQ,) * rows.shape[0], dual_rhs, start))
-    assert result.status is LpStatus.OPTIMAL
     return -cost * result.value, result.multipliers[:-1], result.iterations
 
 
@@ -173,7 +172,6 @@ def test_agrees_with_the_dense_primal_from_8_to_64_vertices():
         for e, f in _pairs(space, 29, 6):
             ev, fv = e.vertex_values(space), f.vertex_values(space)
             dense = solve_lp(compat._lambda_problem(space, ev, fv))
-            assert dense.status is LpStatus.OPTIMAL
             report = compat.compute_lambda0(space, e, f)
             assert abs(report.lambda0 - max(0.0, dense.value)) <= 1e-12, space.name
 
@@ -243,7 +241,6 @@ def _depolarizing_threshold(space, e, f, tol=compat.DEFAULT_TOLERANCES):
     objective = np.append(np.zeros(M.shape[1]), -1.0)  # maximize t
     result = solve_lp(LpProblem(compat._split(objective), compat._split(A),
                                 (LE,) * A.shape[0], rhs), tol)
-    assert result.status is LpStatus.OPTIMAL
     return compat._free_point(result.point)[-1]
 
 

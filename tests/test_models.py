@@ -310,6 +310,18 @@ class TestModelFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err and "Traceback" not in err
 
+    def test_integer_past_the_digit_limit_names_the_file(self, tmp_path, capsys):
+        # json.loads refuses integers of more than 4,300 digits (Python's
+        # int-string limit) with a bare ValueError
+        path = tmp_path / "digits.json"
+        path.write_text('{"version": 1, "name": "seg", "dimension": 1, "vertices": '
+                        '[[0], [' + "1" * 5000 + ']], "effects": {"u": {"affine": [1, 0]}}}')
+        with pytest.raises(ModelFormatError, match=re.escape(f"{path}: ")):
+            load_model(path)
+        assert cli_main(["check", str(path), "u", "u"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "version": 1,\n  "name": oops\n}\n')
