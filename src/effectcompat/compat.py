@@ -189,10 +189,11 @@ def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, dual: WitnessDual,
     and the start's denominators, are built once per dual (for lambda0,
     once per space), so a pair brings only rhs.  The solve starts at the
     basis of _dual_start; a start the solver refuses raises ValueError
-    naming the space and the failed condition, before any pivot.  The
-    simplex multipliers are a primal point (h, s) with A (h, s) <= rhs, so
-    h is read from them and checked on all 4k primal rows at the optimal s,
-    dual_rows^T h + column s <= rhs, in O(k*r); a violation raises
+    naming the space and the failed condition, before any pivot, and a
+    SolverFailure of the solve is raised again naming the space and the LP.
+    The simplex multipliers are a primal point (h, s) with A (h, s) <= rhs,
+    so h is read from them and checked on all 4k primal rows at the optimal
+    s, dual_rows^T h + column s <= rhs, in O(k*r); a violation raises
     SolverFailure.  h is returned lifted to ambient coefficients (_lift).
     Every caller's primal is feasible and bounded, so its dual is too.
     """
@@ -202,6 +203,8 @@ def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, dual: WitnessDual,
                                     _dual_start(space, rhs, dual)), tol)
     except LpInputError as exc:
         raise ValueError(f"{space!r}: the witness dual for {name} cannot start: {exc}") from exc
+    except SolverFailure as exc:
+        raise SolverFailure(f"{space!r}: the witness dual for {name} failed: {exc}") from exc
     s = dual.rhs.item(-1) * result.value  # -cost times the dual's value
     g = result.multipliers[:-1]
     residual = space.dual_rows.T @ g + rows[-1] * s - rhs

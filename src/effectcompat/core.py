@@ -20,10 +20,11 @@ import numpy as np
 from .lp import EQ, LpProblem, check_feasible, solve_lp
 from .tolerances import DEFAULT_TOLERANCES, SolverTolerances
 
-# Above this vertex count the convex-hull redundancy scan is skipped;
-# redundant vertices only add redundant constraints.  Below it, one product
-# certifies most vertices outside the hull of the others (see
-# _hull_residual_bounds), and each other vertex costs one small LP.
+# Above this vertex count the convex-hull redundancy scan is skipped, even
+# when asked for; redundant vertices only add redundant constraints.  Up to
+# it, one (k, k) product of at most 2 MB certifies most vertices outside the
+# hull of the others (see _hull_residual_bounds), and each other vertex costs
+# one small LP.
 REDUNDANCY_CHECK_LIMIT = 512
 
 # A vertex skips its hull LP only when the certified bound on the LP's
@@ -35,8 +36,6 @@ _CERTIFICATE_MARGIN = 1e3
 # frame so far exceeds this fraction of the largest distance from vertex 0;
 # below it the space counts as lying in the affine hull of the frame so far.
 _FRAME_EPS = 1e-9
-
-_CHUNK_ENTRIES = 1 << 20  # entries per block of a product over all k vertices: 8 MB
 
 
 class RedundantVertexWarning(UserWarning):
@@ -314,22 +313,16 @@ def _hull_residual_bounds(arr: np.ndarray) -> np.ndarray:
     over j != i.  A feasible (lambda, mu) has u.v_i = sum_j lambda_j u.v_j +
     mu u.(v_i - q) <= top + mu (u.v_i - bottom), as q is a convex
     combination of the others; so mu >= (u.v_i - top) / (u.v_i - bottom)
-    when u.v_i > top.  One product gives every u.v_j, in blocks of at most
-    REDUNDANCY_CHECK_LIMIT columns (no (k, k) matrix in a forced scan) and
-    _CHUNK_ENTRIES entries; a bound of 0 certifies nothing.
+    when u.v_i > top.  One (k, k) product gives every u.v_j; a bound of 0
+    certifies nothing.
     """
-    k = arr.shape[0]
-    centroid = arr.mean(axis=0)
-    bounds = np.zeros(k)
-    step = max(1, min(REDUNDANCY_CHECK_LIMIT, _CHUNK_ENTRIES // k))
-    for start in range(0, k, step):
-        cols = np.arange(start, min(start + step, k))
-        proj = arr @ (arr[cols] - centroid).T  # column c: u_c . v_j over j
-        own = proj[cols, cols - start]
-        proj[cols, cols - start] = -np.inf
-        top = proj.max(0)
-        proj[cols, cols - start] = np.inf
-        np.divide(own - top, own - proj.min(0), out=bounds[start:start + step], where=own > top)
+    proj = arr @ (arr - arr.mean(axis=0)).T  # column i: u_i . v_j over j
+    own = proj.diagonal().copy()
+    np.fill_diagonal(proj, -np.inf)
+    top = proj.max(0)
+    np.fill_diagonal(proj, np.inf)
+    bounds = np.zeros(arr.shape[0])
+    np.divide(own - top, own - proj.min(0), out=bounds, where=own > top)
     return bounds
 
 
@@ -359,7 +352,7 @@ def make_state_space(
     vertices,
     name: str = "",
     tol: SolverTolerances | None = None,
-    check_redundant: bool | None = None,
+    check_redundant: bool = True,
 ) -> StateSpace:
     """Build a StateSpace from a vertex list.
 
@@ -369,8 +362,8 @@ def make_state_space(
     scan runs on the built space's coordinates in its affine hull (see
     StateSpace).  It skips a vertex that a separating direction certifies as
     outside that hull, poses one small LP (_point_in_hull) for each other
-    vertex, and is skipped above REDUNDANCY_CHECK_LIMIT vertices unless
-    check_redundant forces it.
+    vertex.  It runs only when check_redundant is True and the space has 2
+    to REDUNDANCY_CHECK_LIMIT vertices; above the limit no vertex is checked.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     try:
@@ -386,11 +379,8 @@ def make_state_space(
     _check_finite(arr)
 
     space = StateSpace(vertices=_dedup(arr, tol.eps_geom), name=name)
-    k = space.n_vertices
-    if check_redundant is None:
-        check_redundant = k <= REDUNDANCY_CHECK_LIMIT
     redundant: list[int] = []
-    if check_redundant and k >= 2:
+    if check_redundant and 2 <= space.n_vertices <= REDUNDANCY_CHECK_LIMIT:
         bounds = _hull_residual_bounds(space._reduced[:, 1:])
         certified = bounds > _CERTIFICATE_MARGIN * tol.eps_feas
         for i in map(int, np.flatnonzero(~certified)):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compat import compute_lambda0
-from .core import _CHUNK_ENTRIES, Effect, StateSpace, checked_vertex_values
+from .core import Effect, StateSpace, checked_vertex_values
 from .tolerances import DEFAULT_TOLERANCES, SolverTolerances
 
 MAX_GRID_DIMENSION = 3
@@ -31,6 +31,10 @@ MAX_GRID_CANDIDATES = 10**7
 # Feasibility slack for grid candidates; fixed and tiny so that exact
 # boundary witnesses (like g = 0) survive float rounding.
 _GRID_SLACK = 1e-12
+
+# Candidates x vertices per chunk of grid_lambda0: its products take 8 MB at
+# any k (a peak of 9 to 23 MB over the zoo models with two axes or more).
+_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)

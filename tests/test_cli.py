@@ -7,8 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from effectcompat.cli import MAX_SCAN_STEPS, InputError, _parse_range, build_parser, main
+from effectcompat import compat
+from effectcompat.cli import (
+    MAX_SCAN_STEPS,
+    InputError,
+    _boundary_comment,
+    _parse_range,
+    build_parser,
+    main,
+)
 from effectcompat.core import effect_from_affine
+from effectcompat.lp import SolverFailure
 from effectcompat.models import gbit_square, save_model
 from effectcompat.oracle import MAX_GRID_CANDIDATES
 
@@ -84,6 +93,16 @@ class TestCheck:
         code, _, err = run(["check", "gbit", "e_x", "nope"], capsys)
         assert code == 1
         assert "nope" in err
+
+    def test_solver_failure_exits_2_naming_the_lp(self, monkeypatch, capsys):
+        def fail(problem, tol):
+            raise SolverFailure("problem is unbounded: no row limits entering column 3")
+
+        monkeypatch.setattr(compat, "solve_lp", fail)
+        code, out, err = run(["check", "polygon-5", "x1", "x2"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("solver error: StateSpace('polygon-5', d=2, vertices=5): "
+                              "the witness dual for lambda0 failed: problem is unbounded")
 
     def test_unknown_model(self, capsys):
         code, _, err = run(["check", "moebius", "e", "f"], capsys)
@@ -242,6 +261,34 @@ class TestScan:
         )
         assert (code, out) == (1, "")
         assert f"at most {MAX_SCAN_STEPS} steps, got {10**12}" in err
+
+    @pytest.mark.parametrize("param_range, fragment", [
+        ("1:x:3", "wants numbers a:b:steps, got '1:x:3'"),
+        ("1:2:0", "needs at least one step, got 0"),
+        ("2:1:3", "needs a <= b, got '2:1:3'"),
+    ])
+    def test_malformed_range_rejected_before_any_row(self, capsys, param_range, fragment):
+        code, out, err = run(
+            ["scan", "gbit", "e_x", "e_y", "--kernel", "scaling",
+             "--param-range", param_range],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: --param-range {fragment}\n"
+
+    def test_one_step_scan_prints_one_row(self, capsys):
+        code, out, _ = run(
+            ["scan", "gbit", "e_x", "e_y", "--kernel", "scaling",
+             "--param-range", "1.5:2:1"],
+            capsys,
+        )
+        assert code == 0
+        rows = [ln.split(",") for ln in out.splitlines()[1:] if not ln.startswith("#")]
+        assert len(rows) == 1 and rows[0][0] == "1.5"
+
+    def test_two_flips_are_non_monotone(self):
+        assert (_boundary_comment([0.0, 0.5, 1.0], [True, False, True])
+                == "# boundary: non-monotone (2 flips)")
 
     def test_step_limit_is_inclusive(self):
         assert _parse_range(f"0:1:{MAX_SCAN_STEPS}") == (0.0, 1.0, MAX_SCAN_STEPS)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -35,7 +36,8 @@ from effectcompat.core import (
     unit_effect,
     zero_effect,
 )
-from effectcompat.models import gbit_square, hypercube, regular_polygon
+from effectcompat.lp import SolverFailure
+from effectcompat.models import gbit_square, hypercube, regular_polygon, zoo_model
 from effectcompat.tolerances import SolverTolerances
 
 
@@ -128,6 +130,17 @@ class TestComputeLambda0:
             float(e.vertex_values(square).max()), abs=1e-9
         )
         assert np.max(np.abs(report.witness.vertex_values(square))) <= 1e-9
+
+    def test_a_failed_lambda_dual_names_the_space_and_the_lp(self, monkeypatch):
+        def fail(problem, tol):
+            raise SolverFailure("problem is unbounded: no row limits entering column 3")
+
+        monkeypatch.setattr(compat_module, "solve_lp", fail)
+        space, effects = zoo_model("polygon-5")
+        message = ("StateSpace('polygon-5', d=2, vertices=5): the witness dual for lambda0 "
+                   "failed: problem is unbounded: no row limits entering column 3")
+        with pytest.raises(SolverFailure, match=re.escape(message)):
+            compute_lambda0(space, effects["x1"], effects["x2"])
 
     def test_self_pair(self, square):
         e = effect_from_affine(square, [0.4, 0.1, -0.2])
@@ -297,6 +310,11 @@ class TestComputeLambda0:
 def test_non_finite_tolerance_names_its_field(field, value):
     with pytest.raises(ValueError, match=field):
         SolverTolerances(**{field: value})
+
+
+def test_eps_compat_below_eps_opt_is_rejected():
+    with pytest.raises(ValueError, match=r"eps_compat \(1e-07\) must be >= eps_opt \(1e-06\)"):
+        SolverTolerances(eps_opt=1e-6, eps_compat=1e-7)
 
 
 class TestIsCompatible:

@@ -115,11 +115,9 @@ class TestMakeStateSpace:
         with pytest.raises(ValueError, match="too large"):
             make_state_space([[10**400, 0], [0, 1], [0, 0]])
 
-    @pytest.mark.parametrize("chunk", [1, 100, 1 << 20])
-    def test_hull_certificate_matches_the_loop(self, monkeypatch, chunk):
+    def test_hull_certificate_matches_the_loop(self):
         # Reference: one mat-vec per vertex.  The product sums each u.v_j in
         # another order, so the bounds agree to rounding, not bit for bit.
-        # A chunk of 1 gives one column per block, 100 a short last block.
         def loop_bounds(arr):
             centroid = arr.mean(axis=0)
             bounds = np.zeros(len(arr))
@@ -130,7 +128,6 @@ class TestMakeStateSpace:
                     bounds[i] = (proj[i] - others.max()) / (proj[i] - others.min())
             return bounds
 
-        monkeypatch.setattr(core, "_CHUNK_ENTRIES", chunk)
         rng = np.random.default_rng(300)
         for trial in range(40):
             d, k = int(rng.integers(1, 6)), int(rng.integers(2, 40))
@@ -140,9 +137,13 @@ class TestMakeStateSpace:
             bounds = core._hull_residual_bounds(cloud)
             assert np.allclose(bounds, loop_bounds(cloud), rtol=1e-12, atol=1e-15), trial
 
-    def test_forced_scan_above_the_limit_holds_no_square_matrix(self):
+    def test_check_redundant_above_the_limit_runs_no_scan(self, monkeypatch):
         import tracemalloc
 
+        def no_scan(arr):
+            raise AssertionError("the scan ran above REDUNDANCY_CHECK_LIMIT")
+
+        monkeypatch.setattr(core, "_hull_residual_bounds", no_scan)
         k = 1500
         angles = 2.0 * np.pi * np.arange(k) / k
         polygon = np.column_stack([np.cos(angles), np.sin(angles)])

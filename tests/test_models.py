@@ -252,15 +252,24 @@ class TestModelFiles:
     @pytest.mark.parametrize(
         "mutation, fragment",
         [
-            (lambda d: d.pop("version"), "version"),
-            (lambda d: d.__setitem__("version", 2), "version"),
-            (lambda d: d.__setitem__("dimension", "two"), "dimension"),
-            (lambda d: d.__setitem__("vertices", [[0.0], [1.0, 2.0]]), "vertices"),
-            (lambda d: d.__setitem__("effects", {"e": {"spline": [1.0]}}), "effects.e"),
-            (lambda d: d.__setitem__("effects", {"e": {"affine": [0.5]}}), "effects.e"),
-            (lambda d: d.__setitem__("version", True), "field 'version' must be int, got bool"),
-            (lambda d: d.__setitem__("dimension", True),
-             "field 'dimension' must be int, got bool"),
+            (lambda d: {k: v for k, v in d.items() if k != "version"}, "version"),
+            (lambda d: {**d, "version": 2}, "version"),
+            (lambda d: {**d, "dimension": "two"}, "dimension"),
+            (lambda d: {**d, "vertices": [[0.0], [1.0, 2.0]]}, "vertices"),
+            (lambda d: {**d, "effects": {"e": {"spline": [1.0]}}}, "effects.e"),
+            (lambda d: {**d, "effects": {"e": {"affine": [0.5]}}}, "effects.e"),
+            (lambda d: {**d, "version": True}, "field 'version' must be int, got bool"),
+            (lambda d: {**d, "dimension": True}, "field 'dimension' must be int, got bool"),
+            (lambda d: {**d, "vertices": [[0.0], ["one"]]},
+             "vertices[1] contains non-number 'one'"),
+            (lambda d: [d], "top level must be an object"),
+            (lambda d: {**d, "dimension": -1}, "field 'dimension' must be nonnegative"),
+            (lambda d: {**d, "vertices": []}, "field 'vertices' must be nonempty"),
+            (lambda d: {**d, "effects": {"e": [0.5, 0.25]}}, "effects.e must be an object"),
+            (lambda d: {**d, "effects": {"e": {"affine": 0.5}}},
+             "effects.e.affine must be a number list"),
+            (lambda d: {**d, "effects": {"e": {"values": [0.5]}}},
+             "effects.e.values needs 2 entries"),
         ],
     )
     def test_schema_violations_name_the_field(self, tmp_path, mutation, fragment):
@@ -271,12 +280,11 @@ class TestModelFiles:
             "vertices": [[0.0], [1.0]],
             "effects": {"e": {"affine": [0.5, 0.25]}},
         }
-        mutation(doc)
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(mutation(doc)))
         with pytest.raises(ModelFormatError) as err:
             load_model(path)
-        assert fragment in str(err.value)
+        assert str(err.value).startswith(f"{path}: ") and fragment in str(err.value)
 
     @staticmethod
     def _huge_integer_model(tmp_path, field):
