@@ -115,9 +115,12 @@ class TestMakeStateSpace:
         with pytest.raises(ValueError, match="too large"):
             make_state_space([[10**400, 0], [0, 1], [0, 0]])
 
-    def test_hull_certificate_matches_the_loop(self):
+    @pytest.mark.parametrize("scale", [1, 100, 1 << 20])
+    def test_hull_certificate_matches_the_loop(self, scale):
         # Reference: one mat-vec per vertex.  The product sums each u.v_j in
         # another order, so the bounds agree to rounding, not bit for bit.
+        # The bounds are ratios of u.v_j, so they hold at any overall scale:
+        # 1 << 20 puts the largest clouds' u.v_j near 1e18.
         def loop_bounds(arr):
             centroid = arr.mean(axis=0)
             bounds = np.zeros(len(arr))
@@ -131,7 +134,7 @@ class TestMakeStateSpace:
         rng = np.random.default_rng(300)
         for trial in range(40):
             d, k = int(rng.integers(1, 6)), int(rng.integers(2, 40))
-            cloud = rng.normal(size=(k, d)) * 10.0 ** rng.choice([-3, 0, 3])
+            cloud = rng.normal(size=(k, d)) * 10.0 ** rng.choice([-3, 0, 3]) * scale
             if trial % 2:  # interior points
                 cloud = np.vstack([cloud, rng.dirichlet(np.ones(k), size=3) @ cloud])
             bounds = core._hull_residual_bounds(cloud)
