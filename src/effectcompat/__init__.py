@@ -31,7 +31,6 @@ from .core import (
     Effect,
     EffectRangeError,
     Observable,
-    RedundantVertexWarning,
     RepresentabilityError,
     StateSpace,
     complement,
@@ -74,7 +73,6 @@ __all__ = [
     "MarkovKernel2x2",
     "ModelFormatError",
     "Observable",
-    "RedundantVertexWarning",
     "RepresentabilityError",
     "SolverFailure",
     "SolverTolerances",

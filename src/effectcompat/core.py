@@ -9,7 +9,6 @@ keeps non-simplex spaces unambiguous.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -17,29 +16,13 @@ from typing import NamedTuple
 import numpy as np
 
 # check_feasible stays bound here: perfbench --trace 1 rebinds it by name.
-from .lp import EQ, LpProblem, check_feasible, solve_lp
+from .lp import check_feasible
 from .tolerances import DEFAULT_TOLERANCES, SolverTolerances
-
-# Above this vertex count the convex-hull redundancy scan is skipped, even
-# when asked for; redundant vertices only add redundant constraints.  Up to
-# it, one (k, k) product of at most 2 MB certifies most vertices outside the
-# hull of the others (see _hull_residual_bounds), and each other vertex costs
-# one small LP.
-REDUNDANCY_CHECK_LIMIT = 512
-
-# A vertex skips its hull LP only when the certified bound on the LP's
-# optimum exceeds eps_feas by this factor, which absorbs the rounding of both
-# the bound and the LP.
-_CERTIFICATE_MARGIN = 1e3
 
 # A vertex joins the affine frame only if its distance from the span of the
 # frame so far exceeds this fraction of the largest distance from vertex 0;
 # below it the space counts as lying in the affine hull of the frame so far.
 _FRAME_EPS = 1e-9
-
-
-class RedundantVertexWarning(UserWarning):
-    """A supplied vertex lies in the convex hull of the others."""
 
 
 class EffectRangeError(ValueError):
@@ -135,10 +118,7 @@ def witness_dual(dual_rows: np.ndarray, column: np.ndarray, cost: float) -> Witn
 class StateSpace:
     """Convex polytope of states, vertex representation.
 
-    redundant lists indices (into the deduplicated vertex array) of vertices
-    found inside the convex hull of the others; they are kept, not dropped.
-    A vertex that is not finite, or a redundant index out of range or
-    repeated, raises ValueError naming it.
+    A vertex that is not finite raises ValueError naming it.
 
     __post_init__ derives read-only data from the vertices once; none of it
     is a dataclass field.  The vertices span an affine hull of dimension
@@ -156,7 +136,6 @@ class StateSpace:
                duals changes nothing.  A witness h over R has the ambient
                coefficients c = Q h[1:], c0 = h[0] - c . v0 (compat lifts
                it); effects are evaluated on the ambient vertex_matrix().
-               R is kept as _reduced, for make_state_space's hull scan.
     lambda_dual
                the WitnessDual of compute_lambda0, whose own row is the
                lambda column [0]*3k + [-1]*k at cost 1; dual_rows is a view
@@ -168,7 +147,6 @@ class StateSpace:
 
     vertices: np.ndarray
     name: str = ""
-    redundant: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         v = np.array(self.vertices, dtype=float)  # copy: detach from the caller
@@ -176,21 +154,16 @@ class StateSpace:
             raise ValueError(f"vertices must form a nonempty (k, d) array, got {v.shape}")
         _check_finite(v)
         k = v.shape[0]
-        for n, i in enumerate(self.redundant):
-            if not 0 <= i < k or i in self.redundant[:n]:
-                problem = "repeated" if 0 <= i < k else f"out of range for {k} vertices"
-                raise ValueError(f"redundant index {i} is {problem}")
         m = np.hstack([np.ones((k, 1)), v])
         frame, basis, coordinates = _affine_frame(v)
         reduced = m if basis is None else np.hstack([np.ones((k, 1)), coordinates])
         swap = _frame_swaps(reduced, frame)
         lambda_dual = witness_dual(np.hstack([-reduced.T, reduced.T, reduced.T, -reduced.T]),
                                    np.concatenate([np.zeros(3 * k), -np.ones(k)]), 1.0)
-        for array in (v, m, reduced, swap) + (() if basis is None else (basis,)):
+        for array in (v, m, swap) + (() if basis is None else (basis,)):
             array.flags.writeable = False
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "_vertex_matrix", m)
-        object.__setattr__(self, "_reduced", reduced)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "hull_basis", basis)
         object.__setattr__(self, "frame_swap", swap)
@@ -275,57 +248,6 @@ def zero_effect(dimension: int) -> Effect:
     return Effect(np.zeros(dimension + 1))
 
 
-def _point_in_hull(space: StateSpace, i: int, tol: SolverTolerances) -> bool:
-    """Is vertex i of space a convex combination of the others?
-
-    One LP in the coordinates of the reduced matrix R (see StateSpace) from
-    a feasible basis: minimize mu subject to sum_j lambda_j v_j + mu (v_i - q)
-    = v_i, sum_j lambda_j = 1, lambda, mu >= 0, over the others j.  q is the
-    centroid of the facet of space.frame opposite frame[frame_swap[i]], the
-    vertex of largest |barycentric weight| of v_i (i itself when i is in
-    the frame).  That weight is nonzero, so v_i - q leaves the facet's flat
-    and mu = 1 with lambda = 1/r on the facet's r vertices is a nonsingular
-    start.  v_i is in the hull iff the minimum is at most eps_feas; when the
-    others lie in a lower flat, which v_i leaves, every feasible mu is 1.
-    """
-    facet = [j for p, j in enumerate(space.frame) if p != space.frame_swap[i]]
-    # mu is the same for moved and scaled points: centred on a facet vertex
-    # and scaled to unit size, the coordinate rows balance the row of ones
-    centred = space._reduced[:, 1:] - space._reduced[facet[0], 1:]
-    centred = centred / np.abs(centred).max()
-    others, point = np.delete(centred, i, axis=0), centred[i]
-    n, r = others.shape
-    facet = [j - (j > i) for j in facet]  # their rows in others
-    rows = np.vstack([np.column_stack([others.T, point - others[facet].mean(axis=0)]),
-                      np.append(np.ones(n), 0.0)])
-    # minimize mu, bounded below by mu >= 0; the ratio test always finds a
-    # row, as an entering lambda column has a 1 in the sum row
-    return solve_lp(LpProblem(np.append(np.zeros(n), 1.0), rows, (EQ,) * (r + 1),
-                              np.append(point, 1.0), tuple(facet) + (n,)),
-                    tol).value <= tol.eps_feas
-
-
-def _hull_residual_bounds(arr: np.ndarray) -> np.ndarray:
-    """Lower bound, per vertex i, on the optimal mu of the hull LP that
-    _point_in_hull poses for row i of arr against the other rows.
-
-    Take u = v_i - centroid, and top and bottom the largest and least u.v_j
-    over j != i.  A feasible (lambda, mu) has u.v_i = sum_j lambda_j u.v_j +
-    mu u.(v_i - q) <= top + mu (u.v_i - bottom), as q is a convex
-    combination of the others; so mu >= (u.v_i - top) / (u.v_i - bottom)
-    when u.v_i > top.  One (k, k) product gives every u.v_j; a bound of 0
-    certifies nothing.
-    """
-    proj = arr @ (arr - arr.mean(axis=0)).T  # column i: u_i . v_j over j
-    own = proj.diagonal().copy()
-    np.fill_diagonal(proj, -np.inf)
-    top = proj.max(0)
-    np.fill_diagonal(proj, np.inf)
-    bounds = np.zeros(arr.shape[0])
-    np.divide(own - top, own - proj.min(0), out=bounds, where=own > top)
-    return bounds
-
-
 def _dedup(arr: np.ndarray, eps: float) -> np.ndarray:
     """Drop each point within eps (max norm) of an earlier kept point.
 
@@ -348,22 +270,13 @@ def _dedup(arr: np.ndarray, eps: float) -> np.ndarray:
     return arr[kept]
 
 
-def make_state_space(
-    vertices,
-    name: str = "",
-    tol: SolverTolerances | None = None,
-    check_redundant: bool = True,
-) -> StateSpace:
+def make_state_space(vertices, name: str = "", tol: SolverTolerances | None = None) -> StateSpace:
     """Build a StateSpace from a vertex list.
 
     Vertices coinciding within eps_geom are deduplicated (first occurrence
-    kept).  A remaining vertex inside the convex hull of the others triggers
-    a RedundantVertexWarning and is recorded in StateSpace.redundant.  The
-    scan runs on the built space's coordinates in its affine hull (see
-    StateSpace).  It skips a vertex that a separating direction certifies as
-    outside that hull, poses one small LP (_point_in_hull) for each other
-    vertex.  It runs only when check_redundant is True and the space has 2
-    to REDUNDANCY_CHECK_LIMIT vertices; above the limit no vertex is checked.
+    kept).  A vertex inside the convex hull of the others is kept, and no LP
+    checks for one: it only repeats constraints of the witness system, which
+    reads the effects on the vertices.
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     try:
@@ -377,24 +290,7 @@ def make_state_space(
     if arr.shape[0] < 1:
         raise ValueError("vertex list is empty")
     _check_finite(arr)
-
-    space = StateSpace(vertices=_dedup(arr, tol.eps_geom), name=name)
-    redundant: list[int] = []
-    if check_redundant and 2 <= space.n_vertices <= REDUNDANCY_CHECK_LIMIT:
-        bounds = _hull_residual_bounds(space._reduced[:, 1:])
-        certified = bounds > _CERTIFICATE_MARGIN * tol.eps_feas
-        for i in map(int, np.flatnonzero(~certified)):
-            if _point_in_hull(space, i, tol):
-                redundant.append(i)
-                warnings.warn(
-                    f"vertex {space.vertices[i].tolist()} (index {i}) lies in the convex hull "
-                    "of the other vertices; it is kept but adds only redundant constraints",
-                    RedundantVertexWarning,
-                    stacklevel=2,
-                )
-    # no caller holds the space yet; a rebuild would search its frame again
-    object.__setattr__(space, "redundant", tuple(redundant))
-    return space
+    return StateSpace(vertices=_dedup(arr, tol.eps_geom), name=name)
 
 
 def _floats(values, what: str) -> np.ndarray:

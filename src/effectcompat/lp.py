@@ -11,9 +11,8 @@ that no later write by the caller reaches the problem.  solve_lp and
 check_feasible pick the method from the form:
 
 * All rows equalities (the duals of the witness LPs, r+2 rows over 4k
-  vertex weights, and the hull LPs of the redundancy scan): the revised
-  simplex method from a feasible start basis that the caller supplies,
-  one column per row, with no phase one.  The start is usable when B =
+  vertex weights): the revised simplex method from a feasible start basis
+  that the caller supplies, one column per row, with no phase one.  The start is usable when B =
   rows[:, start] is nonsingular (1-norm condition number below
   1/_PIVOT_EPS) and B^-1 rhs >= -eps_feas; the pivots start from that
   inverse and point, and check_feasible answers True with no pivot.  A
@@ -296,7 +295,7 @@ def _build_tableau(A: np.ndarray, b: np.ndarray):
 
 
 def _drop_artificials(T: np.ndarray, basis: list[int], art_start: int):
-    """Pivot artificials out of the basis, drop redundant rows and columns."""
+    """Pivot artificials out of the basis, drop dependent rows and columns."""
     m = T.shape[0] - 1
     drop_rows = []
     for i in range(m):
@@ -305,7 +304,7 @@ def _drop_artificials(T: np.ndarray, basis: list[int], art_start: int):
             if candidates.size:
                 _pivot(T, basis, i, int(candidates[0]))
             else:
-                drop_rows.append(i)  # all-zero structural row: redundant
+                drop_rows.append(i)  # all-zero structural row: dependent
     T = np.delete(T, drop_rows, axis=0)
     basis = [bv for i, bv in enumerate(basis) if i not in drop_rows]
     return T[:, list(range(art_start)) + [T.shape[1] - 1]], basis

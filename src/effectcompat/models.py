@@ -58,17 +58,13 @@ def simplex(n: int) -> StateSpace:
         raise ValueError(f"simplex needs at least one vertex, got {n}")
     d = n - 1
     vertices = np.vstack([np.zeros((1, d)), np.eye(d)])
-    return make_state_space(vertices, name=f"simplex-{n}", check_redundant=False)
+    return make_state_space(vertices, name=f"simplex-{n}")
 
 
 def gbit_square() -> StateSpace:
     """The square state space: the standard example with maximally
     incompatible sharp effects."""
-    return make_state_space(
-        [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]],
-        name="gbit",
-        check_redundant=False,
-    )
+    return make_state_space([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], name="gbit")
 
 
 def hypercube(d: int) -> StateSpace:
@@ -77,7 +73,7 @@ def hypercube(d: int) -> StateSpace:
             f"hypercube dimension must be in [1, {MAX_HYPERCUBE_DIMENSION}], got {d}"
         )
     vertices = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
-    return make_state_space(vertices, name=f"hypercube-{d}", check_redundant=False)
+    return make_state_space(vertices, name=f"hypercube-{d}")
 
 
 def regular_polygon(n: int) -> StateSpace:
@@ -85,7 +81,7 @@ def regular_polygon(n: int) -> StateSpace:
         raise ValueError(f"polygon needs at least 3 vertices, got {n}")
     angles = 2.0 * np.pi * np.arange(n) / n
     vertices = np.column_stack([np.cos(angles), np.sin(angles)])
-    return make_state_space(vertices, name=f"polygon-{n}", check_redundant=False)
+    return make_state_space(vertices, name=f"polygon-{n}")
 
 
 def _standard_effects(space: StateSpace) -> dict[str, Effect]:

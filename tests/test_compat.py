@@ -1,5 +1,4 @@
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +25,6 @@ from effectcompat.compat import (
 from effectcompat.core import (
     Effect,
     EffectRangeError,
-    RedundantVertexWarning,
     complement,
     dichotomic_observable,
     effect_from_affine,
@@ -162,8 +160,7 @@ class TestComputeLambda0:
     def test_vertex_permutation(self):
         rng = np.random.default_rng(12)
         for space, e, f in _metamorphic_pairs(12):
-            shuffled = make_state_space(space.vertices[rng.permutation(space.n_vertices)],
-                                        check_redundant=False)
+            shuffled = make_state_space(space.vertices[rng.permutation(space.n_vertices)])
             a, b = compute_lambda0(space, e, f), compute_lambda0(shuffled, e, f)
             assert abs(a.lambda0 - b.lambda0) <= 1e-12, space
 
@@ -181,11 +178,8 @@ class TestComputeLambda0:
         for space, e, f in _metamorphic_pairs(14):
             if space.name not in grown:
                 interior = rng.dirichlet(np.ones(space.n_vertices), size=3) @ space.vertices
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RedundantVertexWarning)
-                    grown[space.name] = make_state_space(np.vstack([space.vertices, interior]))
-                assert grown[space.name].redundant == tuple(range(space.n_vertices,
-                                                                  space.n_vertices + 3))
+                grown[space.name] = make_state_space(np.vstack([space.vertices, interior]))
+                assert grown[space.name].n_vertices == space.n_vertices + 3
             a, b = compute_lambda0(space, e, f), compute_lambda0(grown[space.name], e, f)
             assert abs(a.lambda0 - b.lambda0) <= 1e-12, space
 

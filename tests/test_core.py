@@ -8,7 +8,6 @@ from effectcompat.core import (
     Effect,
     EffectRangeError,
     Observable,
-    RedundantVertexWarning,
     RepresentabilityError,
     complement,
     coordinate_effect,
@@ -24,7 +23,6 @@ from effectcompat.core import (
     unit_effect,
     zero_effect,
 )
-from effectcompat.tolerances import DEFAULT_TOLERANCES
 
 
 @pytest.fixture
@@ -52,19 +50,17 @@ class TestMakeStateSpace:
     def test_square(self, square):
         assert square.dimension == 2
         assert square.n_vertices == 4
-        assert square.redundant == ()
 
-    def test_interior_vertex_warns(self):
+    def test_interior_vertices_are_kept_without_warning(self):
         square_3d = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
-        for vertices, redundant in (
-            ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.25, 0.25]], (3,)),
-            # A square embedded at z = 0: every hull LP has an all-zero row.
-            (square_3d + [[0.5, 0.5, 0.0], [0.2, 0.7, 0.0]], (4, 5)),
+        for vertices in (
+            [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.25, 0.25]],
+            square_3d + [[0.5, 0.5, 0.0], [0.2, 0.7, 0.0]],  # a square embedded at z = 0
         ):
-            with pytest.warns(RedundantVertexWarning):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 space = make_state_space(vertices)
-            assert space.redundant == redundant
-            assert space.n_vertices == len(vertices)  # kept, not dropped
+            assert np.array_equal(space.vertices, vertices)  # kept, not dropped
 
     def test_duplicates_are_removed(self):
         space = make_state_space([[0.0], [1.0], [1.0], [0.0]])
@@ -78,7 +74,7 @@ class TestMakeStateSpace:
         angles = 2.0 * np.pi * np.arange(512) / 512
         polygon = np.column_stack([np.cos(angles), np.sin(angles)])
         vertices = np.vstack([polygon, polygon[:1] + 1e-12])
-        space = make_state_space(vertices, check_redundant=False)
+        space = make_state_space(vertices)
         assert space.n_vertices == 512
 
     def test_dedup_matches_the_pairwise_loop(self):
@@ -99,15 +95,13 @@ class TestMakeStateSpace:
                 arr = arr + rng.uniform(-1.5e-9, 1.5e-9, size=arr.shape)
             elif trial % 3 == 2:  # chains at multiples of eps along one axis
                 arr = arr + rng.integers(0, 4, size=(k, 1)) * 1e-9 * (np.arange(d) == 0)
-            space = make_state_space(arr, check_redundant=False)
+            space = make_state_space(arr)
             assert np.array_equal(space.vertices, pairwise(arr)), trial
 
-    @pytest.mark.parametrize("check_redundant", [True, False])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_vertex_names_its_index(self, check_redundant, bad):
+    def test_non_finite_vertex_names_its_index(self, bad):
         with pytest.raises(ValueError, match="vertex 1 is not finite"):
-            make_state_space([[0.0, 0.0], [bad, 0.0], [0.0, 1.0]],
-                             check_redundant=check_redundant)
+            make_state_space([[0.0, 0.0], [bad, 0.0], [0.0, 1.0]])
 
     def test_integer_too_large_for_a_double_is_a_value_error(self):
         # numpy raises OverflowError on it; every other bad vertex list
@@ -115,169 +109,57 @@ class TestMakeStateSpace:
         with pytest.raises(ValueError, match="too large"):
             make_state_space([[10**400, 0], [0, 1], [0, 0]])
 
-    @pytest.mark.parametrize("scale", [1, 100, 1 << 20])
-    def test_hull_certificate_matches_the_loop(self, scale):
-        # Reference: one mat-vec per vertex.  The product sums each u.v_j in
-        # another order, so the bounds agree to rounding, not bit for bit.
-        # The bounds are ratios of u.v_j, so they hold at any overall scale:
-        # 1 << 20 puts the largest clouds' u.v_j near 1e18.
-        def loop_bounds(arr):
-            centroid = arr.mean(axis=0)
-            bounds = np.zeros(len(arr))
-            for i in range(len(arr)):
-                proj = arr @ (arr[i] - centroid)
-                others = np.delete(proj, i)
-                if proj[i] > others.max():
-                    bounds[i] = (proj[i] - others.max()) / (proj[i] - others.min())
-            return bounds
-
-        rng = np.random.default_rng(300)
-        for trial in range(40):
-            d, k = int(rng.integers(1, 6)), int(rng.integers(2, 40))
-            cloud = rng.normal(size=(k, d)) * 10.0 ** rng.choice([-3, 0, 3]) * scale
-            if trial % 2:  # interior points
-                cloud = np.vstack([cloud, rng.dirichlet(np.ones(k), size=3) @ cloud])
-            bounds = core._hull_residual_bounds(cloud)
-            assert np.allclose(bounds, loop_bounds(cloud), rtol=1e-12, atol=1e-15), trial
-
-    def test_check_redundant_above_the_limit_runs_no_scan(self, monkeypatch):
-        import tracemalloc
-
-        def no_scan(arr):
-            raise AssertionError("the scan ran above REDUNDANCY_CHECK_LIMIT")
-
-        monkeypatch.setattr(core, "_hull_residual_bounds", no_scan)
-        k = 1500
-        angles = 2.0 * np.pi * np.arange(k) / k
-        polygon = np.column_stack([np.cos(angles), np.sin(angles)])
-        tracemalloc.start()
-        try:
-            space = make_state_space(polygon, check_redundant=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert space.redundant == ()
-        assert peak < k * k * 8
-
-    @staticmethod
-    def _assert_scan_matches_the_lp_scan(cloud, monkeypatch):
-        # Reference: one hull LP per vertex, no certificate, in the
-        # coordinates of the vertices' affine hull, where the scan runs.
-        def scan(margin):
-            with monkeypatch.context() as m, warnings.catch_warnings(record=True) as caught:
-                m.setattr(core, "_CERTIFICATE_MARGIN", margin)
-                warnings.simplefilter("always")
-                space = make_state_space(cloud)
-            return space.vertices, space.redundant, [
-                str(w.message) for w in caught
-                if issubclass(w.category, RedundantVertexWarning)]
-
-        vertices, redundant, messages = scan(core._CERTIFICATE_MARGIN)
-        space = core.StateSpace(vertices)
-        expected = tuple(i for i in range(len(vertices))
-                         if core._point_in_hull(space, i, DEFAULT_TOLERANCES))
-        assert redundant == expected
-        assert scan(np.inf)[1:] == (redundant, messages)  # every vertex runs its LP
-
-    def test_redundancy_certificate_matches_the_lp_scan(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        for trial in range(64):
-            d, k = int(rng.integers(1, 5)), int(rng.integers(3, 24))
-            hull = rng.normal(size=(k, d))
-            extra = []
-            for _ in range(int(rng.integers(0, 4))):
-                w = rng.dirichlet(np.ones(k))
-                extra.append(w @ hull)  # interior point
-            for _ in range(int(rng.integers(0, 4))):
-                a, b = hull[rng.choice(k, size=2, replace=False)]
-                step = rng.choice([0.0, 1e-12, 1e-9, 1e-7, 1e-4])
-                extra.append(0.5 * (a + b) + step * (a + b))  # near a chord
-            cloud = np.vstack([hull, *extra]) if extra else hull
-            cloud = cloud * 10.0 ** rng.choice([-4, 0, 4]) + rng.normal(size=d)
-            rng.shuffle(cloud)
-            self._assert_scan_matches_the_lp_scan(cloud, monkeypatch)
-
-    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4, 1e8])
-    @pytest.mark.parametrize("step", [0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3])
-    def test_redundancy_certificate_near_a_facet(self, monkeypatch, scale, step):
-        # A point just outside a facet centre, extreme in its own direction
-        # from the centroid: the certificate's bound is about step, so small
-        # steps must fall back to the LP, which reads them as in the hull.
-        from effectcompat import models
-
-        polygon_edge_centre = [-np.cos(np.pi / 7), 0.0]  # between vertices 3 and 4
-        for base, centre in ((models.regular_polygon(7).vertices, polygon_edge_centre),
-                             (models.hypercube(3).vertices, [0.0, 0.0, 1.0])):
-            point = np.asarray(centre) * (1.0 + step)
-            cloud = (np.vstack([base, point]) + 3.0) * scale
-            self._assert_scan_matches_the_lp_scan(cloud, monkeypatch)
-
     def test_hull_scan_on_tilted_flat_clouds(self):
         # Lower-dimensional clouds, rotated out of the axes and moved off the
-        # origin: the scan runs in coordinates of their affine hull.
+        # origin: the frame search finds the dimension of their affine hull.
         rotation = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))[0]
         segment = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]])
         square = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                            [1.0, 1.0, 0.0], [0.3, 0.6, 0.0]])
-        for points, redundant in ((segment, (1,)), (square, (4,))):
+        for points, rank in ((segment, 1), (square, 2)):
             for scale in (1e-3, 1.0, 1e3):
-                with pytest.warns(RedundantVertexWarning):
-                    space = make_state_space(points @ rotation.T * scale + 0.5 * scale)
-                assert space.redundant == redundant, scale
-                assert space.hull_basis.shape == (3, len(space.frame) - 1)
+                space = make_state_space(points @ rotation.T * scale + 0.5 * scale)
+                assert space.hull_basis.shape == (3, rank), scale
+                assert len(space.frame) == rank + 1, scale
 
-    def test_a_point_off_the_flat_of_the_others_is_not_in_their_hull(self, monkeypatch):
+    def test_a_point_off_the_flat_of_the_others_is_not_in_their_hull(self):
         # An apex 1e-6 above a square is the one vertex off the square's
-        # plane, so it is a frame vertex, its LP starts on the frame without
-        # it, and every feasible point has mu = 1.  At height 0 it is the
-        # square's centre.  With no certificate every vertex runs its LP.
-        monkeypatch.setattr(core, "_CERTIFICATE_MARGIN", np.inf)
+        # plane, so it is a frame vertex.  At height 0 it is the square's
+        # centre, and the frame stays in the plane.
         square = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
-        for height, frame_size, redundant in ((1e-6, 4, ()), (0.0, 3, (4,))):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RedundantVertexWarning)
-                space = make_state_space(square + [[0.5, 0.5, height]])
-            assert len(space.frame) == frame_size and space.redundant == redundant, height
+        for height, frame_size in ((1e-6, 4), (0.0, 3)):
+            space = make_state_space(square + [[0.5, 0.5, height]])
+            assert len(space.frame) == frame_size, height
 
     def test_the_frame_is_searched_once_per_space(self, monkeypatch):
-        # With no certificate every vertex runs its hull LP, and the frame
-        # search still runs once, in StateSpace.__post_init__.
+        # The frame search runs once, in StateSpace.__post_init__.
         from effectcompat import models
 
-        calls, in_hull = [], []
-        affine_frame, point_in_hull = core._affine_frame, core._point_in_hull
+        calls = []
+        affine_frame = core._affine_frame
 
         def spy_frame(vertices):
-            calls.append(bool(in_hull))
+            calls.append(len(vertices))
             return affine_frame(vertices)
 
-        def spy_hull(space, i, tol):
-            in_hull.append(i)
-            try:
-                return point_in_hull(space, i, tol)
-            finally:
-                in_hull.pop()
-
         monkeypatch.setattr(core, "_affine_frame", spy_frame)
-        monkeypatch.setattr(core, "_point_in_hull", spy_hull)
-        monkeypatch.setattr(core, "_CERTIFICATE_MARGIN", np.inf)
         square_with_centre = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]]
         flat = np.vstack([models.regular_polygon(6).vertices.T, np.zeros(6)]).T
         for vertices in (square_with_centre, flat, models.hypercube(3).vertices):
             calls.clear()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RedundantVertexWarning)
-                make_state_space(vertices)
-            assert calls == [False]
+            make_state_space(vertices)
+            assert calls == [len(vertices)]
 
     def test_certified_polytopes_run_no_hull_lp(self, monkeypatch):
-        from effectcompat import models
+        # make_state_space poses no LP at all, with or without interior points.
+        from effectcompat import lp, models
 
         calls = []
-        monkeypatch.setattr(core, "solve_lp", lambda *a: calls.append(a))
+        monkeypatch.setattr(lp.LpProblem, "__post_init__", lambda problem: calls.append(problem))
         for space in (models.regular_polygon(128), models.hypercube(7)):
-            rebuilt = make_state_space(space.vertices)
-            assert rebuilt.redundant == ()
+            interior = np.random.default_rng(5).dirichlet(np.ones(space.n_vertices), 3)
+            rebuilt = make_state_space(np.vstack([space.vertices, interior @ space.vertices]))
+            assert rebuilt.n_vertices == space.n_vertices + 3
         assert calls == []
 
     def test_empty_list_rejected(self):
@@ -299,19 +181,6 @@ class TestStateSpaceValidation:
     def test_non_finite_vertex_names_its_index(self, bad):
         with pytest.raises(ValueError, match="vertex 0 is not finite"):
             core.StateSpace([[bad, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-    @pytest.mark.parametrize("redundant", [(7,), (1, -1), (3,)])
-    def test_redundant_index_out_of_range(self, redundant):
-        with pytest.raises(ValueError, match=f"redundant index {redundant[-1]} is out of range"):
-            core.StateSpace([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], redundant=redundant)
-
-    def test_repeated_redundant_index(self):
-        with pytest.raises(ValueError, match="redundant index 2 is repeated"):
-            core.StateSpace([[0.0], [1.0], [0.5]], redundant=(2, 2))
-
-    def test_valid_redundant_indices_are_kept(self):
-        space = core.StateSpace([[0.0], [1.0], [0.5]], redundant=(2,))
-        assert space.redundant == (2,)
 
 
 class TestStateSpaceDerivedData:

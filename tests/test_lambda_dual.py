@@ -3,15 +3,13 @@ the eq3 system) solved as (d+2)-row duals by the revised simplex method,
 each from the start basis of compat._dual_start."""
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
 
 import effectcompat.compat as compat
-import effectcompat.core as core
 import effectcompat.lp as lp
-from effectcompat.core import RedundantVertexWarning, make_state_space
+from effectcompat.core import make_state_space
 from effectcompat.lp import EQ, LE, LpProblem, SolverFailure, check_feasible, solve_lp
 from effectcompat.models import gbit_square, hypercube, regular_polygon, simplex
 from effectcompat.tolerances import DEFAULT_TOLERANCES
@@ -279,8 +277,7 @@ def _spy_starts(monkeypatch):
         taken.append(problem)
         return started
 
-    for module in (compat, core):
-        monkeypatch.setattr(module, "solve_lp", spy_solve)
+    monkeypatch.setattr(compat, "solve_lp", spy_solve)
     monkeypatch.setattr(lp, "_start_basis", spy_start)
     return posed, taken
 
@@ -374,9 +371,7 @@ def _lower_dimensional_spaces(n):
         scale = float(rng.choice([1e-3, 1.0, 1e3]))
         offset = float(rng.choice([0.0, 1.0, scale]))
         vertices = rng.normal(size=(k, r)) @ rotation[:r] * scale + rng.normal(size=d) * offset
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RedundantVertexWarning)
-            yield make_state_space(vertices), rng
+        yield make_state_space(vertices), rng
 
 
 def test_seeded_lower_dimensional_spaces_agree_with_highs(monkeypatch):
@@ -412,10 +407,9 @@ def test_pivot_budget_of_the_hypercube_7_lambda_dual(monkeypatch):
 
 
 def _spy_problems(monkeypatch):
-    """Record every LpProblem that compat and core hand to the solver."""
+    """Record every LpProblem that compat hands to the solver."""
     posed = []
-    for module, name in ((compat, "solve_lp"), (compat, "check_feasible"),
-                         (core, "solve_lp")):
+    for module, name in ((compat, "solve_lp"), (compat, "check_feasible")):
         def spy(problem, tol=None, _fn=getattr(module, name)):
             posed.append(problem)
             return _fn(problem, tol)
@@ -454,16 +448,6 @@ def test_the_package_poses_only_the_two_problem_forms(monkeypatch, make):
             assert np.array_equal(problem.rows, lambda_rows)
             lambda_primals += 1
     assert (lambda_primals > 0) == (space.n_vertices < compat._DUAL_MIN_VERTICES)
-
-
-def test_the_redundancy_scan_poses_only_equalities(monkeypatch):
-    posed = _spy_problems(monkeypatch)
-    cloud = np.random.default_rng(53).normal(size=(40, 5))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RedundantVertexWarning)
-        space = make_state_space(cloud)
-    assert posed and space.redundant
-    assert all(set(problem.relations) == {EQ} for problem in posed)
 
 
 def test_a_start_the_solver_refuses_is_rejected_before_any_pivot(monkeypatch):

@@ -201,25 +201,6 @@ def _lambda_problems():
     return problems
 
 
-def _hull_problems(monkeypatch):
-    import effectcompat.core as core
-
-    captured = []
-
-    def record(problem, tol=None):
-        captured.append(problem)
-        return solve_lp(problem, tol)
-
-    rng = np.random.default_rng(9)
-    with monkeypatch.context() as m:
-        m.setattr(core, "solve_lp", record)
-        for d, k in ((2, 12), (3, 20), (5, 30)):
-            space = core.StateSpace(rng.normal(size=(k, d)))
-            for i in range(k):
-                core._point_in_hull(space, i, lp.DEFAULT_TOLERANCES)
-    return captured
-
-
 def _solve_all(problems):
     out = []
     for prob in problems:
@@ -231,9 +212,7 @@ def _solve_all(problems):
 
 
 def test_column_wise_pivot_matches_the_full_outer_product(monkeypatch):
-    hull = _hull_problems(monkeypatch)
-    assert len(hull) == 12 + 20 + 30
-    problems = _small_problems() + _lambda_problems() + hull
+    problems = _small_problems() + _lambda_problems()
     actual = _solve_all(problems)
     monkeypatch.setattr(lp, "_pivot", _reference_pivot)
     expected = _solve_all(problems)

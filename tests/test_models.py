@@ -125,8 +125,7 @@ class TestZoo:
         # An invertible affine map x -> M x + shift of the vertices, with the
         # effects carried along, leaves lambda0 unchanged (ROADMAP item 9).
         def mapped_lambda0(space, e, f, M, shift):
-            mapped = make_state_space(space.vertices @ M.T + shift, name="mapped",
-                                      check_redundant=False)
+            mapped = make_state_space(space.vertices @ M.T + shift, name="mapped")
             Minv = np.linalg.inv(M)
 
             def transport(eff):
