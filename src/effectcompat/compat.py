@@ -80,7 +80,8 @@ class CompatReport:
     """Outcome of a compatibility computation for one effect pair.
 
     witness is the effect g attaining the minimum: g <= e, g <= f and
-    e + f <= g + lambda0*u hold on every vertex up to solver tolerance.
+    e + f <= g + lambda0*u hold on every vertex up to solver tolerance, for
+    the values of e and f with any in [-eps_geom, 0) clamped to 0.
     lp_iterations counts the simplex pivots of the lambda LP: from the
     dual's start basis (0 when the trivial bound max_v max(e, f) is already
     optimal there), or of both phases of the dense primal below 5 vertices.
@@ -117,8 +118,10 @@ class MarkovKernel2x2:
 
 def _validated_pair(space: StateSpace, e: Effect, f: Effect,
                     tol: SolverTolerances) -> tuple[np.ndarray, np.ndarray]:
-    return (checked_vertex_values(space, e.coefficients, tol),
-            checked_vertex_values(space, f.coefficients, tol))
+    """The vertex values of e and f, each checked as an effect, with a value
+    in [-eps_geom, 0) raised to 0: below 0 it leaves no g with 0 <= g <= e."""
+    return (np.maximum(checked_vertex_values(space, e.coefficients, tol), 0.0),
+            np.maximum(checked_vertex_values(space, f.coefficients, tol), 0.0))
 
 
 def _split(a: np.ndarray) -> np.ndarray:

@@ -94,7 +94,8 @@ def test_bit_identical_to_the_dual_stacked_per_pair(monkeypatch):
                   regular_polygon(128), hypercube(7), regular_polygon(1024), hypercube(10)):
         k = space.n_vertices
         for e, f in _pairs(space, 61, 6):
-            ev, fv = e.vertex_values(space), f.vertex_values(space)
+            # on the values as compat validates them: any below 0 clamped to 0
+            ev, fv = (np.maximum(x.vertex_values(space), 0.0) for x in (e, f))
             rhs = np.concatenate([np.zeros(k), ev, fv, 0.0 - (ev + fv)])
             s, g, pivots = _stacked_dual(space, rhs, np.repeat([0.0, 0.0, 0.0, -1.0], k), 1.0)
             del posed[:]
@@ -391,6 +392,95 @@ def test_seeded_lower_dimensional_spaces_agree_with_highs(monkeypatch):
             assert _witness_violation(space, e, f, report) <= EPS_FEAS, space
             pairs += 1
     assert pairs == 240 and taken == posed
+
+
+@pytest.mark.parametrize("make", [lambda: regular_polygon(8), lambda: hypercube(3)],
+                         ids=["polygon-8", "hypercube-3"])
+def test_far_from_origin_spaces_solve(make):
+    # Padded with two zero coordinates, rotated, scaled by 1e-4 and moved
+    # off the origin: the effects' coefficients are about 1e4, so a vertex
+    # value of 0 rounds to about -1e-12, which the validation accepts and
+    # the witness system then clamps to 0.
+    base = make().vertices
+    vertices = np.hstack([base, np.zeros((len(base), 2))])
+    d = vertices.shape[1]
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        rotation = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        space = make_state_space(vertices @ rotation.T * 1e-4 + rng.normal(size=d))
+        for e, f in _pairs(space, seed, 50):
+            report = compat.compute_lambda0(space, e, f)
+            assert _witness_violation(space, e, f, report) <= EPS_FEAS, seed
+
+
+def _clustered_cloud(seed):
+    """Tight clusters just inside the unit sphere, from default_rng(seed):
+    d in [3, 6) and 3 to 7 unit centres, each with 5 to 14 points spread by
+    10**U(-8.5, -5), put back on the sphere and pulled in by |N| 10**U(-12, -8)."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(3, 6))
+    centres = rng.normal(size=(int(rng.integers(3, 8)), d))
+    centres /= np.linalg.norm(centres, axis=1, keepdims=True)
+    points = []
+    for c in centres:
+        for _ in range(int(rng.integers(5, 15))):
+            p = c + rng.normal(size=d) * 10 ** rng.uniform(-8.5, -5)
+            p /= np.linalg.norm(p)
+            points.append(p * (1 - abs(rng.normal()) * 10 ** rng.uniform(-12, -8)))
+    return np.array(points)
+
+
+# The clouds of seeds 0-299 whose load raised SolverFailure in the hull LP of
+# the retired redundancy scan, and the (seed, pair index) of the lambda duals
+# on them that still fail (ROADMAP item 10A): unbounded, a singular 7 x 7
+# basis and the pivot budget.
+_CLUSTERED_SEEDS = (2, 11, 12, 16, 22, 24, 25, 26, 34, 39, 53, 58, 88, 90, 111, 113, 116,
+                    142, 149, 151, 162, 164, 168, 171, 177, 187, 214, 230, 233, 239, 241,
+                    242, 245, 258, 261, 266, 270, 279, 291, 295)
+_CLUSTERED_DUAL_FAILURES = [(242, 0), (242, 4), (261, 4)]
+
+
+def _clustered_pairs(seed):
+    space = make_state_space(_clustered_cloud(seed))
+    rng = np.random.default_rng(1000 + seed)
+    return space, [(compat.random_effect(space, rng), compat.random_effect(space, rng))
+                   for _ in range(5)]
+
+
+def test_clustered_clouds_load_without_an_lp(monkeypatch):
+    posed = []
+    monkeypatch.setattr(LpProblem, "__post_init__", lambda problem: posed.append(problem))
+    for seed in range(300):
+        make_state_space(_clustered_cloud(seed))
+    assert posed == []
+
+
+def test_clustered_clouds_agree_with_highs():
+    pytest.importorskip("scipy")
+    from perfbench import reference
+
+    solved = 0
+    for seed in _CLUSTERED_SEEDS:
+        space, pairs = _clustered_pairs(seed)
+        m = reference.vertex_matrix(space.vertices)
+        for index, (e, f) in enumerate(pairs):
+            if (seed, index) in _CLUSTERED_DUAL_FAILURES:
+                continue
+            report = compat.compute_lambda0(space, e, f)
+            expected = reference.lambda0(m, m @ e.coefficients, m @ f.coefficients, 1e-10)
+            assert abs(report.lambda0 - expected) <= 1e-12, (seed, index)
+            assert _witness_violation(space, e, f, report) <= EPS_FEAS, (seed, index)
+            solved += 1
+    assert solved == 5 * len(_CLUSTERED_SEEDS) - len(_CLUSTERED_DUAL_FAILURES)
+
+
+@pytest.mark.xfail(strict=True, raises=SolverFailure,
+                   reason="ROADMAP item 10A: the lambda dual fails late on clustered clouds")
+@pytest.mark.parametrize("seed, index", _CLUSTERED_DUAL_FAILURES,
+                         ids=["242-0", "242-4", "261-4"])
+def test_lambda_dual_on_a_clustered_cloud(seed, index):
+    space, pairs = _clustered_pairs(seed)
+    compat.compute_lambda0(space, *pairs[index])
 
 
 def test_pivot_budget_of_the_hypercube_7_lambda_dual(monkeypatch):
