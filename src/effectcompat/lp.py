@@ -12,13 +12,14 @@ check_feasible pick the method from the form:
 
 * All rows equalities (the duals of the witness LPs, r+2 rows over 4k
   vertex weights): the revised simplex method from a feasible start basis
-  that the caller supplies, one column per row, with no phase one.  The start is usable when B =
-  rows[:, start] is nonsingular (1-norm condition number below
-  1/_PIVOT_EPS) and B^-1 rhs >= -eps_feas; the pivots start from that
-  inverse and point, and check_feasible answers True with no pivot.  A
-  problem of this form without a start, or with an unusable one, raises
-  LpInputError naming the failed condition, before any pivot.  The basis
-  is kept as a list of columns with an explicit inverse B^-1 beside it.
+  that the caller supplies, one column per row, with no phase one.  The
+  start is usable when B = rows[:, start] is nonsingular (1-norm
+  condition number below 1/_PIVOT_EPS) and B^-1 rhs >= -eps_feas; the
+  pivots start from that inverse and point, and check_feasible answers
+  True with no pivot.  A problem of this form without a start, or with an
+  unusable one, raises LpInputError naming the failed condition, before
+  any pivot.  The basis is kept as a list of columns with an explicit
+  inverse B^-1 beside it.
   Each pivot updates B^-1 and the basic point x = B^-1 b by one rank-one
   (eta) step, and every _REFACTOR_INTERVAL pivots both are recomputed from
   the basis columns, so round-off cannot build up over a long solve.  When

@@ -400,7 +400,7 @@ def test_far_from_origin_spaces_solve(make):
     # Padded with two zero coordinates, rotated, scaled by 1e-4 and moved
     # off the origin: the effects' coefficients are about 1e4, so a vertex
     # value of 0 rounds to about -1e-12, which the validation accepts and
-    # the witness system then clamps to 0.
+    # compat clamps to 0 before any witness LP.
     base = make().vertices
     vertices = np.hstack([base, np.zeros((len(base), 2))])
     d = vertices.shape[1]
