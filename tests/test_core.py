@@ -98,10 +98,12 @@ class TestMakeStateSpace:
             space = make_state_space(arr)
             assert np.array_equal(space.vertices, pairwise(arr)), trial
 
+    @pytest.mark.parametrize("as_array", [True, False])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_vertex_names_its_index(self, bad):
+    def test_non_finite_vertex_names_its_index(self, as_array, bad):
+        vertices = [[0.0, 0.0], [bad, 0.0], [0.0, 1.0]]
         with pytest.raises(ValueError, match="vertex 1 is not finite"):
-            make_state_space([[0.0, 0.0], [bad, 0.0], [0.0, 1.0]])
+            make_state_space(np.array(vertices) if as_array else vertices)
 
     def test_integer_too_large_for_a_double_is_a_value_error(self):
         # numpy raises OverflowError on it; every other bad vertex list
