@@ -10,11 +10,10 @@ the affine coefficients of g and lambda, and the minimum is attained: the
 optimal g comes out of the LP as a witness.  Every LP over the witness
 system (lambda0, the depolarizing threshold, the least slack behind
 eq3_feasible) is solved as its dual, r+2 rows over weights on the vertices
-of a space whose affine hull has dimension r, from a start basis built on
-two equal weights at one vertex (for lambda0, the trivial bound
-max_v max(e, f)), and g comes out as its simplex multipliers, lifted from
-the hull's coordinates to ambient ones (see _solve_witness_dual).  Only
-lambda0 on spaces of at most 4 vertices is solved as the primal.
+of a space whose affine hull has dimension r, from core.dual_start's basis,
+and g comes out as its simplex multipliers, lifted to ambient coefficients
+by core.lift_witness (see _solve_witness_dual).  Only lambda0 on spaces of
+at most 4 vertices is solved as the primal.
 
 lambda0 is always in [0, 2] (g = 0, lambda = 2 is feasible for any pair),
 and for an incompatible pair sigma0 = 2*(1 - 1/lambda0) in (0, 1] measures
@@ -28,15 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    PAIR_SUMS,
-    X_BLOCKS,
-    Y_BLOCKS,
     Effect,
     Observable,
     StateSpace,
     WitnessDual,
     checked_vertex_values,
+    dual_start,
     effect_from_affine,
+    lift_witness,
     unit_effect,
     witness_dual,
 )
@@ -158,28 +156,6 @@ def _lambda_problem(space: StateSpace, ev: np.ndarray, fv: np.ndarray) -> LpProb
     return LpProblem(_split(objective), _split(A), (LE,) * A.shape[0], _witness_rhs(ev, fv, 0.0))
 
 
-def _dual_start(space: StateSpace, rhs: np.ndarray, dual: WitnessDual) -> tuple[int, ...]:
-    """A feasible basis of the witness dual.
-
-    Equal weights c on blocks X and Y of one vertex v, where (X, Y) is one of
-    the pairs in X_BLOCKS, Y_BLOCKS, meet the dual's rows when c = -cost /
-    (column_X(v) + column_Y(v)) = 1 / dual.denominators > 0; among those
-    points the one of least dual value c * (rhs_X(v) + rhs_Y(v)) is taken
-    (for lambda0, the trivial bound max_v max(e(v), f(v))).  Its basis is
-    block X on space.frame with v swapped in at space.frame_swap[v], plus
-    Y_v: nonsingular, as the reduced vertex matrix is on that frame and
-    column_X(v) + column_Y(v) != 0.
-    """
-    k = space.n_vertices
-    value = np.divide(PAIR_SUMS.dot(rhs.reshape(4, k)), dual.denominators,
-                      out=np.full((4, k), np.inf), where=dual.usable)
-    pair, v = divmod(int(value.argmin()), k)
-    chosen = list(space.frame)
-    chosen[space.frame_swap[v]] = v
-    x, y = int(X_BLOCKS[pair]) * k, int(Y_BLOCKS[pair]) * k
-    return tuple(x + u for u in chosen) + (y + v,)
-
-
 def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, dual: WitnessDual,
                         tol: SolverTolerances, name: str) -> tuple[float, np.ndarray, int]:
     """The optimal s, the ambient witness coefficients g and the pivot count
@@ -187,23 +163,21 @@ def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, dual: WitnessDual,
     solved as its dual: minimize rhs . w subject to A^T w = -objective, w >= 0.
 
     w = (alpha, beta, gamma, delta) weighs the four row blocks per vertex,
-    and the dual's value is -cost * s.  A^T is dual.rows, space.dual_rows
-    over the dual's own row, column^T, and -objective is dual.rhs; both,
-    and the start's denominators, are built once per dual (for lambda0,
-    once per space), so a pair brings only rhs.  The solve starts at the
-    basis of _dual_start; a start the solver refuses raises ValueError
-    naming the space and the failed condition, before any pivot, and a
-    SolverFailure of the solve is raised again naming the space and the LP.
-    The simplex multipliers are a primal point (h, s) with A (h, s) <= rhs,
-    so h is read from them and checked on all 4k primal rows at the optimal
-    s, dual_rows^T h + column s <= rhs, in O(k*r); a violation raises
-    SolverFailure.  h is returned lifted to ambient coefficients (_lift).
-    Every caller's primal is feasible and bounded, so its dual is too.
+    and the dual's value is -cost * s.  dual holds the rest of the LP, built
+    once per dual (for lambda0, once per space), so a pair brings only rhs.
+    The solve starts at the basis of core.dual_start; a start the solver
+    refuses raises ValueError naming the space and the failed condition,
+    before any pivot, and a SolverFailure of the solve is raised again
+    naming the space and the LP.  The simplex multipliers are a primal
+    point (h, s) with A (h, s) <= rhs, checked on all 4k primal rows at the
+    optimal s in O(k*r); a violation raises SolverFailure.  h is returned
+    lifted by core.lift_witness.  Every caller's primal is feasible and
+    bounded, so its dual is too.
     """
     rows = dual.rows
     try:
         result = solve_lp(LpProblem(rhs, rows, (EQ,) * rows.shape[0], dual.rhs,
-                                    _dual_start(space, rhs, dual)), tol)
+                                    dual_start(space, rhs, dual)), tol)
     except LpInputError as exc:
         raise ValueError(f"{space!r}: the witness dual for {name} cannot start: {exc}") from exc
     except SolverFailure as exc:
@@ -216,17 +190,7 @@ def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, dual: WitnessDual,
         i = int(np.flatnonzero(violated)[0])
         raise SolverFailure(f"witness at {name} = {s!r} violates constraint {i} "
                             f"({LE} residual {residual[i]:.3e})")
-    return s, _lift(space, g), result.iterations
-
-
-def _lift(space: StateSpace, h: np.ndarray) -> np.ndarray:
-    """The ambient coefficients of the affine functional with coefficients h
-    over the rows of space.dual_rows: h itself on a space that spans R^d,
-    else c0 = h0 - c . v0 and c = Q h[1:], Q = space.hull_basis."""
-    if space.hull_basis is None:
-        return h
-    c = space.hull_basis.dot(h[1:])
-    return np.append(h[0] - c.dot(space.vertices[0]), c)
+    return s, lift_witness(space, g), result.iterations
 
 
 def _witness_slack(space: StateSpace, e: Effect, f: Effect, tol: SolverTolerances,
@@ -276,7 +240,7 @@ def _lambda0_report(space: StateSpace, ev: np.ndarray, fv: np.ndarray,
     else:
         result = solve_lp(_lambda_problem(space, ev, fv), tol)
         lambda0 = max(0.0, float(result.value))
-        g, iterations = _lift(space, _free_point(result.point)[:-1]), result.iterations
+        g, iterations = lift_witness(space, _free_point(result.point)[:-1]), result.iterations
     return CompatReport(
         lambda0=lambda0,
         sigma0=sigma0(lambda0) if lambda0 > 0.0 else 0.0,
@@ -489,13 +453,16 @@ def random_effect(space: StateSpace, rng: np.random.Generator,
                   tol: SolverTolerances | None = None,
                   span_range: tuple[float, float] = (0.2, 1.0)) -> Effect:
     """Seeded random effect: uniform affine coefficients rescaled so the
-    vertex values fill a random subinterval of [0, 1].
+    vertex values fill a random subinterval of [0, 1], of a length drawn
+    uniformly from span_range = (lo, hi); ValueError unless 0 < lo <= hi <= 1.
 
     All-constant draws are rejected (they carry no geometry); on a space of
     one point (affine dimension 0, any d) a random constant effect is
     returned instead.  ValueError when 100 draws all vary by at most 1e-6
     times the vertex set's half-width, half its largest coordinate range.
     """
+    if not 0.0 < span_range[0] <= span_range[1] <= 1.0:  # NaN fails too
+        raise ValueError(f"span_range must satisfy 0 < lo <= hi <= 1, got {span_range!r}")
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     d = space.dimension
     if len(space.frame) == 1:

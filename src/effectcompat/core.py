@@ -78,28 +78,25 @@ def _frame_swaps(m: np.ndarray, frame: tuple[int, ...]) -> np.ndarray:
 
 # The pairs (X, Y) of witness-dual row blocks (alpha, beta, gamma, delta =
 # 0, 1, 2, 3) whose weights cancel in M^T(-alpha + beta + gamma - delta) when
-# equal on one vertex; row p of PAIR_SUMS adds blocks X_p and Y_p of a (4, k)
-# array.  compat._dual_start builds the witness duals' start basis on them.
-X_BLOCKS, Y_BLOCKS = np.array([(1, 3), (2, 3), (0, 1), (0, 2)]).T
-PAIR_SUMS = np.eye(4)[X_BLOCKS] + np.eye(4)[Y_BLOCKS]
+# equal on one vertex; row p of _PAIR_SUMS adds blocks X_p and Y_p of a (4, k)
+# array.  dual_start builds the witness duals' start basis on them.
+_X_BLOCKS, _Y_BLOCKS = np.array([(1, 3), (2, 3), (0, 1), (0, 2)]).T
+_PAIR_SUMS = np.eye(4)[_X_BLOCKS] + np.eye(4)[_Y_BLOCKS]
 
 
 class WitnessDual(NamedTuple):
-    """The parts of one witness dual that no effect pair changes, read-only
-    (see compat._solve_witness_dual), for a row of its own, column^T, and
-    its cost, +1 or -1:
+    """The parts of one witness dual that no effect pair changes, read-only,
+    for a row of its own, column^T, and its cost, +1 or -1:
     rows          (r+2, 4k): dual_rows over column^T;
     rhs           (r+2,): 0, and -cost on the last row;
     denominators  (4, k): -cost * (column_X(v) + column_Y(v)) per start pair
-                  p = (X, Y) and vertex v, whose start point puts the weight
-                  1/denominators[p, v] on both blocks of v;
-    usable        (4, k): denominators > 0, where that point exists.
+                  p = (X, Y) and vertex v; where it is > 0, the weight
+                  1/denominators[p, v] on both blocks of v meets the rows.
     """
 
     rows: np.ndarray
     rhs: np.ndarray
     denominators: np.ndarray
-    usable: np.ndarray
 
 
 def witness_dual(dual_rows: np.ndarray, column: np.ndarray, cost: float) -> WitnessDual:
@@ -107,11 +104,34 @@ def witness_dual(dual_rows: np.ndarray, column: np.ndarray, cost: float) -> Witn
     rows = np.vstack([dual_rows, column])
     rhs = np.zeros(rows.shape[0])
     rhs[-1] = -cost
-    denominators = -cost * (PAIR_SUMS @ column.reshape(4, -1))
-    usable = denominators > 0.0
-    for array in (rows, rhs, denominators, usable):
+    denominators = -cost * (_PAIR_SUMS @ column.reshape(4, -1))
+    for array in (rows, rhs, denominators):
         array.flags.writeable = False
-    return WitnessDual(rows, rhs, denominators, usable)
+    return WitnessDual(rows, rhs, denominators)
+
+
+def dual_start(space: StateSpace, rhs: np.ndarray, dual: WitnessDual) -> tuple[int, ...]:
+    """A feasible basis of dual for a pair's rhs (4k,): of the start points
+    of dual.denominators, the one of least value c * (rhs_X(v) + rhs_Y(v))
+    (for lambda0, the trivial bound max_v max(e(v), f(v))).  Its basis is
+    block X on space.frame with v swapped in at space.frame_swap[v], plus
+    Y_v, nonsingular as that frame stays affinely independent."""
+    k = space.n_vertices
+    value = np.divide(_PAIR_SUMS.dot(rhs.reshape(4, k)), dual.denominators,
+                      out=np.full((4, k), np.inf), where=dual.denominators > 0.0)
+    pair, v = divmod(int(value.argmin()), k)
+    chosen = list(space.frame)
+    chosen[space.frame_swap[v]] = v
+    x, y = int(_X_BLOCKS[pair]) * k, int(_Y_BLOCKS[pair]) * k
+    return tuple(x + u for u in chosen) + (y + v,)
+
+
+def lift_witness(space: StateSpace, h: np.ndarray) -> np.ndarray:
+    """The ambient coefficients of the functional h over space.dual_rows."""
+    if space.hull_basis is None:
+        return h
+    c = space.hull_basis.dot(h[1:])
+    return np.append(h[0] - c.dot(space.vertices[0]), c)
 
 
 @dataclass(frozen=True)
@@ -124,7 +144,7 @@ class StateSpace:
     is a dataclass field.  The vertices span an affine hull of dimension
     r <= d, and every space has a frame of it:
     frame      r+1 affinely independent vertex indices, vertex 0 first; the
-               witness LPs build their start basis on it.
+               witness LPs build their start basis on it (dual_start).
     hull_basis None when r = d, else the orthonormal (d, r) basis Q of the
                hull's directions.
     frame_swap per vertex v, the position in frame of the vertex v replaces
@@ -134,8 +154,8 @@ class StateSpace:
                R is vertex_matrix() = [1 | V] when r = d, else the reduced
                [1 | (V - v0) Q], v0 = vertex 0, so that no direction of the
                duals changes nothing.  A witness h over R has the ambient
-               coefficients c = Q h[1:], c0 = h[0] - c . v0 (compat lifts
-               it); effects are evaluated on the ambient vertex_matrix().
+               coefficients c = Q h[1:], c0 = h[0] - c . v0 (lift_witness);
+               effects are evaluated on the ambient vertex_matrix().
     lambda_dual
                the WitnessDual of compute_lambda0, whose own row is the
                lambda column [0]*3k + [-1]*k at cost 1; dual_rows is a view

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -58,6 +59,16 @@ def test_cli_import_loads_no_new_module():
                             text=True, check=True, timeout=60).stdout.split()
     assert "effectcompat" in loaded and "scipy" not in loaded
     assert not set(loaded) - known
+
+
+def test_console_main_exits_with_the_command_code(monkeypatch, capsys):
+    from effectcompat.cli import console_main
+
+    monkeypatch.setattr(sys, "argv", ["effectcompat", "check", "no-such-model", "a", "b"])
+    with pytest.raises(SystemExit) as stop:
+        console_main()
+    assert stop.value.code == 1
+    assert "no-such-model" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -351,6 +362,32 @@ class TestOracleCommand:
         payload = json.loads(out)
         assert payload["discrepancies"] == []
         assert payload["closed_form"] == 0.9
+
+    def test_text_lines_of_a_simplex(self, capsys):
+        code, out, _ = run(["oracle", "simplex-3", "a", "b", "--resolution", "41"], capsys)
+        assert code == 0
+        assert out.splitlines() == ["lp lambda0: 0.9", "simplex closed form: 0.9",
+                                    "grid: value 0.9, lower bound 0.9, step 0.05",
+                                    "verdict: ok"]
+
+    def test_a_discrepancy_exits_2(self, monkeypatch, capsys):
+        import effectcompat.oracle as oracle
+
+        right = oracle.compute_lambda0
+
+        def shifted(*args):
+            report = right(*args)
+            return dataclasses.replace(report, lambda0=report.lambda0 + 0.5)
+
+        monkeypatch.setattr(oracle, "compute_lambda0", shifted)
+        code, out, _ = run(["oracle", "simplex-3", "a", "b", "--resolution", "41"], capsys)
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[0] == "lp lambda0: 1.4"
+        assert lines[-3:] == [
+            "discrepancy: LP lambda0 1.4 differs from the simplex closed form 0.9",
+            "discrepancy: LP lambda0 1.4 exceeds the grid upper bound 0.9 + step 0.05",
+            "verdict: DISCREPANT"]
 
     def test_huge_resolution_rejected_before_any_grid(self, capsys):
         code, out, err = run(

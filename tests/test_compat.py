@@ -298,6 +298,30 @@ class TestComputeLambda0:
         assert values.min() >= 0.0 and values.max() <= 1.0
         assert values.max() - values.min() >= 0.2 - 1e-12  # the default span_range
 
+    @pytest.mark.parametrize("span_range", [(0.0, 0.0), (0.5, 0.2), (1.5, 2.0), (-0.5, -0.1),
+                                            (np.nan, 1.0)],
+                             ids=["zero", "reversed", "above-1", "negative", "nan"])
+    def test_random_effect_rejects_a_span_range_before_any_draw(self, span_range):
+        space = regular_polygon(8)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"^span_range must satisfy 0 < lo <= hi <= 1"):
+            random_effect(space, rng, span_range=span_range)
+        assert rng.bit_generator.state == state
+
+    def test_random_effect_gives_up_after_100_constant_draws(self):
+        class ZeroRng:  # every draw is the zero functional
+            calls = 0
+
+            def uniform(self, low, high, size=None):
+                self.calls += 1
+                return np.zeros(size)
+
+        rng = ZeroRng()
+        with pytest.raises(ValueError, match="could not draw a non-constant affine functional"):
+            random_effect(regular_polygon(8), rng)
+        assert rng.calls == 100
+
 
 @pytest.mark.parametrize("field", ["eps_feas", "eps_opt", "eps_geom", "eps_compat"])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])

@@ -172,6 +172,16 @@ class TestMakeStateSpace:
         with pytest.raises(ValueError):
             make_state_space([[0.0], [1.0, 2.0]])
 
+    @pytest.mark.parametrize("build, vertices, match", [
+        (make_state_space, np.zeros((2, 2, 2)), r"equal-length points, got shape \(2, 2, 2\)"),
+        (make_state_space, np.empty((0, 2)), "vertex list is empty"),
+        (core.StateSpace, np.array([0.0, 1.0]), r"nonempty \(k, d\) array, got \(2,\)"),
+        (core.StateSpace, np.empty((0, 2)), r"nonempty \(k, d\) array, got \(0, 2\)"),
+    ], ids=["3-d", "no-rows", "StateSpace-1-d", "StateSpace-no-rows"])
+    def test_an_array_of_no_points_is_rejected(self, build, vertices, match):
+        with pytest.raises(ValueError, match=match):
+            build(vertices)
+
     def test_point_space(self):
         space = make_state_space([[]])
         assert space.dimension == 0
@@ -237,7 +247,7 @@ class TestStateSpaceDerivedData:
             # delta pairs with beta and with gamma: 1 / (0 + 1) per vertex, none elsewhere
             expected = np.repeat([[1.0], [1.0], [0.0], [0.0]], k, axis=1)
             assert np.array_equal(dual.denominators, expected)
-            assert np.array_equal(dual.usable, expected > 0.0)
+            assert dual._fields == ("rows", "rhs", "denominators")
             for array in dual:
                 assert not array.flags.writeable, space.name
             slack = space.slack_dual
@@ -245,7 +255,6 @@ class TestStateSpaceDerivedData:
             assert np.array_equal(slack.rows, np.vstack([rows, -np.ones(4 * k)])), space.name
             assert np.array_equal(slack.rhs, dual.rhs)
             assert np.array_equal(slack.denominators, np.full((4, k), 2.0))
-            assert slack.usable.all()
             for array in slack:
                 assert not array.flags.writeable, space.name
             frame = list(space.frame)
@@ -321,6 +330,18 @@ class TestEffectConstruction:
         with pytest.raises(ValueError, match="too large for a double"):
             build(triangle, numbers)
 
+    def test_empty_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="nonempty 1-d vector"):
+            Effect([])
+
+    def test_an_effect_is_evaluated_by_a_call(self):
+        e = Effect([0.5, 0.25, -0.25])
+        assert e([1.0, 1.0]) == evaluate(e, [1.0, 1.0]) == 0.5
+
+    def test_vertex_values_on_a_space_of_another_dimension(self, segment):
+        with pytest.raises(ValueError, match="effect lives in dimension 2, space in 1"):
+            Effect([0.5, 0.0, 0.0]).vertex_values(segment)
+
     def test_effect_built_directly_holds_its_own_copy(self):
         coefficients = np.array([0.5, 0.0, 0.0])
         e = Effect(coefficients)
@@ -342,6 +363,10 @@ class TestEffectFromVertexValues:
     def test_constant_values_give_scaled_unit(self, square):
         eff = effect_from_vertex_values(square, [0.3, 0.3, 0.3, 0.3])
         assert np.allclose(eff.vertex_values(square), 0.3, atol=1e-12)
+
+    def test_wrong_count_rejected(self, triangle):
+        with pytest.raises(ValueError, match=r"expected 3 vertex values, got shape \(2,\)"):
+            effect_from_vertex_values(triangle, [0.2, 0.4])
 
     def test_out_of_range_values_rejected(self, triangle):
         with pytest.raises(EffectRangeError):
@@ -469,6 +494,16 @@ class TestObservables:
         issues = observable_diagnostics(obs, square)
         assert any("component 0" in msg for msg in issues)
 
+    @pytest.mark.parametrize("outcomes, n_effects, issue", [
+        ((0,), 2, "1 outcome labels but 2 effects"),
+        ((), 0, "observable has no effects"),
+    ], ids=["mismatched-labels", "no-effects"])
+    def test_a_malformed_observable_is_diagnosed(self, square, outcomes, n_effects, issue):
+        half = Effect([0.5, 0.0, 0.0])
+        obs = Observable(outcomes=outcomes, effects=(half,) * n_effects)
+        assert issue in observable_diagnostics(obs, square)
+        assert not is_observable(obs, square)
+
 
 class TestSeparation:
     def test_coordinate_effect_range(self, square):
@@ -489,3 +524,13 @@ class TestSeparation:
     def test_degenerate_axis_rejected(self, segment):
         with pytest.raises(ValueError):
             coordinate_effect(segment, 1)
+
+    def test_constant_axis_rejected(self):
+        flat = make_state_space([[0.0, 2.0], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="coordinate 1 is constant over the vertex set"):
+            coordinate_effect(flat, 1)
+
+    def test_coincident_vertices_rejected(self):
+        space = core.StateSpace([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])  # no dedup
+        with pytest.raises(ValueError, match="vertices 1 and 2 coincide"):
+            separating_effect(space, 1, 2)

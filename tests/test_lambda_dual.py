@@ -1,6 +1,6 @@
 """The witness LPs (lambda0, the depolarizing threshold, the least slack of
 the eq3 system) solved as (d+2)-row duals by the revised simplex method,
-each from the start basis of compat._dual_start."""
+each from the start basis of core.dual_start."""
 
 import dataclasses
 

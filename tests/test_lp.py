@@ -58,6 +58,16 @@ def test_unknown_relation_is_input_error():
         LpProblem([1.0], [[1.0], [1.0]], (EQ, LE), [1.0, 2.0])
 
 
+@pytest.mark.parametrize("objective, relations, rhs, match", [
+    ([[1.0], [1.0]], (LE,), [1.0], "objective must be a nonempty 1-d vector"),
+    ([1.0], (LE, LE), [1.0], "1 rows but 2 relations"),
+    ([1.0], (LE,), [1.0, 2.0], r"rhs must have shape \(1,\), got \(2,\)"),
+], ids=["2-d-objective", "relation-count", "rhs-shape"])
+def test_malformed_problem_is_input_error(objective, relations, rhs, match):
+    with pytest.raises(LpInputError, match=match):
+        LpProblem(objective, [[1.0]], relations, rhs)
+
+
 def test_duplicate_rows_are_harmless():
     res = solve_lp(LpProblem([-1.0, 0.0], [[1.0, 1.0]] * 4 + [[-1.0, 1.0]], (LE,) * 5,
                              [1.0, 1.0, 1.0, 1.0, 0.0]))

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -172,6 +173,29 @@ class TestCrossCheck:
         assert result.ok, result.discrepancies
         assert result.closed_form == pytest.approx(0.9)
         assert result.lp_lambda0 == pytest.approx(0.9, abs=1e-9)
+
+    @pytest.mark.parametrize("shift, caught", [
+        (0.5, ("differs from the simplex closed form 0.9", "exceeds the grid upper bound 0.9")),
+        (-0.5, ("differs from the simplex closed form 0.9", "undercuts the lower bound 0.9")),
+        (1e-6, ("differs from the simplex closed form 0.9",)),
+    ], ids=["up", "down", "off-the-closed-form"])
+    def test_a_wrong_lambda0_is_caught(self, monkeypatch, shift, caught):
+        # lambda0 shifted inside cross_check only: up past the grid's upper
+        # bound, down below its lower bound, and off the closed form by less
+        # than the grid step
+        def shifted(*args):
+            report = compute_lambda0(*args)
+            return dataclasses.replace(report, lambda0=report.lambda0 + shift)
+
+        monkeypatch.setattr(oracle, "compute_lambda0", shifted)
+        space = simplex(3)
+        e = effect_from_vertex_values(space, [0.2, 0.9, 0.4])
+        f = effect_from_vertex_values(space, [0.8, 0.1, 0.5])
+        result = cross_check(space, e, f, resolution=41)
+        assert not result.ok
+        assert len(result.discrepancies) == len(caught)
+        for issue, fragment in zip(result.discrepancies, caught):
+            assert fragment in issue
 
     def test_sharp_pair_agrees(self, square, sharp_pair):
         result = cross_check(square, *sharp_pair, resolution=101)
