@@ -211,7 +211,8 @@ def _parse_range(text: str) -> tuple[float, float, int]:
 def _scan_params(a: float, b: float, steps: int) -> list[float]:
     if steps == 1:
         return [a]
-    return [a + i * (b - a) / (steps - 1) for i in range(steps)]
+    # clamped: round-off can carry the last step past b, out of the kernel's range
+    return [min(a + i * (b - a) / (steps - 1), b) for i in range(steps)]
 
 
 def _boundary_comment(params: list[float], flags: list[bool]) -> str:

@@ -40,7 +40,7 @@ from .core import (
 )
 # solve_lp, check_feasible and effect_from_affine stay bound here: perfbench
 # --trace 1 rebinds them by name.
-from .lp import EQ, LE, LpInputError, LpProblem, SolverFailure, check_feasible, solve_lp
+from .lp import LE, LpInputError, LpProblem, SolverFailure, check_feasible, solve_lp
 from .tolerances import DEFAULT_TOLERANCES, SolverTolerances
 
 # The depolarizing LP is posed this far inside lambda0 <= 1 + eps_compat, so the
@@ -149,11 +149,12 @@ def _witness_rhs(ev: np.ndarray, fv: np.ndarray, level: float) -> np.ndarray:
 def _lambda_problem(space: StateSpace, ev: np.ndarray, fv: np.ndarray) -> LpProblem:
     """The lambda LP as the dense tableau solves it, each free variable split:
     minimize lambda over the witness system's rows [dual_rows^T | column],
-    g in the coordinates of space.dual_rows.  g <= 1 is implied by g <= e,
-    so the optimal g is automatically an effect."""
-    A = np.column_stack([space.dual_rows.T, space.lambda_dual.rows[-1]])
+    that is space.lambda_dual.rows^T, g in the coordinates of
+    space.dual_rows.  g <= 1 is implied by g <= e, so the optimal g is
+    automatically an effect."""
     objective = np.append(np.zeros(space.dual_rows.shape[0]), 1.0)
-    return LpProblem(_split(objective), _split(A), (LE,) * A.shape[0], _witness_rhs(ev, fv, 0.0))
+    return LpProblem(_split(objective), _split(space.lambda_dual.rows.T),
+                     _witness_rhs(ev, fv, 0.0))
 
 
 def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, dual: WitnessDual,
@@ -176,8 +177,7 @@ def _solve_witness_dual(space: StateSpace, rhs: np.ndarray, dual: WitnessDual,
     """
     rows = dual.rows
     try:
-        result = solve_lp(LpProblem(rhs, rows, (EQ,) * rows.shape[0], dual.rhs,
-                                    dual_start(space, rhs, dual)), tol)
+        result = solve_lp(LpProblem(rhs, rows, dual.rhs, dual_start(space, rhs, dual)), tol)
     except LpInputError as exc:
         raise ValueError(f"{space!r}: the witness dual for {name} cannot start: {exc}") from exc
     except SolverFailure as exc:
@@ -206,7 +206,10 @@ def eq3_feasible(space: StateSpace, e: Effect, f: Effect,
                  tol: SolverTolerances | None = None, lam: float = 1.0) -> bool:
     """Does some effect g satisfy g <= e, g <= f, e + f <= g + lam*u within
     eps_feas on every vertex?  One dual LP: its least uniform slack z <= eps_feas.
+    A lam that is not finite raises ValueError naming it, before any LP.
     """
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}")
     tol = tol if tol is not None else DEFAULT_TOLERANCES
     return bool(_witness_slack(space, e, f, tol, lam)[0] <= tol.eps_feas)
 
@@ -366,8 +369,8 @@ def scaling_kernel(k: float) -> MarkovKernel2x2:
 
     As k grows the smeared effect drifts to 0 and its complement to u.
     """
-    if k < 1.0:
-        raise ValueError(f"scaling parameter must be >= 1, got {k!r}")
+    if not 1.0 <= k < np.inf:  # NaN fails too
+        raise ValueError(f"scaling parameter must be finite and >= 1, got {k!r}")
     return MarkovKernel2x2(mu11=1.0 / k, mu12=0.0, mu21=1.0 - 1.0 / k, mu22=1.0)
 
 

@@ -2,7 +2,9 @@
 
 Internal to effectcompat: only SolverFailure is part of the public API.
 A problem has one of two forms, minimize c . y subject to rows . y = rhs or
-to rows . y <= rhs, with y >= 0; a caller with free variables poses each as
+to rows . y <= rhs, with y >= 0, and whether it has a start basis names
+which: every row of a problem with one is an equality, every row of a
+problem without one a <= row.  A caller with free variables poses each as
 the difference of two nonnegative ones.  An LpProblem holds read-only
 float64 arrays: one the caller passes already read-only and owning its data
 is held as it is, so the witness duals share their constraint rows across
@@ -10,16 +12,15 @@ pairs, and anything else (writable, a view, another dtype) is copied, so
 that no later write by the caller reaches the problem.  solve_lp and
 check_feasible pick the method from the form:
 
-* All rows equalities (the duals of the witness LPs, r+2 rows over 4k
-  vertex weights): the revised simplex method from a feasible start basis
-  that the caller supplies, one column per row, with no phase one.  The
+* With a start, every row an equality (the duals of the witness LPs, r+2
+  rows over 4k vertex weights): the revised simplex method from that
+  feasible start basis, one column per row, with no phase one.  The
   start is usable when B = rows[:, start] is nonsingular (1-norm
   condition number below 1/_PIVOT_EPS) and B^-1 rhs >= -eps_feas; the
   pivots start from that inverse and point, and check_feasible answers
-  True with no pivot.  A problem of this form without a start, or with an
-  unusable one, raises LpInputError naming the failed condition, before
-  any pivot.  The basis is kept as a list of columns with an explicit
-  inverse B^-1 beside it.
+  True with no pivot.  An unusable start raises LpInputError naming the
+  failed condition, before any pivot.  The basis is kept as a list of
+  columns with an explicit inverse B^-1 beside it.
   Each pivot updates B^-1 and the basic point x = B^-1 b by one rank-one
   (eta) step, and every _REFACTOR_INTERVAL pivots both are recomputed from
   the basis columns, so round-off cannot build up over a long solve.  When
@@ -40,12 +41,13 @@ check_feasible pick the method from the form:
   as @, at about half its per-call cost on these small operands.  The
   result carries the simplex multipliers pi of the rows, which solve the
   problem's own dual: c - rows^T pi >= 0 at the optimum.
-* All rows <= rows, or none: a dense tableau on Bland's rule, two phases
-  from the slack basis (an artificial on each row with rhs < 0), the
-  leaving row taken by the revised method's ratio test (_ratio_test, Bland
-  mode) and every pivot rewriting the whole tableau by its elimination step
-  (_eliminate).  The package poses only one such LP, the lambda primal of a
-  space with at most 4 vertices (at most 16 rows); no size limit.
+* Without a start, every row a <= row: a dense tableau on Bland's rule,
+  two phases from the slack basis (an artificial on each row with rhs < 0),
+  the leaving row taken by the revised method's ratio test (_ratio_test,
+  Bland mode) and every pivot rewriting the whole tableau by its
+  elimination step (_eliminate).  The package poses only one such LP, the
+  lambda primal of a space with at most 4 vertices (at most 16 rows); no
+  size limit.
 
 solve_lp returns an optimum or raises SolverFailure naming the cause: an
 infeasible or unbounded problem, an exhausted pivot budget, or a point that
@@ -106,8 +108,8 @@ class LpError(Exception):
 
 
 class LpInputError(LpError):
-    """Malformed problem data: shape mismatch, relations of neither form, or
-    an equality-form problem without a usable start basis."""
+    """Malformed problem data: a shape mismatch, or a start basis that is
+    malformed or unusable."""
 
 
 class SolverFailure(LpError):
@@ -117,18 +119,17 @@ class SolverFailure(LpError):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """minimize objective . y subject to rows[i] . y (relations[i]) rhs[i], y >= 0.
+    """minimize objective . y subject to rows . y = rhs when start is given,
+    else rows . y <= rhs, with y >= 0.
 
-    relations are all EQ or all LE, else LpInputError.  start names the
-    feasible basis the revised method starts from, one distinct column index
-    per row; a problem whose rows are all equalities needs one, and no other
-    takes one.  The arrays are held read-only, copied unless already
-    read-only float64 owning their data.
+    start names the feasible basis the revised method starts from, one
+    distinct column index per row, so it needs at least one row.  The arrays
+    are held read-only, copied unless already read-only float64 owning their
+    data.
     """
 
     objective: np.ndarray
     rows: np.ndarray
-    relations: tuple[str, ...]
     rhs: np.ndarray
     start: tuple[int, ...] | None = None
 
@@ -145,20 +146,13 @@ class LpProblem:
                 f"constraint rows must form an (m, {n}) matrix, got shape {rows.shape}"
             )
         m = rows.shape[0]
-        rels = tuple(self.relations)
-        if rels.count(EQ) != len(rels) != rels.count(LE):
-            raise LpInputError(f"relations {sorted(set(map(str, rels)))} are neither all "
-                               f"{EQ!r} nor all {LE!r}, the two problem forms")
-        if len(rels) != m:
-            raise LpInputError(f"{m} rows but {len(rels)} relations")
         rhs = np.atleast_1d(_read_only(self.rhs))
         if rhs.shape != (m,):
             raise LpInputError(f"rhs must have shape ({m},), got {rhs.shape}")
-        if self.start is not None or 0 < m == rels.count(EQ):
-            object.__setattr__(self, "start", _checked_start(self.start, rels, n))
+        if self.start is not None:
+            object.__setattr__(self, "start", _checked_start(self.start, m, n))
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "relations", rels)
         object.__setattr__(self, "rhs", rhs)
 
     @property
@@ -168,6 +162,12 @@ class LpProblem:
     @property
     def n_constraints(self) -> int:
         return self.rows.shape[0]
+
+    @property
+    def relations(self) -> tuple[str, ...]:
+        # perfbench.tracing.tableau_shape reads per-row relations, as it
+        # reads bounds below; the start names them.
+        return (LE if self.start is None else EQ,) * self.n_constraints
 
     @property
     def bounds(self) -> tuple[tuple[float, None], ...]:
@@ -187,12 +187,9 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
-def _checked_start(start, relations: tuple[str, ...], n: int) -> tuple[int, ...]:
-    m = len(relations)
-    if not 0 < m == relations.count(EQ):
-        raise LpInputError("a start basis needs a problem whose rows are all equalities")
-    if start is None:
-        raise LpInputError("a problem whose rows are all equalities needs a start basis")
+def _checked_start(start, m: int, n: int) -> tuple[int, ...]:
+    if m == 0:
+        raise LpInputError("a start basis needs at least one row")
     try:
         start = tuple(operator.index(j) for j in start)
     except TypeError:
@@ -213,7 +210,7 @@ class LpResult:
 
     multipliers holds the simplex multipliers pi of the rows at the optimum,
     with objective - rows^T pi >= 0 and rhs . pi equal to value up to
-    round-off.  Only the revised method (every row an equality) sets them.
+    round-off.  Only the revised method (a problem with a start) sets them.
     """
 
     value: float
@@ -316,7 +313,7 @@ def _verify_solution(problem: LpProblem, y: np.ndarray, eps: float) -> None:
     the signed residual on a <= row) or bound that y breaks by more than eps;
     one numpy pass, O(rows.size)."""
     residual = problem.rows.dot(y) - problem.rhs
-    bad = (np.abs(residual) if _equality_form(problem) else residual) > eps
+    bad = (residual if problem.start is None else np.abs(residual)) > eps
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise SolverFailure(f"returned point violates constraint {i} "
@@ -325,11 +322,6 @@ def _verify_solution(problem: LpProblem, y: np.ndarray, eps: float) -> None:
     if negative.any():
         raise SolverFailure("returned point violates lower bound on variable "
                             f"{np.flatnonzero(negative)[0]}")
-
-
-def _equality_form(problem: LpProblem) -> bool:
-    """Every row an equality: the form the revised method solves."""
-    return 0 < problem.n_constraints == problem.relations.count(EQ)
 
 
 def _solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -500,11 +492,10 @@ def solve_lp(problem: LpProblem, tol: SolverTolerances | None = None) -> LpResul
 
     Raises SolverFailure naming the cause when there is none (infeasible,
     unbounded) or none was found (pivot budget, failed check), and
-    LpInputError when an equality-form problem's start basis is unusable
-    (see _start_basis).
+    LpInputError when the start basis is unusable (see _start_basis).
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
-    if _equality_form(problem):
+    if problem.start is not None:
         return _solve_revised(problem, tol)
     T, basis, art_start, residual, budget = _phase_one(problem)
     if residual > tol.eps_feas:
@@ -524,11 +515,11 @@ def solve_lp(problem: LpProblem, tol: SolverTolerances | None = None) -> LpResul
 
 
 def check_feasible(problem: LpProblem, tol: SolverTolerances | None = None) -> bool:
-    """Feasibility test; the objective is ignored.  A <= problem runs the
-    dense phase one; an equality-form problem is feasible at its start
-    basis, which _start_basis checks (LpInputError when unusable)."""
+    """Feasibility test; the objective is ignored.  A problem without a start
+    runs the dense phase one; one with a start is feasible at it, which
+    _start_basis checks (LpInputError when unusable)."""
     tol = tol if tol is not None else DEFAULT_TOLERANCES
-    if not _equality_form(problem):
+    if problem.start is None:
         return bool(_phase_one(problem)[3] <= tol.eps_feas)
     _start_basis(problem, tol)
     return True

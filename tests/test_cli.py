@@ -287,6 +287,19 @@ class TestScan:
         assert (code, out) == (1, "")
         assert err == f"error: --param-range {fragment}\n"
 
+    def test_last_row_ends_at_the_range_end(self, capsys):
+        # 0.08 + 5 * 0.92 / 5 rounds to 1.0000000000000002, past the
+        # depolarizing kernel's range; each row is clamped to the end.
+        assert 0.08 + 5 * (1.0 - 0.08) / 5 > 1.0
+        code, out, err = run(
+            ["scan", "hypercube-3", "x1", "x2", "--kernel", "depolarizing",
+             "--param-range", "0.08:1:6"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        rows = [ln.split(",") for ln in out.splitlines()[1:] if not ln.startswith("#")]
+        assert len(rows) == 6 and rows[-1][0] == "1"
+
     def test_one_step_scan_prints_one_row(self, capsys):
         code, out, _ = run(
             ["scan", "gbit", "e_x", "e_y", "--kernel", "scaling",

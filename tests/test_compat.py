@@ -249,12 +249,7 @@ class TestComputeLambda0:
                 )
                 base = solve_lp(prob)
                 perm = rng.permutation(prob.n_constraints)
-                shuffled = LpProblem(
-                    prob.objective,
-                    prob.rows[perm],
-                    tuple(prob.relations[i] for i in perm),
-                    prob.rhs[perm],
-                )
+                shuffled = LpProblem(prob.objective, prob.rows[perm], prob.rhs[perm])
                 again = solve_lp(shuffled)
                 assert again.value == pytest.approx(base.value, abs=1e-9)
 
@@ -442,6 +437,19 @@ class TestKernels:
     def test_scaling_kernel_rejects_small_k(self):
         with pytest.raises(ValueError):
             scaling_kernel(0.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_level_is_named_before_any_lp(self, monkeypatch, value):
+        # No LP can answer at a level that is not finite: at nan the slack
+        # dual would run out its pivot budget, at inf answer False.
+        monkeypatch.setattr(compat_module, "solve_lp",
+                            lambda *args: pytest.fail("an LP was solved"))
+        square = gbit_square()
+        with pytest.raises(ValueError, match=rf"^lam must be finite, got {value!r}$"):
+            eq3_feasible(square, unit_effect(2), unit_effect(2), lam=value)
+        with pytest.raises(ValueError, match=rf"^scaling parameter must be finite and >= 1, "
+                                             rf"got {value!r}$"):
+            scaling_kernel(value)
 
     def test_depolarizing_kernel_bounds(self):
         with pytest.raises(ValueError):

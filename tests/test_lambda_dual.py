@@ -10,7 +10,7 @@ import pytest
 import effectcompat.compat as compat
 import effectcompat.lp as lp
 from effectcompat.core import make_state_space
-from effectcompat.lp import EQ, LE, LpProblem, SolverFailure, check_feasible, solve_lp
+from effectcompat.lp import LpProblem, SolverFailure, check_feasible, solve_lp
 from effectcompat.models import gbit_square, hypercube, regular_polygon, simplex
 from effectcompat.tolerances import DEFAULT_TOLERANCES
 
@@ -83,7 +83,7 @@ def _stacked_dual(space, rhs, column, cost):
     chosen[space.frame_swap[v]] = v
     x, y = (block * k for block in _START_PAIRS[pair])
     start = tuple(x + u for u in chosen) + (y + v,)
-    result = solve_lp(LpProblem(rhs, rows, (EQ,) * rows.shape[0], dual_rhs, start))
+    result = solve_lp(LpProblem(rhs, rows, dual_rhs, start))
     return -cost * result.value, result.multipliers[:-1], result.iterations
 
 
@@ -227,7 +227,7 @@ def _eq3_problem(space, e, f, lam):
     ev, fv, M = e.vertex_values(space), f.vertex_values(space), space.vertex_matrix()
     rhs = np.concatenate([np.zeros(space.n_vertices), ev, fv, lam - (ev + fv)])
     A = np.vstack([-M, M, M, -M])
-    return LpProblem(np.zeros(2 * A.shape[1]), compat._split(A), (LE,) * A.shape[0], rhs)
+    return LpProblem(np.zeros(2 * A.shape[1]), compat._split(A), rhs)
 
 
 def _depolarizing_threshold(space, e, f, tol=compat.DEFAULT_TOLERANCES):
@@ -238,8 +238,7 @@ def _depolarizing_threshold(space, e, f, tol=compat.DEFAULT_TOLERANCES):
     M = space.vertex_matrix()
     A = np.hstack([np.vstack([-M, M, M, -M]), column[:, None]])
     objective = np.append(np.zeros(M.shape[1]), -1.0)  # maximize t
-    result = solve_lp(LpProblem(compat._split(objective), compat._split(A),
-                                (LE,) * A.shape[0], rhs), tol)
+    result = solve_lp(LpProblem(compat._split(objective), compat._split(A), rhs), tol)
     return compat._free_point(result.point)[-1]
 
 
@@ -262,14 +261,14 @@ def test_duals_agree_with_the_primal_formulations():
 
 
 def _spy_starts(monkeypatch):
-    """Record every equality-form problem the solver is handed, and every one
-    whose start basis it takes; with no phase one, the two lists agree
+    """Record every problem with a start basis the solver is handed, and
+    every one whose start basis it takes; with no phase one, the two lists agree
     unless a start is refused."""
     posed, taken = [], []
     solve, start_basis = lp.solve_lp, lp._start_basis
 
     def spy_solve(problem, tol=None):
-        if lp._equality_form(problem):
+        if problem.start is not None:
             posed.append(problem)
         return solve(problem, tol)
 
@@ -513,8 +512,8 @@ def _spy_problems(monkeypatch):
     lambda: make_state_space(np.hstack([regular_polygon(8).vertices, np.zeros((8, 1))])),
 ], ids=["gbit", "simplex-3", "polygon-8", "hypercube-3", "flat-polygon-8"])
 def test_the_package_poses_only_the_two_problem_forms(monkeypatch, make):
-    # Every LP is all equalities, or the all-<= lambda primal of a space with
-    # at most 4 vertices.
+    # Every LP is all equalities with a start basis, or the all-<= lambda
+    # primal of a space with at most 4 vertices, which has none.
     space = make()
     posed = _spy_problems(monkeypatch)
     lambda_primals = incompatible = 0
@@ -533,8 +532,8 @@ def test_the_package_poses_only_the_two_problem_forms(monkeypatch, make):
     zero = np.zeros(space.n_vertices)
     lambda_rows = compat._lambda_problem(space, zero, zero).rows
     for problem in posed:
-        if set(problem.relations) != {EQ}:
-            assert space.n_vertices <= 4 and set(problem.relations) == {LE}
+        if problem.start is None:
+            assert space.n_vertices <= 4
             assert np.array_equal(problem.rows, lambda_rows)
             lambda_primals += 1
     assert (lambda_primals > 0) == (space.n_vertices < compat._DUAL_MIN_VERTICES)

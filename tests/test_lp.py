@@ -17,7 +17,7 @@ from effectcompat.lp import (
 
 def test_single_active_bound_row():
     # minimize x subject to x >= 1, posed as -x <= -1
-    prob = LpProblem([1.0], [[-1.0]], (LE,), [-1.0])
+    prob = LpProblem([1.0], [[-1.0]], [-1.0])
     res = solve_lp(prob)
     assert res.value == pytest.approx(1.0, abs=1e-9)
     assert res.point[0] == pytest.approx(1.0, abs=1e-9)
@@ -25,65 +25,55 @@ def test_single_active_bound_row():
 
 def test_unit_simplex_vertex():
     # minimize -x - y subject to x + y <= 1, x >= 0, y >= 0
-    prob = LpProblem([-1.0, -1.0], [[1.0, 1.0]], (LE,), [1.0])
+    prob = LpProblem([-1.0, -1.0], [[1.0, 1.0]], [1.0])
     res = solve_lp(prob)
     assert res.value == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_contradictory_rows_infeasible():
     # minimize x subject to x <= 0 and x >= 1, posed as -x <= -1
-    prob = LpProblem([1.0], [[1.0], [-1.0]], (LE, LE), [0.0, -1.0])
+    prob = LpProblem([1.0], [[1.0], [-1.0]], [0.0, -1.0])
     with pytest.raises(SolverFailure, match="infeasible: phase one leaves residual 1.000e"):
         solve_lp(prob)
 
 
 def test_unbounded_free_variable():
     # minimize -y over y >= 0, with no row to stop it
-    prob = LpProblem([-1.0], np.zeros((0, 1)), (), [])
+    prob = LpProblem([-1.0], np.zeros((0, 1)), [])
     with pytest.raises(SolverFailure, match="unbounded: no row limits entering column 0"):
         solve_lp(prob)
 
 
 def test_row_length_mismatch_is_input_error():
     with pytest.raises(LpInputError):
-        LpProblem([1.0, 2.0], [[1.0]], (LE,), [1.0])
+        LpProblem([1.0, 2.0], [[1.0]], [1.0])
 
 
-def test_unknown_relation_is_input_error():
-    with pytest.raises(LpInputError):
-        LpProblem([1.0], [[1.0]], ("<",), [1.0])
-    with pytest.raises(LpInputError, match="neither all '=' nor all '<='"):
-        LpProblem([1.0], [[1.0]], (">=",), [1.0])
-    with pytest.raises(LpInputError, match="neither all '=' nor all '<='"):
-        LpProblem([1.0], [[1.0], [1.0]], (EQ, LE), [1.0, 2.0])
-
-
-@pytest.mark.parametrize("objective, relations, rhs, match", [
-    ([[1.0], [1.0]], (LE,), [1.0], "objective must be a nonempty 1-d vector"),
-    ([1.0], (LE, LE), [1.0], "1 rows but 2 relations"),
-    ([1.0], (LE,), [1.0, 2.0], r"rhs must have shape \(1,\), got \(2,\)"),
-], ids=["2-d-objective", "relation-count", "rhs-shape"])
-def test_malformed_problem_is_input_error(objective, relations, rhs, match):
+@pytest.mark.parametrize("objective, rhs, match", [
+    ([[1.0], [1.0]], [1.0], "objective must be a nonempty 1-d vector"),
+    ([1.0], [1.0, 2.0], r"rhs must have shape \(1,\), got \(2,\)"),
+], ids=["2-d-objective", "rhs-shape"])
+def test_malformed_problem_is_input_error(objective, rhs, match):
     with pytest.raises(LpInputError, match=match):
-        LpProblem(objective, [[1.0]], relations, rhs)
+        LpProblem(objective, [[1.0]], rhs)
 
 
 def test_duplicate_rows_are_harmless():
-    res = solve_lp(LpProblem([-1.0, 0.0], [[1.0, 1.0]] * 4 + [[-1.0, 1.0]], (LE,) * 5,
+    res = solve_lp(LpProblem([-1.0, 0.0], [[1.0, 1.0]] * 4 + [[-1.0, 1.0]],
                              [1.0, 1.0, 1.0, 1.0, 0.0]))
     assert res.value == pytest.approx(-1.0, abs=1e-9)
     # Repeated equalities leave every basis singular; the revised method has
     # no phase one to drop them, so it refuses the start before any pivot.
     with pytest.raises(LpInputError, match="singular"):
         solve_lp(LpProblem([-1.0, 0.0, 0.0], [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 1.0]],
-                           (EQ, EQ, EQ), [1.0, 1.0, 2.0], (0, 1, 2)))
+                           [1.0, 1.0, 2.0], (0, 1, 2)))
 
 
 def test_problem_holds_only_read_only_owned_arrays_without_a_copy():
     objective, rows, rhs = np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([1.0])
     for array in (objective, rows, rhs):
         array.flags.writeable = False
-    held = LpProblem(objective, rows, (EQ,), rhs, (0,))
+    held = LpProblem(objective, rows, rhs, (0,))
     assert held.objective is objective and held.rows is rows and held.rhs is rhs
     # writable arrays, read-only views of a writable base and other dtypes are
     # copied, so that later writes by the caller never reach the problem
@@ -91,7 +81,7 @@ def test_problem_holds_only_read_only_owned_arrays_without_a_copy():
     view = base[:1]
     view.flags.writeable = False
     writable = np.array([1.0, 2.0])
-    copied = LpProblem(writable, view, (EQ,), np.array([1], dtype=np.int64), (0,))
+    copied = LpProblem(writable, view, np.array([1], dtype=np.int64), (0,))
     assert copied.objective is not writable and copied.rows is not view
     assert copied.rhs.dtype == np.float64
     writable[0] = base[0, 0] = 5.0
@@ -104,17 +94,11 @@ def test_problem_holds_only_read_only_owned_arrays_without_a_copy():
 def test_row_permutation_preserves_value():
     rng = np.random.default_rng(7)
     rows = [[2.0, 1.0], [1.0, 3.0], [-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]]
-    rels = (LE,) * 5
     rhs = [8.0, 9.0, 0.0, 0.0, -1.0]
-    base = solve_lp(LpProblem([-3.0, -5.0], rows, rels, rhs))
+    base = solve_lp(LpProblem([-3.0, -5.0], rows, rhs))
     for _ in range(10):
         perm = rng.permutation(len(rows))
-        shuffled = LpProblem(
-            [-3.0, -5.0],
-            [rows[i] for i in perm],
-            tuple(rels[i] for i in perm),
-            [rhs[i] for i in perm],
-        )
+        shuffled = LpProblem([-3.0, -5.0], [rows[i] for i in perm], [rhs[i] for i in perm])
         res = solve_lp(shuffled)
         assert res.value == pytest.approx(base.value, abs=1e-9)
 
@@ -123,7 +107,6 @@ def test_value_matches_objective_at_point():
     prob = LpProblem(
         [1.0, -2.0, 0.5],
         [[1.0, 1.0, 1.0], [-1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-        (LE,) * 4,
         [5.0, 2.0, 3.0, 2.0],
     )
     res = solve_lp(prob)
@@ -131,7 +114,7 @@ def test_value_matches_objective_at_point():
 
 
 def test_deterministic_resolve():
-    prob = LpProblem([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], (LE, LE), [4.0, 6.0])
+    prob = LpProblem([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 6.0])
     a = solve_lp(prob)
     b = solve_lp(prob)
     assert a.value == b.value
@@ -141,18 +124,18 @@ def test_deterministic_resolve():
 
 def test_iteration_cap_raises_solver_failure(monkeypatch):
     monkeypatch.setattr(lp, "ITERATION_CAP_FACTOR", 0)
-    prob = LpProblem([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], (LE, LE), [4.0, 6.0])
+    prob = LpProblem([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 6.0])
     with pytest.raises(SolverFailure):
         solve_lp(prob)
 
 
 def test_check_feasible_interval():
-    prob = LpProblem([0.0], [[-1.0], [1.0]], (LE, LE), [-1.0, 2.0])
+    prob = LpProblem([0.0], [[-1.0], [1.0]], [-1.0, 2.0])
     assert check_feasible(prob) is True
 
 
 def test_check_feasible_empty_interval():
-    prob = LpProblem([0.0], [[-1.0], [1.0]], (LE, LE), [-1.0, 0.0])
+    prob = LpProblem([0.0], [[-1.0], [1.0]], [-1.0, 0.0])
     assert check_feasible(prob) is False
 
 
@@ -172,27 +155,27 @@ def _reference_pivot(T, basis, row, col):
 
 def _small_problems():
     return [
-        LpProblem([1.0], [[-1.0]], (LE,), [-1.0]),
+        LpProblem([1.0], [[-1.0]], [-1.0]),
         # a free x >= 1 as x = y0 - y1: phase one through a negated row
-        LpProblem([1.0, -1.0], [[-1.0, 1.0]], (LE,), [-1.0]),
-        LpProblem([-1.0, -1.0], [[1.0, 1.0]], (LE,), [1.0]),
-        LpProblem([1.0], [[1.0], [-1.0]], (LE, LE), [0.0, -1.0]),
-        LpProblem([-1.0], np.zeros((0, 1)), (), []),
-        LpProblem([-1.0], [[1.0]], (LE,), [5.0]),
+        LpProblem([1.0, -1.0], [[-1.0, 1.0]], [-1.0]),
+        LpProblem([-1.0, -1.0], [[1.0, 1.0]], [1.0]),
+        LpProblem([1.0], [[1.0], [-1.0]], [0.0, -1.0]),
+        LpProblem([-1.0], np.zeros((0, 1)), []),
+        LpProblem([-1.0], [[1.0]], [5.0]),
         # x + 2y = 3 with 0 <= x <= 10, -1 <= y <= 1, shifted to y + 1 >= 0,
         # the two bounds as equalities with slack columns s1, s2, started at
         # x = 5, y + 1 = 0
         LpProblem([1.0, 1.0, 0.0, 0.0],
                   [[1.0, 2.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]],
-                  (EQ, EQ, EQ), [5.0, 10.0, 2.0], (0, 2, 3)),
+                  [5.0, 10.0, 2.0], (0, 2, 3)),
         LpProblem([-1.0, 0.0], [[1.0, 1.0]] * 4 + [[-1.0, 1.0]],
-                  (LE,) * 5, [1.0, 1.0, 1.0, 1.0, 0.0]),
+                  [1.0, 1.0, 1.0, 1.0, 0.0]),
         LpProblem([-3.0, -5.0], [[2.0, 1.0], [1.0, 3.0], [-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]],
-                  (LE,) * 5, [8.0, 9.0, 0.0, 0.0, -1.0]),
+                  [8.0, 9.0, 0.0, 0.0, -1.0]),
         LpProblem([1.0, -2.0, 0.5],
                   [[1.0, 1.0, 1.0], [-1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-                  (LE,) * 4, [5.0, 2.0, 3.0, 2.0]),
-        LpProblem([0.0], [[-1.0], [1.0]], (LE, LE), [-1.0, 0.0]),
+                  [5.0, 2.0, 3.0, 2.0]),
+        LpProblem([0.0], [[-1.0], [1.0]], [-1.0, 0.0]),
     ]
 
 
@@ -237,7 +220,7 @@ def test_column_wise_pivot_matches_the_full_outer_product(monkeypatch):
 
 
 def test_negative_point_fails_verification():
-    prob = LpProblem([0.0, 0.0], [[1.0, 1.0]], (LE,), [1.0])
+    prob = LpProblem([0.0, 0.0], [[1.0, 1.0]], [1.0])
     lp._verify_solution(prob, np.array([0.5, -1e-10]), 1e-9)
     with pytest.raises(SolverFailure, match="lower bound on variable 1"):
         lp._verify_solution(prob, np.array([0.5, -1e-8]), 1e-9)
@@ -306,7 +289,7 @@ def test_tracer_tableau_shape_matches_the_solver(monkeypatch):
     compat.compute_lambda0(space, e, f)
     compat.min_depolarizing_noise(space, e, f)
     compat.eq3_feasible(space, e, f)
-    dense = [problem for problem in solved if not lp._equality_form(problem)]
+    dense = [problem for problem in solved if problem.start is None]
     assert len(solved) == 4 and len(dense) == 2  # the lambda primal, twice
     assert shapes == [tableau_shape(problem) for problem in dense]
 
@@ -362,7 +345,7 @@ def _equality_problems():
             y0[list(start)] = rng.uniform(0.1, 1.0, size=m)
             # a nonnegative cost keeps the problem bounded
             cost = rng.normal(size=n) if case == "signed cost" else rng.uniform(size=n)
-            problems.append(LpProblem(cost, rows, (EQ,) * m, rows @ y0, start))
+            problems.append(LpProblem(cost, rows, rows @ y0, start))
     return problems
 
 
@@ -383,7 +366,7 @@ def test_revised_method_matches_the_dense_tableau(monkeypatch, run):
         # each equality as the <= pair (row, -row) takes the dense tableau
         signs = np.tile([1.0, -1.0], prob.n_constraints)
         dense = _outcome(LpProblem(prob.objective, np.repeat(prob.rows, 2, axis=0) * signs[:, None],
-                                   (LE,) * 2 * prob.n_constraints, np.repeat(prob.rhs, 2) * signs))
+                                   np.repeat(prob.rhs, 2) * signs))
         assert check_feasible(prob) is True
         if isinstance(res, SolverFailure):
             assert "unbounded" in str(res) and "unbounded" in str(dense)
@@ -396,18 +379,26 @@ def test_revised_method_matches_the_dense_tableau(monkeypatch, run):
     assert 0 < unbounded < len(_equality_problems())
 
 
-@pytest.mark.parametrize("start, relations, match", [
-    ((0,), (EQ, EQ), "2 rows but a start basis of 1"),
-    ((0, 3), (EQ, EQ), "start column 3 outside"),
-    ((-1, 0), (EQ, EQ), "start column -1 outside"),
-    ((1, 1), (EQ, EQ), "repeats a column"),
-    ((0.0, 1.0), (EQ, EQ), "column indices"),
-    ((0, 1), (LE, LE), "rows are all equalities"),
-], ids=["length", "past-the-end", "negative", "repeat", "float", "not-equality"])
-def test_malformed_start_is_input_error(start, relations, match):
+@pytest.mark.parametrize("start, match", [
+    ((0,), "2 rows but a start basis of 1"),
+    ((0, 3), "start column 3 outside"),
+    ((-1, 0), "start column -1 outside"),
+    ((1, 1), "repeats a column"),
+    ((0.0, 1.0), "column indices"),
+], ids=["length", "past-the-end", "negative", "repeat", "float"])
+def test_malformed_start_is_input_error(start, match):
     with pytest.raises(LpInputError, match=match):
-        LpProblem([1.0, 1.0, 1.0], [[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]], relations, [1.0, 0.0],
-                  start)
+        LpProblem([1.0, 1.0, 1.0], [[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]], [1.0, 0.0], start)
+
+
+def test_the_start_names_the_form():
+    # A start makes every row an equality, no start every row a <= row, and
+    # a problem of no rows has no column to start from.
+    rows = [[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]]
+    assert LpProblem([1.0, 1.0, 1.0], rows, [1.0, 0.0], (0, 2)).relations == (EQ, EQ)
+    assert LpProblem([1.0, 1.0, 1.0], rows, [1.0, 0.0]).relations == (LE, LE)
+    with pytest.raises(LpInputError, match="a start basis needs at least one row"):
+        LpProblem([1.0], np.zeros((0, 1)), [], ())
 
 
 def test_start_basis_gives_the_same_status_and_value():
@@ -421,7 +412,7 @@ def test_start_basis_gives_the_same_status_and_value():
         planted = _outcome(prob)
         for _ in range(6):
             start = tuple(rng.choice(prob.n_variables, prob.n_constraints, replace=False))
-            started = LpProblem(prob.objective, prob.rows, prob.relations, prob.rhs, start)
+            started = LpProblem(prob.objective, prob.rows, prob.rhs, start)
             B = prob.rows[:, list(start)]
             if np.linalg.matrix_rank(B) < prob.n_constraints:
                 kind = "singular"
@@ -514,11 +505,9 @@ def test_ratio_test_matches_the_numpy_expressions(bland):
 
 
 def test_equality_form_without_a_usable_start_is_input_error():
-    # There is no phase one: an equality-form problem needs a start basis,
-    # and one that is singular (an all-zero row has no other) is refused.
-    with pytest.raises(LpInputError, match="needs a start basis"):
-        LpProblem([0.3, 0.0], [[1.0, 1.0]], (EQ,), [1.0])
-    zero_row = LpProblem([-0.3, 0.0, 0.3], [[0.0, -0.0, 0.0]], (EQ,), [0.0], (1,))
+    # There is no phase one: a start basis that is singular (an all-zero row
+    # has no other) is refused.
+    zero_row = LpProblem([-0.3, 0.0, 0.3], [[0.0, -0.0, 0.0]], [0.0], (1,))
     for method in (solve_lp, check_feasible):
         with pytest.raises(LpInputError, match=r"start basis \(1,\) is singular"):
             method(zero_row)
@@ -530,7 +519,7 @@ def test_bland_enters_the_smallest_improving_index(monkeypatch, run, pivots):
     # From the slack basis, Dantzig enters y1 (reduced cost -10) and stops;
     # Bland enters y0 first and needs a second pivot for y1.
     monkeypatch.setattr(lp, "_DEGENERATE_RUN", run)
-    res = solve_lp(LpProblem([-1.0, -10.0, 0.0], [[1.0, 1.0, 1.0]], (EQ,), [1.0], (2,)))
+    res = solve_lp(LpProblem([-1.0, -10.0, 0.0], [[1.0, 1.0, 1.0]], [1.0], (2,)))
     assert (res.value, res.iterations) == (-10.0, pivots)
 
 

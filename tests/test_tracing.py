@@ -4,10 +4,13 @@
 a refactor that drops one of them would otherwise break only traced runs.
 """
 
+import math
+
 import pytest
 
+from effectcompat import lp
 from effectcompat.models import zoo_model
-from perfbench import inputs, workloads
+from perfbench import inputs, tracing, workloads
 
 
 @pytest.mark.parametrize("make", [
@@ -47,3 +50,29 @@ def test_traced_noise_query_spans(tmp_path):
     spans = {name: tracer.names.count(name)
              for name in ("compat.compute_lambda0", "lp.solve_lp", "lp.check_feasible")}
     assert spans == {"compat.compute_lambda0": 2, "lp.solve_lp": 7, "lp.check_feasible": 0}
+
+
+@pytest.mark.parametrize("model, names, dense", [
+    ("gbit", ("e_x", "e_y"), True),
+    ("polygon-5", ("x1", "x2"), False),
+], ids=["gbit", "polygon-5"])
+def test_layer_metrics_read_the_recorded_problems(model, names, dense):
+    # layer_metrics and phase1_share read relations, bounds and
+    # check_feasible off every recorded LpProblem: on gbit the lambda primal
+    # takes the dense tableau, on polygon-5 every LP is a witness dual.
+    space, effects = zoo_model(model)
+    pair = inputs.Pair(0, model, space, *(effects[name] for name in names))
+    workload = workloads.NoiseSmall()
+    tracer = workloads._install_tracer(workload)
+    try:
+        tracer.query = 0
+        with tracer.span("query"):
+            workload.query(pair, tracer)
+    finally:
+        tracer.uninstall()
+    problems = [problem for _, problem, _ in tracer.lp_solves]
+    assert any(problem.start is None for problem in problems) is dense
+    metrics = tracing.layer_metrics(tracer, 1, 0, root_span="query")
+    share = tracing.phase1_share(tracer, lp.solve_lp, lp.check_feasible, 1.0, 64)
+    assert metrics["lp.solve_lp.calls"] > 0 and metrics["lp.failures"] == 0
+    assert all(math.isfinite(value) for value in [share, *metrics.values()]), metrics
