@@ -86,6 +86,9 @@ def _pick_effect(effects: dict[str, Effect], name: str) -> Effect:
 
 def _load_pair(args):
     """(tol, space, e, f, label) from a pair command's model and effect arguments."""
+    if args.eps_compat < SolverTolerances.eps_opt:
+        raise InputError(f"--eps-compat must be at least {SolverTolerances.eps_opt:g} "
+                         f"(the fixed LP optimality slack), got {args.eps_compat!r}")
     tol = SolverTolerances(eps_feas=args.eps_feas, eps_compat=args.eps_compat)
     space, effects, label = _resolve_model(args.model, tol)
     e, f = (_pick_effect(effects, name) for name in (args.effect_e, args.effect_f))
@@ -321,7 +324,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eps-feas", type=float, default=1e-9,
                         help="LP feasibility tolerance (default 1e-9)")
     parser.add_argument("--eps-compat", type=float, default=1e-7,
-                        help="slack when comparing lambda0 against 1 (default 1e-7)")
+                        help="slack when comparing lambda0 against 1 (default 1e-7, "
+                             f"at least {SolverTolerances.eps_opt:g})")
 
 
 def _add_pair_arguments(parser: argparse.ArgumentParser) -> None:

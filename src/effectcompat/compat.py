@@ -133,17 +133,14 @@ def _free_point(y: np.ndarray) -> np.ndarray:
 
 
 def _witness_rhs(ev: np.ndarray, fv: np.ndarray, level: float) -> np.ndarray:
-    """rhs of the four row blocks at a fixed level: 0, e, f, level - (e + f),
-    read-only, so that an LpProblem holds it without a copy.
+    """rhs of the four row blocks at a fixed level: 0, e, f, level - (e + f).
 
     The witness system space.dual_rows^T g + column s <= rhs, over free g and
     one more variable s, is g >= 0, g <= e, g <= f, e + f - g <= level per
     vertex.  For lambda0, level is 0 and column is [0]*3k + [-1]*k, the last
     row of space.lambda_dual.rows: per vertex, e(v)+f(v)-g(v) <= lambda.
     """
-    rhs = np.concatenate([np.zeros(ev.size), ev, fv, level - (ev + fv)])
-    rhs.flags.writeable = False
-    return rhs
+    return np.concatenate([np.zeros(ev.size), ev, fv, level - (ev + fv)])
 
 
 def _lambda_problem(space: StateSpace, ev: np.ndarray, fv: np.ndarray) -> LpProblem:

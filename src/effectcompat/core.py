@@ -473,6 +473,9 @@ def separating_effect(space: StateSpace, i: int, j: int,
     rescaled functional separates them (states are separated by effects).
     """
     tol = tol if tol is not None else DEFAULT_TOLERANCES
+    for v in (i, j):
+        if not 0 <= v < space.n_vertices:
+            raise ValueError(f"vertex {v} out of range for {space.n_vertices} vertices")
     diff = np.abs(space.vertices[i] - space.vertices[j])
     if diff.size == 0 or diff.max(initial=0.0) <= tol.eps_geom:
         raise ValueError(f"vertices {i} and {j} coincide; no effect separates them")

@@ -5,12 +5,11 @@ A problem has one of two forms, minimize c . y subject to rows . y = rhs or
 to rows . y <= rhs, with y >= 0, and whether it has a start basis names
 which: every row of a problem with one is an equality, every row of a
 problem without one a <= row.  A caller with free variables poses each as
-the difference of two nonnegative ones.  An LpProblem holds read-only
-float64 arrays: one the caller passes already read-only and owning its data
-is held as it is, so the witness duals share their constraint rows across
-pairs, and anything else (writable, a view, another dtype) is copied, so
-that no later write by the caller reaches the problem.  solve_lp and
-check_feasible pick the method from the form:
+the difference of two nonnegative ones.  An LpProblem holds float64
+arrays as its caller built them, with no copy and no check of their shapes
+or of the start's indices: the caller builds them well formed and never
+writes to them afterwards, so the witness duals share their constraint rows
+across pairs.  solve_lp and check_feasible pick the method from the form:
 
 * With a start, every row an equality (the duals of the witness LPs, r+2
   rows over 4k vertex weights): the revised simplex method from that
@@ -60,7 +59,6 @@ every row and bound within eps_feas.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,8 +106,7 @@ class LpError(Exception):
 
 
 class LpInputError(LpError):
-    """Malformed problem data: a shape mismatch, or a start basis that is
-    malformed or unusable."""
+    """A start basis the solver refuses: singular, ill-conditioned or infeasible."""
 
 
 class SolverFailure(LpError):
@@ -123,9 +120,8 @@ class LpProblem:
     else rows . y <= rhs, with y >= 0.
 
     start names the feasible basis the revised method starts from, one
-    distinct column index per row, so it needs at least one row.  The arrays
-    are held read-only, copied unless already read-only float64 owning their
-    data.
+    distinct column index per row.  Float64 arrays are held with no copy and
+    no check: the caller builds them well formed and never writes to them.
     """
 
     objective: np.ndarray
@@ -134,26 +130,8 @@ class LpProblem:
     start: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        c = np.atleast_1d(_read_only(self.objective))
-        if c.ndim != 1 or c.size < 1:
-            raise LpInputError("objective must be a nonempty 1-d vector")
-        n = c.size
-        rows = _read_only(self.rows)
-        if rows.size == 0:
-            rows = rows.reshape(0, n)
-        if rows.ndim != 2 or rows.shape[1] != n:
-            raise LpInputError(
-                f"constraint rows must form an (m, {n}) matrix, got shape {rows.shape}"
-            )
-        m = rows.shape[0]
-        rhs = np.atleast_1d(_read_only(self.rhs))
-        if rhs.shape != (m,):
-            raise LpInputError(f"rhs must have shape ({m},), got {rhs.shape}")
-        if self.start is not None:
-            object.__setattr__(self, "start", _checked_start(self.start, m, n))
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "rhs", rhs)
+        for name in ("objective", "rows", "rhs"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
     @property
     def n_variables(self) -> int:
@@ -174,34 +152,6 @@ class LpProblem:
         # perfbench.tracing.tableau_shape reads per-variable bounds to count
         # tableau columns; every variable is nonnegative.
         return ((0.0, None),) * self.n_variables
-
-
-def _read_only(a) -> np.ndarray:
-    """a itself when it is a read-only float64 array that owns its data, which
-    no caller can write through; otherwise a read-only float64 copy, which
-    keeps the problem detached from caller-owned arrays."""
-    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
-            and not a.flags.writeable and a.flags.owndata):
-        a = np.array(a, dtype=float)
-        a.flags.writeable = False
-    return a
-
-
-def _checked_start(start, m: int, n: int) -> tuple[int, ...]:
-    if m == 0:
-        raise LpInputError("a start basis needs at least one row")
-    try:
-        start = tuple(operator.index(j) for j in start)
-    except TypeError:
-        raise LpInputError(f"start must be a sequence of column indices, got {start!r}") from None
-    if len(start) != m:
-        raise LpInputError(f"{m} rows but a start basis of {len(start)} columns")
-    outside = [j for j in start if not 0 <= j < n]
-    if outside:
-        raise LpInputError(f"start column {outside[0]} outside 0..{n - 1}")
-    if len(set(start)) != m:
-        raise LpInputError(f"start basis {start} repeats a column")
-    return start
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -48,12 +49,21 @@ class ModelFormatError(ValueError):
     """A model file violates the schema; the message names the field."""
 
 
+def _count(value, what: str) -> int:
+    """value as an int; TypeError naming what unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+
+
 def simplex(n: int) -> StateSpace:
     """Classical model with n pure states: the standard corners in n-1 dims.
 
     simplex(2) is the segment [0, 1], simplex(3) the triangle
     (0,0), (1,0), (0,1); every effect pair on a simplex is compatible.
     """
+    n = _count(n, "simplex vertex count n")
     if n < 1:
         raise ValueError(f"simplex needs at least one vertex, got {n}")
     d = n - 1
@@ -68,6 +78,7 @@ def gbit_square() -> StateSpace:
 
 
 def hypercube(d: int) -> StateSpace:
+    d = _count(d, "hypercube dimension d")
     if not 1 <= d <= MAX_HYPERCUBE_DIMENSION:
         raise ValueError(
             f"hypercube dimension must be in [1, {MAX_HYPERCUBE_DIMENSION}], got {d}"
@@ -77,6 +88,7 @@ def hypercube(d: int) -> StateSpace:
 
 
 def regular_polygon(n: int) -> StateSpace:
+    n = _count(n, "polygon vertex count n")
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got {n}")
     angles = 2.0 * np.pi * np.arange(n) / n

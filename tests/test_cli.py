@@ -130,6 +130,12 @@ class TestCheck:
         assert out == ""
         assert f"{field} must be finite, got inf" in err
 
+    def test_compat_tolerance_below_its_floor_names_the_flag(self, capsys):
+        code, out, err = run(["check", "gbit", "e_x", "e_y", "--eps-compat", "1e-12"], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("error: --eps-compat must be at least 1e-09 "
+                       "(the fixed LP optimality slack), got 1e-12\n")
+
     def test_loose_compat_tolerance_flips_verdict(self, capsys):
         code, out, _ = run(
             ["check", "gbit", "e_x", "e_y", "--eps-compat", "1.5"], capsys

@@ -140,6 +140,22 @@ class TestComputeLambda0:
         with pytest.raises(SolverFailure, match=re.escape(message)):
             compute_lambda0(space, effects["x1"], effects["x2"])
 
+    def test_the_lambda_dual_is_posed_on_the_space_arrays_themselves(self, monkeypatch):
+        # LpProblem copies nothing: every pair's LP holds the rows and rhs
+        # built once per space, not copies of them.
+        space = regular_polygon(8)
+        posed = []
+        solve = compat_module.solve_lp
+        monkeypatch.setattr(compat_module, "solve_lp",
+                            lambda problem, tol: posed.append(problem) or solve(problem, tol))
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            compute_lambda0(space, random_effect(space, rng), random_effect(space, rng))
+        assert len(posed) == 2
+        for problem in posed:
+            assert problem.rows is space.lambda_dual.rows
+            assert problem.rhs is space.lambda_dual.rhs
+
     def test_self_pair(self, square):
         e = effect_from_affine(square, [0.4, 0.1, -0.2])
         report = compute_lambda0(square, e, e)

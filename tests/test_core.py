@@ -530,6 +530,13 @@ class TestSeparation:
         with pytest.raises(ValueError, match="coordinate 1 is constant over the vertex set"):
             coordinate_effect(flat, 1)
 
+    @pytest.mark.parametrize("i, j, bad", [(0, 5, 5), (0, -1, -1), (4, 0, 4)],
+                             ids=["past-the-end", "negative", "first"])
+    def test_vertex_outside_the_space_rejected(self, square, i, j, bad):
+        # a negative index must not wrap to a vertex counted from the end
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range for 4 vertices$"):
+            separating_effect(square, i, j)
+
     def test_coincident_vertices_rejected(self):
         space = core.StateSpace([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])  # no dedup
         with pytest.raises(ValueError, match="vertices 1 and 2 coincide"):

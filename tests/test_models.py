@@ -81,7 +81,7 @@ class TestHypercubeAndPolygon:
             hypercube(17)
 
     def test_polygon_vertex_count(self):
-        assert regular_polygon(5).n_vertices == 5
+        assert regular_polygon(5).n_vertices == regular_polygon(np.int64(5)).n_vertices == 5
         with pytest.raises(ValueError):
             regular_polygon(2)
 
@@ -93,6 +93,15 @@ class TestHypercubeAndPolygon:
         f = effect_from_vertex_values(space, [0.0, 1.0, 1.0, 0.0])
         report = compute_lambda0(space, e, f)
         assert report.lambda0 == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("build, count, what", [
+        (regular_polygon, 3.5, "polygon vertex count n"),
+        (simplex, 2.5, "simplex vertex count n"),
+        (hypercube, 2.0, "hypercube dimension d"),
+    ], ids=["polygon", "simplex", "hypercube"])
+    def test_a_float_count_is_named(self, build, count, what):
+        with pytest.raises(TypeError, match=f"^{what} must be an integer, got {count}$"):
+            build(count)
 
     def test_triangle_polygon_is_classical(self):
         space = regular_polygon(3)
