@@ -1,6 +1,6 @@
 """Command-line surface: check pairs, build joint observables, scan noise.
 
-Exit codes: 0 compatible / success, 1 input error, 2 solver error,
+Exit codes: 0 compatible / success, 1 input or usage error, 2 solver error,
 3 incompatible pair.  --json output is byte-stable across runs: keys keep
 insertion order and every float is rounded to 12 significant digits.
 """
@@ -382,7 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # 0 after --help; 2, the solver code here, on a usage error
+        return EXIT_INPUT if exc.code == 2 else exc.code
     try:
         return args.func(args)
     except SolverFailure as exc:

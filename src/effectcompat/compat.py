@@ -200,19 +200,18 @@ def _witness_slack(space: StateSpace, e: Effect, f: Effect, tol: SolverTolerance
 
 
 def eq3_feasible(space: StateSpace, e: Effect, f: Effect,
-                 tol: SolverTolerances | None = None, lam: float = 1.0) -> bool:
+                 tol: SolverTolerances = DEFAULT_TOLERANCES, lam: float = 1.0) -> bool:
     """Does some effect g satisfy g <= e, g <= f, e + f <= g + lam*u within
     eps_feas on every vertex?  One dual LP: its least uniform slack z <= eps_feas.
     A lam that is not finite raises ValueError naming it, before any LP.
     """
     if not np.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam!r}")
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
     return bool(_witness_slack(space, e, f, tol, lam)[0] <= tol.eps_feas)
 
 
 def compute_lambda0(space: StateSpace, e: Effect, f: Effect,
-                    tol: SolverTolerances | None = None) -> CompatReport:
+                    tol: SolverTolerances = DEFAULT_TOLERANCES) -> CompatReport:
     """Minimal lambda admitting a witness g, with the witness attached.
 
     The LP is always feasible (g = 0, lambda = 2) and bounded below by
@@ -226,7 +225,6 @@ def compute_lambda0(space: StateSpace, e: Effect, f: Effect,
     solved on a dense tableau.  lp_iterations counts the simplex pivots of
     the phases that ran.
     """
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
     return _lambda0_report(space, *_validated_pair(space, e, f, tol), tol)
 
 
@@ -252,7 +250,7 @@ def _lambda0_report(space: StateSpace, ev: np.ndarray, fv: np.ndarray,
 
 
 def is_compatible(space: StateSpace, e: Effect, f: Effect,
-                  tol: SolverTolerances | None = None,
+                  tol: SolverTolerances = DEFAULT_TOLERANCES,
                   cross_check: bool = False) -> bool:
     """lambda0 <= 1 + eps_compat.
 
@@ -261,7 +259,6 @@ def is_compatible(space: StateSpace, e: Effect, f: Effect,
     more dual LP: compatible needs z <= eps_feas, incompatible z > 0.  A
     mismatch raises CrossCheckError (debug aid, off by default).
     """
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
     report = compute_lambda0(space, e, f, tol)
     if cross_check:
         _check_scaled_verdict(space, e, f, tol, 1.0, report.compatible)
@@ -295,17 +292,14 @@ def scale_effect(effect: Effect, factor: float) -> Effect:
     return Effect(effect.coefficients * factor)
 
 
-def joint_observable_from_witness(
-    space: StateSpace, e: Effect, f: Effect, g: Effect,
-    tol: SolverTolerances | None = None,
-) -> Observable:
+def joint_observable_from_witness(space: StateSpace, e: Effect, f: Effect, g: Effect,
+                                  tol: SolverTolerances = DEFAULT_TOLERANCES) -> Observable:
     """Four-outcome observable {g, e-g, f-g, u-e-f+g} with margins e and f.
 
     g must satisfy g <= e, g <= f and e + f <= g + u on every vertex
     (within eps_feas); each of those inequalities is exactly the
     nonnegativity of one component.
     """
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
     ev, fv = _validated_pair(space, e, f, tol)
     gv = checked_vertex_values(space, g.coefficients, tol)
     for label, residual in (
@@ -332,7 +326,7 @@ def joint_observable_from_witness(
 
 
 def joint_observable(space: StateSpace, e: Effect, f: Effect,
-                     tol: SolverTolerances | None = None
+                     tol: SolverTolerances = DEFAULT_TOLERANCES
                      ) -> tuple[Observable, CompatReport]:
     """Construct a joint observable for a compatible pair.
 
@@ -342,7 +336,6 @@ def joint_observable(space: StateSpace, e: Effect, f: Effect,
     solver noise on boundary pairs.  Raises IncompatibilityError when
     lambda0 > 1 + eps_compat, or when z > eps_feas: no witness at lambda = 1.
     """
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
     report = compute_lambda0(space, e, f, tol)
     if not report.compatible:
         raise IncompatibilityError(
@@ -406,7 +399,7 @@ def smear(obs: Observable, kernel: MarkovKernel2x2) -> Observable:
 
 
 def min_scaling_noise(space: StateSpace, e: Effect, f: Effect,
-                      tol: SolverTolerances | None = None,
+                      tol: SolverTolerances = DEFAULT_TOLERANCES,
                       verify: bool = True) -> float:
     """Least k >= 1 such that e/k and f/k are compatible; equals max(1, lambda0).
 
@@ -416,7 +409,6 @@ def min_scaling_noise(space: StateSpace, e: Effect, f: Effect,
     (hence below k') unless lambda0 is within 16*eps_compat of 1, where that
     verdict is tolerance-dominated.
     """
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
     k_star = max(1.0, compute_lambda0(space, e, f, tol).lambda0)
     if verify and k_star > 1.0:
         _check_scaled_verdict(space, e, f, tol, k_star, True)
@@ -426,7 +418,7 @@ def min_scaling_noise(space: StateSpace, e: Effect, f: Effect,
 
 
 def min_depolarizing_noise(space: StateSpace, e: Effect, f: Effect,
-                           tol: SolverTolerances | None = None) -> float:
+                           tol: SolverTolerances = DEFAULT_TOLERANCES) -> float:
     """Largest t in [0, 1] with t*e + (1-t)*u/2 and t*f + (1-t)*u/2 compatible.
 
     Compatible means lambda0 <= 1 + eps_compat, the verdict of
@@ -437,7 +429,6 @@ def min_depolarizing_noise(space: StateSpace, e: Effect, f: Effect,
     at level 1 + eps_compat less _THRESHOLD_MARGIN.  Both LPs read the
     vertex values of one check of e and f.
     """
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
     ev, fv = _validated_pair(space, e, f, tol)
     if _lambda0_report(space, ev, fv, tol).compatible:
         return 1.0
@@ -450,7 +441,7 @@ def min_depolarizing_noise(space: StateSpace, e: Effect, f: Effect,
 
 
 def random_effect(space: StateSpace, rng: np.random.Generator,
-                  tol: SolverTolerances | None = None,
+                  tol: SolverTolerances = DEFAULT_TOLERANCES,
                   span_range: tuple[float, float] = (0.2, 1.0)) -> Effect:
     """Seeded random effect: uniform affine coefficients rescaled so the
     vertex values fill a random subinterval of [0, 1], of a length drawn
@@ -463,7 +454,6 @@ def random_effect(space: StateSpace, rng: np.random.Generator,
     """
     if not 0.0 < span_range[0] <= span_range[1] <= 1.0:  # NaN fails too
         raise ValueError(f"span_range must satisfy 0 < lo <= hi <= 1, got {span_range!r}")
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
     d = space.dimension
     if len(space.frame) == 1:
         return Effect(np.append(rng.uniform(0.0, 1.0), np.zeros(d)))

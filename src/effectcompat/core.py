@@ -9,6 +9,7 @@ keeps non-simplex spaces unambiguous.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -61,10 +62,27 @@ def _affine_frame(vertices: np.ndarray):
     return tuple(frame), None, vertices
 
 
-def _check_finite(vertices: np.ndarray) -> None:
-    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+def _vertex_array(vertices) -> np.ndarray:
+    """vertices as a float (k, d) array of its own, k >= 1; ValueError on a
+    ragged list, another shape, or the first vertex that is not finite."""
+    try:
+        v = np.array(vertices, dtype=float)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValueError(f"vertices must be a rectangular list of points: {exc}") from None
+    if v.ndim != 2 or v.shape[0] < 1:
+        raise ValueError(f"vertices must form a nonempty (k, d) array, got shape {v.shape}")
+    bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
     if bad.size:
-        raise ValueError(f"vertex {bad[0]} is not finite: {vertices[bad[0]].tolist()}")
+        raise ValueError(f"vertex {bad[0]} is not finite: {v[bad[0]].tolist()}")
+    return v
+
+
+def _count(value, what: str) -> int:
+    """value as an int; TypeError naming what unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _frame_swaps(m: np.ndarray, frame: tuple[int, ...]) -> np.ndarray:
@@ -138,7 +156,8 @@ def lift_witness(space: StateSpace, h: np.ndarray) -> np.ndarray:
 class StateSpace:
     """Convex polytope of states, vertex representation.
 
-    A vertex that is not finite raises ValueError naming it.
+    The vertices are copied and checked as make_state_space checks them
+    (_vertex_array), but duplicates are kept.
 
     __post_init__ derives read-only data from the vertices once; none of it
     is a dataclass field.  The vertices span an affine hull of dimension
@@ -169,10 +188,7 @@ class StateSpace:
     name: str = ""
 
     def __post_init__(self) -> None:
-        v = np.array(self.vertices, dtype=float)  # copy: detach from the caller
-        if v.ndim != 2 or v.shape[0] < 1:
-            raise ValueError(f"vertices must form a nonempty (k, d) array, got {v.shape}")
-        _check_finite(v)
+        v = _vertex_array(self.vertices)  # a copy: detached from the caller
         k = v.shape[0]
         m = np.hstack([np.ones((k, 1)), v])
         frame, basis, coordinates = _affine_frame(v)
@@ -290,27 +306,17 @@ def _dedup(arr: np.ndarray, eps: float) -> np.ndarray:
     return arr[kept]
 
 
-def make_state_space(vertices, name: str = "", tol: SolverTolerances | None = None) -> StateSpace:
+def make_state_space(vertices, name: str = "",
+                     tol: SolverTolerances = DEFAULT_TOLERANCES) -> StateSpace:
     """Build a StateSpace from a vertex list.
 
-    Vertices coinciding within eps_geom are deduplicated (first occurrence
+    The vertices are checked as StateSpace checks them (_vertex_array), then
+    those coinciding within eps_geom are deduplicated (first occurrence
     kept).  A vertex inside the convex hull of the others is kept, and no LP
     checks for one: it only repeats constraints of the witness system, which
     reads the effects on the vertices.
     """
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
-    try:
-        arr = np.asarray(vertices, dtype=float)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ValueError(f"vertices must be a rectangular list of points: {exc}") from None
-    if arr.size == 0 and arr.ndim != 2:
-        raise ValueError("vertex list is empty")
-    if arr.ndim != 2:
-        raise ValueError(f"vertices must be a list of equal-length points, got shape {arr.shape}")
-    if arr.shape[0] < 1:
-        raise ValueError("vertex list is empty")
-    _check_finite(arr)
-    return StateSpace(vertices=_dedup(arr, tol.eps_geom), name=name)
+    return StateSpace(vertices=_dedup(_vertex_array(vertices), tol.eps_geom), name=name)
 
 
 def _floats(values, what: str) -> np.ndarray:
@@ -336,11 +342,10 @@ def _checked_range(space: StateSpace, values: np.ndarray, tol: SolverTolerances)
 
 
 def checked_vertex_values(space: StateSpace, coefficients,
-                          tol: SolverTolerances | None = None) -> np.ndarray:
+                          tol: SolverTolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """The values on the vertices of space of the affine functional with
     these coefficients: ValueError on a wrong number of coefficients, and
     EffectRangeError as _checked_range raises it."""
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
     c = _floats(coefficients, "coefficients")
     if c.shape != (space.dimension + 1,):
         raise ValueError(
@@ -349,24 +354,21 @@ def checked_vertex_values(space: StateSpace, coefficients,
     return _checked_range(space, space.vertex_matrix().dot(c), tol)
 
 
-def effect_from_affine(
-    space: StateSpace, coefficients, tol: SolverTolerances | None = None
-) -> Effect:
+def effect_from_affine(space: StateSpace, coefficients,
+                       tol: SolverTolerances = DEFAULT_TOLERANCES) -> Effect:
     """Validate affine coefficients as an effect on space and wrap them."""
     checked_vertex_values(space, coefficients, tol)
     return Effect(coefficients)
 
 
-def effect_from_vertex_values(
-    space: StateSpace, values, tol: SolverTolerances | None = None
-) -> Effect:
+def effect_from_vertex_values(space: StateSpace, values,
+                              tol: SolverTolerances = DEFAULT_TOLERANCES) -> Effect:
     """Interpolate vertex values into affine coefficients.
 
     The values must lie in [0, 1], and the assignment must be realizable
     by an affine functional: the least-squares fit is accepted only if it
     reproduces every vertex value within eps_geom.  Exact on simplices.
     """
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
     vals = _floats(values, "vertex values")
     if vals.shape != (space.n_vertices,):
         raise ValueError(
@@ -396,9 +398,8 @@ def evaluate(effect: Effect, point) -> float:
 
 
 def leq(f: Effect, g: Effect, space: StateSpace,
-        tol: SolverTolerances | None = None) -> bool:
+        tol: SolverTolerances = DEFAULT_TOLERANCES) -> bool:
     """Pointwise order f <= g on the polytope, decided on the vertices."""
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
     return bool(np.all(f.vertex_values(space) <= g.vertex_values(space) + tol.eps_geom))
 
 
@@ -413,11 +414,9 @@ def dichotomic_observable(f: Effect) -> Observable:
     return Observable(outcomes=(1, 0), effects=(f, complement(f)))
 
 
-def observable_diagnostics(
-    obs: Observable, space: StateSpace, tol: SolverTolerances | None = None
-) -> list[str]:
+def observable_diagnostics(obs: Observable, space: StateSpace,
+                           tol: SolverTolerances = DEFAULT_TOLERANCES) -> list[str]:
     """Reasons obs fails to be an observable on space; empty when valid."""
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
     issues: list[str] = []
     if len(obs.outcomes) != len(obs.effects):
         issues.append(
@@ -445,14 +444,15 @@ def observable_diagnostics(
 
 
 def is_observable(obs: Observable, space: StateSpace,
-                  tol: SolverTolerances | None = None) -> bool:
+                  tol: SolverTolerances = DEFAULT_TOLERANCES) -> bool:
     return not observable_diagnostics(obs, space, tol)
 
 
 def coordinate_effect(space: StateSpace, axis: int,
-                      tol: SolverTolerances | None = None) -> Effect:
-    """Coordinate functional rescaled to [0, 1] over the vertex set."""
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
+                      tol: SolverTolerances = DEFAULT_TOLERANCES) -> Effect:
+    """Coordinate functional rescaled to [0, 1] over the vertex set; TypeError
+    unless axis is an integer, ValueError unless it is in 0..d-1."""
+    axis = _count(axis, "axis")
     if not 0 <= axis < space.dimension:
         raise ValueError(f"axis {axis} out of range for dimension {space.dimension}")
     column = space.vertices[:, axis]
@@ -466,13 +466,14 @@ def coordinate_effect(space: StateSpace, axis: int,
 
 
 def separating_effect(space: StateSpace, i: int, j: int,
-                      tol: SolverTolerances | None = None) -> Effect:
+                      tol: SolverTolerances = DEFAULT_TOLERANCES) -> Effect:
     """An effect taking different values on vertices i and j.
 
     Exists for any two distinct vertices: some coordinate differs, and its
     rescaled functional separates them (states are separated by effects).
+    TypeError unless i and j are integers, ValueError unless in 0..k-1.
     """
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
+    i, j = _count(i, "vertex index i"), _count(j, "vertex index j")
     for v in (i, j):
         if not 0 <= v < space.n_vertices:
             raise ValueError(f"vertex {v} out of range for {space.n_vertices} vertices")

@@ -395,17 +395,22 @@ def _start_basis(problem: LpProblem, tol: SolverTolerances
     try:
         inverse = np.linalg.inv(B)
     except np.linalg.LinAlgError:
-        raise LpInputError(f"start basis {problem.start} is singular") from None
+        raise _refused(basis, "is singular") from None
     condition = np.abs(B).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()
     if not condition < 1.0 / _PIVOT_EPS:
-        raise LpInputError(f"start basis {problem.start} is singular to working precision "
-                           f"(condition number {condition:.3g}, limit {1.0 / _PIVOT_EPS:.0e})")
+        raise _refused(basis, f"is singular to working precision (condition number "
+                              f"{condition:.3g}, limit {1.0 / _PIVOT_EPS:.0e})")
     point = inverse.dot(problem.rhs)
     if not (point >= -tol.eps_feas).all():  # NaN fails too
         i = int(np.flatnonzero(~(point >= -tol.eps_feas))[0])
-        raise LpInputError(f"start basis {problem.start} is infeasible: its point has "
-                           f"{point[i]:.3g} on column {basis[i]}, below -eps_feas")
+        raise _refused(basis, f"is infeasible: its point has {point[i]:.3g} on column "
+                              f"{basis[i]}, below -eps_feas")
     return basis, (inverse, point)
+
+
+def _refused(basis: list, reason: str) -> LpInputError:
+    """LpInputError on a start basis, in Python ints: numpy 2 prints np.int64(3)."""
+    return LpInputError(f"start basis {tuple(map(int, basis))} {reason}")
 
 
 def _solve_revised(problem: LpProblem, tol: SolverTolerances) -> LpResult:
@@ -437,14 +442,13 @@ def _phase_one(problem: LpProblem):
     return T, basis, art_start, residual, budget
 
 
-def solve_lp(problem: LpProblem, tol: SolverTolerances | None = None) -> LpResult:
+def solve_lp(problem: LpProblem, tol: SolverTolerances = DEFAULT_TOLERANCES) -> LpResult:
     """The optimum of the LP; deterministic for a fixed problem.
 
     Raises SolverFailure naming the cause when there is none (infeasible,
     unbounded) or none was found (pivot budget, failed check), and
     LpInputError when the start basis is unusable (see _start_basis).
     """
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
     if problem.start is not None:
         return _solve_revised(problem, tol)
     T, basis, art_start, residual, budget = _phase_one(problem)
@@ -464,11 +468,10 @@ def solve_lp(problem: LpProblem, tol: SolverTolerances | None = None) -> LpResul
     return LpResult(float(problem.objective @ y), y, budget.used)
 
 
-def check_feasible(problem: LpProblem, tol: SolverTolerances | None = None) -> bool:
+def check_feasible(problem: LpProblem, tol: SolverTolerances = DEFAULT_TOLERANCES) -> bool:
     """Feasibility test; the objective is ignored.  A problem without a start
     runs the dense phase one; one with a start is feasible at it, which
     _start_basis checks (LpInputError when unusable)."""
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
     if problem.start is None:
         return bool(_phase_one(problem)[3] <= tol.eps_feas)
     _start_basis(problem, tol)

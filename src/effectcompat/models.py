@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +31,7 @@ import numpy as np
 from .core import (
     Effect,
     StateSpace,
+    _count,
     coordinate_effect,
     effect_from_affine,
     effect_from_vertex_values,
@@ -47,14 +47,6 @@ MAX_HYPERCUBE_DIMENSION = 16
 
 class ModelFormatError(ValueError):
     """A model file violates the schema; the message names the field."""
-
-
-def _count(value, what: str) -> int:
-    """value as an int; TypeError naming what unless it is an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{what} must be an integer, got {value!r}") from None
 
 
 def simplex(n: int) -> StateSpace:
@@ -196,7 +188,7 @@ def _check_numbers(values: list, field: str, path) -> None:
                 f"{path}: {field} holds an integer too large for a double") from None
 
 
-def load_model(path, tol: SolverTolerances | None = None
+def load_model(path, tol: SolverTolerances = DEFAULT_TOLERANCES
                ) -> tuple[StateSpace, dict[str, Effect]]:
     """Parse and validate a model file.
 
@@ -204,7 +196,6 @@ def load_model(path, tol: SolverTolerances | None = None
     (or the line, for malformed JSON); effect validation failures propagate
     as the usual EffectRangeError / RepresentabilityError.
     """
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")

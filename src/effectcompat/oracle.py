@@ -58,7 +58,7 @@ class GridResult:
 
 def grid_lambda0(space: StateSpace, e: Effect, f: Effect,
                  resolution: int = 51,
-                 tol: SolverTolerances | None = None) -> GridResult:
+                 tol: SolverTolerances = DEFAULT_TOLERANCES) -> GridResult:
     """Enumerate witness coefficients on a uniform grid over a box.
 
     The box defaults to [-1, 1] per coefficient and is expanded (and
@@ -136,7 +136,7 @@ class CrossCheckReport:
 
 
 def cross_check(space: StateSpace, e: Effect, f: Effect,
-                tol: SolverTolerances | None = None,
+                tol: SolverTolerances = DEFAULT_TOLERANCES,
                 resolution: int = 51) -> CrossCheckReport:
     """Compare the LP value against the independent routes.
 
@@ -145,7 +145,6 @@ def cross_check(space: StateSpace, e: Effect, f: Effect,
     [grid lower bound, grid value + grid step].  A space is a simplex when
     its frame holds every vertex; its closed form is the grid's lower bound.
     """
-    tol = tol if tol is not None else DEFAULT_TOLERANCES
     report = compute_lambda0(space, e, f, tol)
     grid = grid_lambda0(space, e, f, resolution, tol)
     closed = grid.lower_bound if len(space.frame) == space.n_vertices else None

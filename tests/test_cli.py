@@ -45,6 +45,13 @@ def test_benchmark_cli_goldens(name, capsys):
     assert out == golden["stdout"]
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_cli_import_loads_no_new_module():
     # The cli-process benchmark is mostly interpreter start and imports: over
     # what numpy loads, importing the CLI adds the package and these modules.
@@ -52,10 +59,7 @@ def test_cli_import_loads_no_new_module():
              "gettext", "json"}
     code = ("import sys, numpy; before = set(sys.modules); import effectcompat.cli; "
             "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    loaded = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                             text=True, check=True, timeout=60).stdout.split()
     assert "effectcompat" in loaded and "scipy" not in loaded
     assert not set(loaded) - known
@@ -69,6 +73,36 @@ def test_console_main_exits_with_the_command_code(monkeypatch, capsys):
         console_main()
     assert stop.value.code == 1
     assert "no-such-model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["check", "gbit"], "effectcompat check: error: the following arguments are required: "
+                        "effect_e, effect_f"),
+    (["check", "gbit", "e_x", "e_y", "--eps-feas", "abc"],
+     "effectcompat check: error: argument --eps-feas: invalid float value: 'abc'"),
+    (["scan", "gbit", "e_x", "e_y", "--kernel", "foo", "--param-range", "0:1:2"],
+     "effectcompat scan: error: argument --kernel: invalid choice: 'foo'"),
+    (["frob"], "effectcompat: error: argument {check,joint,scan,zoo}: invalid choice: 'frob'"),
+], ids=["missing-arguments", "not-a-float", "unknown-kernel", "unknown-command"])
+def test_a_usage_error_exits_as_an_input_error(argv, error, capsys):
+    # 1, the input-error code: argparse's own 2 is the solver-error code here
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: effectcompat")
+    assert err.splitlines()[-1].startswith(error)
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run(["--help"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: effectcompat")
+
+
+def test_a_usage_error_through_the_module_entry_point_exits_1():
+    done = subprocess.run([sys.executable, "-m", "effectcompat.cli", "check", "gbit"],
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert "error: the following arguments are required: effect_e, effect_f" in done.stderr
 
 
 class TestCheck:

@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -23,6 +24,22 @@ from effectcompat.core import (
     unit_effect,
     zero_effect,
 )
+
+
+def test_every_tol_parameter_defaults_to_the_shared_tolerances():
+    # by identity: SolverTolerances is frozen, and None is no second spelling
+    import effectcompat
+    from effectcompat import lp, oracle
+    from effectcompat.tolerances import DEFAULT_TOLERANCES
+
+    functions = [getattr(effectcompat, name) for name in effectcompat.__all__] + [
+        oracle.grid_lambda0, oracle.cross_check, core.checked_vertex_values,
+        lp.solve_lp, lp.check_feasible]
+    parameters = {fn.__name__: inspect.signature(fn).parameters
+                  for fn in functions if inspect.isfunction(fn)}
+    defaults = {name: p["tol"].default for name, p in parameters.items() if "tol" in p}
+    assert len(defaults) == 22
+    assert all(default is DEFAULT_TOLERANCES for default in defaults.values()), defaults
 
 
 @pytest.fixture
@@ -172,15 +189,24 @@ class TestMakeStateSpace:
         with pytest.raises(ValueError):
             make_state_space([[0.0], [1.0, 2.0]])
 
-    @pytest.mark.parametrize("build, vertices, match", [
-        (make_state_space, np.zeros((2, 2, 2)), r"equal-length points, got shape \(2, 2, 2\)"),
-        (make_state_space, np.empty((0, 2)), "vertex list is empty"),
-        (core.StateSpace, np.array([0.0, 1.0]), r"nonempty \(k, d\) array, got \(2,\)"),
-        (core.StateSpace, np.empty((0, 2)), r"nonempty \(k, d\) array, got \(0, 2\)"),
-    ], ids=["3-d", "no-rows", "StateSpace-1-d", "StateSpace-no-rows"])
-    def test_an_array_of_no_points_is_rejected(self, build, vertices, match):
-        with pytest.raises(ValueError, match=match):
+    @pytest.mark.parametrize("build, vertices, message", [
+        pytest.param(build, vertices, message, id=prefix + case)
+        for prefix, build in (("", make_state_space), ("StateSpace-", core.StateSpace))
+        for case, vertices, message in [
+            ("1-d", np.array([0.0, 1.0]),
+             "vertices must form a nonempty (k, d) array, got shape (2,)"),
+            ("3-d", np.zeros((2, 2, 2)),
+             "vertices must form a nonempty (k, d) array, got shape (2, 2, 2)"),
+            ("no-rows", np.empty((0, 2)),
+             "vertices must form a nonempty (k, d) array, got shape (0, 2)"),
+            ("ragged", [[0.0], [1.0, 2.0]], "vertices must be a rectangular list of points: "),
+            ("non-finite", [[0.0, 0.0], [0.0, np.nan]], "vertex 1 is not finite: [0.0, nan]"),
+        ]])
+    def test_an_array_of_no_points_is_rejected(self, build, vertices, message):
+        # both constructors check the vertices in one place, with one message each
+        with pytest.raises(ValueError) as rejected:
             build(vertices)
+        assert str(rejected.value).startswith(message)
 
     def test_point_space(self):
         space = make_state_space([[]])
@@ -536,6 +562,24 @@ class TestSeparation:
         # a negative index must not wrap to a vertex counted from the end
         with pytest.raises(ValueError, match=f"^vertex {bad} out of range for 4 vertices$"):
             separating_effect(square, i, j)
+
+    def test_an_index_that_is_not_an_integer_is_named(self, square):
+        with pytest.raises(TypeError, match=r"^axis must be an integer, got 1\.0$"):
+            coordinate_effect(square, 1.0)
+        with pytest.raises(TypeError, match=r"^vertex index j must be an integer, got 1\.0$"):
+            separating_effect(square, 0, 1.0)
+        with pytest.raises(TypeError, match=r"^vertex index i must be an integer, got '0'$"):
+            separating_effect(square, "0", 1)
+
+    def test_a_bool_or_numpy_index_reads_as_its_integer(self):
+        # True is 1, as in the zoo builders, not a boolean mask over the columns
+        rectangle = make_state_space([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [2.0, 1.0]])
+        for axis in (True, np.int64(1)):
+            values = coordinate_effect(rectangle, axis).vertex_values(rectangle)
+            assert values.tolist() == [0.0, 0.0, 1.0, 1.0]
+        for i in (True, np.int64(1)):
+            expected = coordinate_effect(rectangle, 0).coefficients
+            assert np.array_equal(separating_effect(rectangle, i, 0).coefficients, expected)
 
     def test_coincident_vertices_rejected(self):
         space = core.StateSpace([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])  # no dedup

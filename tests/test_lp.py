@@ -462,6 +462,22 @@ def test_equality_form_without_a_usable_start_is_input_error():
             method(zero_row)
 
 
+@pytest.mark.parametrize("rows, rhs, start, message", [
+    ([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]], [1.0, 1.0], (0, 2),
+     r"start basis \(0, 2\) is singular"),
+    ([[1.0, 0.0, 0.0], [1.0, 1e-13, 0.0]], [1.0, 1.0], (0, 1),
+     r"start basis \(0, 1\) is singular to working precision \(condition number "
+     r"\S+, limit 1e\+11\)"),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [-1.0, 1.0], (0, 1),
+     r"start basis \(0, 1\) is infeasible: its point has -1 on column 0, below -eps_feas"),
+], ids=["singular", "ill-conditioned", "infeasible"])
+def test_a_refused_numpy_start_is_named_in_python_ints(rows, rhs, start, message):
+    # numpy 2 would print the columns as np.int64(0)
+    numpy_start = tuple(np.int64(j) for j in start)
+    with pytest.raises(LpInputError, match=f"^{message}$"):
+        solve_lp(LpProblem([0.0, 0.0, 0.0], rows, rhs, numpy_start))
+
+
 @pytest.mark.parametrize("run, pivots", [(lp._DEGENERATE_RUN, 1), (0, 2)],
                          ids=["dantzig", "bland"])
 def test_bland_enters_the_smallest_improving_index(monkeypatch, run, pivots):
