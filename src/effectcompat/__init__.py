@@ -38,8 +38,6 @@ from .core import (
     dichotomic_observable,
     effect_from_affine,
     effect_from_vertex_values,
-    evaluate,
-    is_observable,
     leq,
     make_state_space,
     observable_diagnostics,
@@ -85,11 +83,9 @@ __all__ = [
     "effect_from_affine",
     "effect_from_vertex_values",
     "eq3_feasible",
-    "evaluate",
     "gbit_square",
     "hypercube",
     "is_compatible",
-    "is_observable",
     "joint_observable",
     "joint_observable_from_witness",
     "leq",

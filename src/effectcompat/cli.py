@@ -287,39 +287,6 @@ def cmd_zoo(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    from .oracle import cross_check  # only this command loads the oracle
-
-    tol, space, e, f, label = _load_pair(args)
-    result = cross_check(space, e, f, tol, resolution=args.resolution)
-    if args.json:
-        payload = {
-            "schema_version": JSON_SCHEMA_VERSION,
-            "model": label,
-            "lp_lambda0": _fmt(result.lp_lambda0),
-            "closed_form": None if result.closed_form is None else _fmt(result.closed_form),
-            "grid_value": _fmt(result.grid.value),
-            "grid_lower_bound": _fmt(result.grid.lower_bound),
-            "grid_step_bound": _fmt(result.grid.step_bound),
-            "grid_box": [_fmt(result.grid.box[0]), _fmt(result.grid.box[1])],
-            "grid_box_expanded": result.grid.box_expanded,
-            "discrepancies": list(result.discrepancies),
-        }
-        _print(json.dumps(payload, indent=2))
-    else:
-        _print(f"lp lambda0: {_fmt_str(result.lp_lambda0)}")
-        if result.closed_form is not None:
-            _print(f"simplex closed form: {_fmt_str(result.closed_form)}")
-        _print(
-            f"grid: value {_fmt_str(result.grid.value)}, lower bound "
-            f"{_fmt_str(result.grid.lower_bound)}, step {_fmt_str(result.grid.step_bound)}"
-        )
-        for issue in result.discrepancies:
-            _print(f"discrepancy: {issue}")
-        _print(f"verdict: {'ok' if result.ok else 'DISCREPANT'}")
-    return EXIT_OK if result.ok else EXIT_SOLVER
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eps-feas", type=float, default=1e-9,
                         help="LP feasibility tolerance (default 1e-9)")
@@ -369,13 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("name")
     p_dump.add_argument("--out", help="output path (default: <name>.json)")
     p_zoo.set_defaults(func=cmd_zoo)
-
-    # verification by effectcompat.oracle, hidden from the subcommand listing
-    p_oracle = sub.add_parser("oracle")
-    _add_pair_arguments(p_oracle)
-    p_oracle.add_argument("--resolution", type=int, default=51)
-    p_oracle.add_argument("--json", action="store_true")
-    p_oracle.set_defaults(func=cmd_oracle)
 
     return parser
 

@@ -64,10 +64,13 @@ def _affine_frame(vertices: np.ndarray):
 
 def _vertex_array(vertices) -> np.ndarray:
     """vertices as a float (k, d) array of its own, k >= 1; ValueError on a
-    ragged list, another shape, or the first vertex that is not finite."""
+    ragged list, another shape, an integer too large for a double, or the
+    first vertex that is not finite."""
     try:
         v = np.array(vertices, dtype=float)
-    except (ValueError, TypeError, OverflowError) as exc:
+    except OverflowError as exc:
+        raise ValueError(f"vertices hold a number too large for a double: {exc}") from None
+    except (ValueError, TypeError) as exc:
         raise ValueError(f"vertices must be a rectangular list of points: {exc}") from None
     if v.ndim != 2 or v.shape[0] < 1:
         raise ValueError(f"vertices must form a nonempty (k, d) array, got shape {v.shape}")
@@ -247,7 +250,12 @@ class Effect:
         return self.coefficients.size - 1
 
     def __call__(self, point) -> float:
-        return evaluate(self, point)
+        p = np.asarray(point, dtype=float).reshape(-1)
+        if p.shape != (self.dimension,):
+            raise ValueError(
+                f"point of dimension {p.shape} does not match effect dimension {self.dimension}"
+            )
+        return float(self.coefficients[0] + self.coefficients[1:] @ p)
 
     def vertex_values(self, space: StateSpace) -> np.ndarray:
         if space.dimension != self.dimension:
@@ -388,15 +396,6 @@ def effect_from_vertex_values(space: StateSpace, values,
     return Effect(coeffs)
 
 
-def evaluate(effect: Effect, point) -> float:
-    p = np.asarray(point, dtype=float).reshape(-1)
-    if p.shape != (effect.dimension,):
-        raise ValueError(
-            f"point of dimension {p.shape} does not match effect dimension {effect.dimension}"
-        )
-    return float(effect.coefficients[0] + effect.coefficients[1:] @ p)
-
-
 def leq(f: Effect, g: Effect, space: StateSpace,
         tol: SolverTolerances = DEFAULT_TOLERANCES) -> bool:
     """Pointwise order f <= g on the polytope, decided on the vertices."""
@@ -441,11 +440,6 @@ def observable_diagnostics(obs: Observable, space: StateSpace,
             f"(max coefficient deviation {dev:.3g})"
         )
     return issues
-
-
-def is_observable(obs: Observable, space: StateSpace,
-                  tol: SolverTolerances = DEFAULT_TOLERANCES) -> bool:
-    return not observable_diagnostics(obs, space, tol)
 
 
 def coordinate_effect(space: StateSpace, axis: int,

@@ -9,8 +9,8 @@ Two routes that share no code with the simplex solver:
   is affine, the closed form lambda0 = max_v max(e, f), the grid's lower bound.
 
 Verification tooling: the library's own computations never consult this
-module, and `import effectcompat` does not load it; the tests and the hidden
-`oracle` CLI command import it from here.
+module, and neither `import effectcompat` nor the CLI loads it; only the
+tests import it.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from effectcompat.compat import (
     random_effect,
     scale_effect,
 )
-from effectcompat.core import is_observable
+from effectcompat.core import observable_diagnostics
 from effectcompat.models import zoo_model
 from effectcompat.oracle import grid_lambda0
 
@@ -171,7 +171,7 @@ def test_criterion_7_joint_observable_contract():
             continue
         checked += 1
         obs, _ = joint_observable(space, e, f)
-        all_valid = all_valid and is_observable(obs, space)
+        all_valid = all_valid and not observable_diagnostics(obs, space)
         margin_e = float(np.max(np.abs(
             obs.effects[0].coefficients + obs.effects[1].coefficients - e.coefficients
         )))

@@ -29,13 +29,13 @@ from effectcompat.core import (
     dichotomic_observable,
     effect_from_affine,
     effect_from_vertex_values,
-    is_observable,
     make_state_space,
+    observable_diagnostics,
     unit_effect,
     zero_effect,
 )
 from effectcompat.lp import SolverFailure
-from effectcompat.models import gbit_square, hypercube, regular_polygon, zoo_model
+from effectcompat.models import gbit_square, hypercube, regular_polygon, simplex, zoo_model
 from effectcompat.tolerances import SolverTolerances
 
 
@@ -198,6 +198,29 @@ class TestComputeLambda0:
                 assert grown[space.name].n_vertices == space.n_vertices + 3
             a, b = compute_lambda0(space, e, f), compute_lambda0(grown[space.name], e, f)
             assert abs(a.lambda0 - b.lambda0) <= 1e-12, space
+
+    @pytest.mark.parametrize("keep_constant", [False, True], ids=["full", "flat"])
+    def test_a_product_with_the_unit_keeps_lambda0(self, keep_constant):
+        # The minimal tensor product has the vertices (1, v) (x) (1, w),
+        # flattened; e (x) u takes the value e(v) there, so the witness
+        # system of (e (x) u, f (x) u) is that of (e, f), one vertex row per
+        # w.  Dropping the constant entry 1 gives a full-dimensional space;
+        # keeping it, a flat one in a hyperplane, on the reduced frame.
+        for a, b in ((regular_polygon(5), gbit_square()), (hypercube(3), regular_polygon(6)),
+                     (regular_polygon(8), simplex(3))):
+            ones = (np.hstack([np.ones((s.n_vertices, 1)), s.vertices]) for s in (a, b))
+            product = np.einsum("ia,jb->ijab", *ones).reshape(a.n_vertices * b.n_vertices, -1)
+            space = make_state_space(product if keep_constant else product[:, 1:])
+            assert (space.hull_basis is not None) is keep_constant
+            unit = np.eye(b.dimension + 1)[0]
+            rng = np.random.default_rng(11)
+            for _ in range(10):
+                e, f = random_effect(a, rng), random_effect(a, rng)
+                e_u, f_u = (np.outer(g.coefficients, unit).ravel() for g in (e, f))
+                if keep_constant:
+                    e_u, f_u = np.append(0.0, e_u), np.append(0.0, f_u)
+                tensored = compute_lambda0(space, Effect(e_u), Effect(f_u))
+                assert abs(tensored.lambda0 - compute_lambda0(a, e, f).lambda0) <= 1e-12
 
     def test_invalid_effect_rejected(self, square):
         with pytest.raises(EffectRangeError):
@@ -514,7 +537,7 @@ class TestSmear:
             a, b = rng.uniform(0.0, 1.0, 2)
             kernel = MarkovKernel2x2(a, b, 1.0 - a, 1.0 - b)
             smeared = smear(dichotomic_observable(e), kernel)
-            assert is_observable(smeared, square)
+            assert not observable_diagnostics(smeared, square)
 
     def test_rejects_non_dichotomic(self, square):
         obs = dichotomic_observable(effect_from_affine(square, [0.4, 0.1, -0.2]))
@@ -538,7 +561,7 @@ class TestJointObservable:
         ]
         for comp, vals in zip(obs.effects, expected):
             assert np.allclose(comp.vertex_values(triangle), vals, atol=1e-12)
-        assert is_observable(obs, triangle)
+        assert not observable_diagnostics(obs, triangle)
         # margins reproduce the two dichotomic observables
         assert np.allclose(
             obs.effects[0].coefficients + obs.effects[1].coefficients,
@@ -578,7 +601,7 @@ class TestJointObservable:
     def test_wrapper_builds_valid_observable(self, triangle, triangle_pair):
         obs, report = joint_observable(triangle, *triangle_pair)
         assert report.compatible
-        assert is_observable(obs, triangle)
+        assert not observable_diagnostics(obs, triangle)
 
     def test_wrapper_rejects_incompatible(self, square, sharp_pair):
         with pytest.raises(IncompatibilityError) as err:
@@ -606,7 +629,7 @@ class TestJointObservable:
         with pytest.raises(ValueError, match="e \\+ f <= g \\+ u"):
             joint_observable_from_witness(space, e, f, report.witness)
         obs, _ = joint_observable(space, e, f)
-        assert is_observable(obs, space)
+        assert not observable_diagnostics(obs, space)
 
 
 class TestMinScalingNoise:
