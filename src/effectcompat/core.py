@@ -252,9 +252,7 @@ class Effect:
     def __call__(self, point) -> float:
         p = np.asarray(point, dtype=float).reshape(-1)
         if p.shape != (self.dimension,):
-            raise ValueError(
-                f"point of dimension {p.shape} does not match effect dimension {self.dimension}"
-            )
+            raise ValueError(f"point has {p.size} coordinates, effect dimension {self.dimension}")
         return float(self.coefficients[0] + self.coefficients[1:] @ p)
 
     def vertex_values(self, space: StateSpace) -> np.ndarray:

@@ -25,13 +25,14 @@ across pairs.  solve_lp and check_feasible pick the method from the form:
   the basis columns, so round-off cannot build up over a long solve.  When
   the reduced costs priced on that inverse show no improving column, they
   are priced once more with multipliers solved afresh on the final basis;
-  if those find one, the pivots resume from a refactored inverse, with the
-  pivot budget, the degenerate-run count and so Bland's rule carried over.
+  if those find one, the pivots resume from a refactored inverse, on the
+  same budget and pricing rule (no count of degenerate pivots is kept).
   The point and the multipliers returned are read out with two fresh
   numpy.linalg.solve calls on the final basis, so the updates never reach
-  them.  Pricing is Dantzig's (most negative reduced cost, smallest index
-  on ties); after _DEGENERATE_RUN degenerate pivots in a row it hands over
-  to Bland's rule until the point moves again, so it cannot cycle.
+  them.  Pricing is Dantzig's (most negative reduced cost, smallest index on
+  ties).  Should that run fail (unbounded, a singular basis or the pivot
+  budget), the solve starts over from the start basis by Bland's rule,
+  which cannot cycle (Bland, Math. Oper. Res. 1977), on a fresh budget.
   Pricing and the update run in numpy, the reduced costs written into one
   buffer that each solve allocates once; the ratio test runs on Python
   floats read out of x and the entering column, since on m entries numpy's
@@ -50,8 +51,8 @@ across pairs.  solve_lp and check_feasible pick the method from the form:
 
 solve_lp returns an optimum or raises SolverFailure naming the cause: an
 infeasible or unbounded problem, an exhausted pivot budget, or a point that
-fails its check.  iterations counts the simplex pivots of the phases that
-ran; on the dense tableau, pivots that drive artificials out of the basis
+fails its check.  iterations counts the simplex pivots of every phase or run
+taken; on the dense tableau, pivots that drive artificials out of the basis
 after phase one are not counted.  Every returned point is checked against
 every row and bound within eps_feas.
 """
@@ -84,20 +85,11 @@ _REVISED_ENTER_EPS = 1e-12
 # within 3e-14 of the identity; the interval bounds it on longer solves.
 _REFACTOR_INTERVAL = 32
 
-# The revised method hands Dantzig pricing over to Bland's rule after this
-# many degenerate pivots in a row (pivots whose step is within the ratio-tie
-# slack of 0), and takes it back after the next pivot that moves the point.
-# The hypercube lambda duals make runs of up to about 30 without cycling: at
-# 10 a hypercube-10 pair took 251 pivots instead of 59, and hypercube-12
-# pairs 138 instead of 70; from 30 up the counts no longer change.
-_DEGENERATE_RUN = 50
-
-# Pivot budget is ITERATION_CAP_FACTOR * (m + n).  Exceeding it raises
-# SolverFailure, as an infeasible or unbounded problem does.  The most
-# measured is 1.98 pivots per row plus column (539, the 256 x 16 dense lambda
-# primal of hypercube-6); the witness duals at k = 256 to 4096 take at most
-# 0.026 (68 pivots on hypercube-12).  At 50, the 9 x 512 lambda dual of
-# hypercube-7 gets 26,050.
+# Pivot budget is ITERATION_CAP_FACTOR * (m + n) per pricing rule, so a
+# Dantzig run that cycles spends all of it before the retry by Bland's rule.
+# The witness duals take at most 0.16 pivots per row plus column (405 on the
+# 82 x 2,500 dual of a four-fold product of polygon-5); the dense tableau has
+# at most 16 rows.  At 50, the 9 x 512 lambda dual of hypercube-7 gets 26,050.
 ITERATION_CAP_FACTOR = 50
 
 
@@ -175,12 +167,12 @@ class _Budget:
         self.used = 0
 
     def spend(self) -> None:
-        self.used += 1
-        if self.used > self.cap:
+        if self.used == self.cap:
             raise SolverFailure(
                 f"pivot budget exhausted ({self.cap} iterations); "
                 "the problem status is undetermined"
             )
+        self.used += 1
 
 
 def _eliminate(T: np.ndarray, column: np.ndarray, row: int) -> None:
@@ -215,11 +207,11 @@ def _run_simplex(T: np.ndarray, basis: list[int], budget: _Budget) -> None:
         if improving.size == 0:
             return
         col = int(improving[0])  # smallest improving index
-        leaving = _ratio_test(T[:m, -1].tolist(), T[:m, col].tolist(), basis, True)
-        if leaving is None:
+        row = _ratio_test(T[:m, -1].tolist(), T[:m, col].tolist(), basis, True)
+        if row is None:
             raise SolverFailure(f"problem is unbounded: no row limits entering column {col}")
         budget.spend()
-        _pivot(T, basis, leaving[0], col)
+        _pivot(T, basis, row, col)
 
 
 def _build_tableau(A: np.ndarray, b: np.ndarray):
@@ -282,10 +274,10 @@ def _solve(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _ratio_test(x: list[float], column: list[float], basis: list[int],
-                bland: bool) -> tuple[int, bool] | None:
+                bland: bool) -> int | None:
     """The leaving row for the entering column d (B^-1 a, or a column of the
-    dense tableau) at the point x, and whether the step is degenerate, on
-    Python floats; None when no entry of d exceeds _PIVOT_EPS (unbounded).
+    dense tableau) at the point x, on Python floats; None when no entry of d
+    exceeds _PIVOT_EPS (unbounded).
 
     The ratios max(x_i, 0) / d_i over d_i > _PIVOT_EPS tie within 1e-12 *
     max(1, least); among the tied rows Dantzig takes the largest pivot, the
@@ -309,7 +301,7 @@ def _ratio_test(x: list[float], column: list[float], basis: list[int],
         if di > _PIVOT_EPS and (0.0 if xi < 0.0 else xi) / di <= bound and (
                 row < 0 or (basis[i] < basis[row] if bland else di > column[row])):
             row = i
-    return row, best <= slack
+    return row
 
 
 def _refactor(T: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list[int]) -> None:
@@ -320,9 +312,11 @@ def _refactor(T: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list[int]) -> 
 
 
 def _revised_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: list[int],
-                     budget: _Budget, start: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Minimize cost . y over A y = b, y >= 0 from a feasible basis, in place;
-    the simplex multipliers of the final basis, or SolverFailure when unbounded.
+                     budget: _Budget, start: tuple[np.ndarray, np.ndarray],
+                     bland: bool) -> np.ndarray:
+    """Minimize cost . y over A y = b, y >= 0 from a feasible basis, in place,
+    by Dantzig pricing or, if bland, Bland's rule throughout; the simplex
+    multipliers of the final basis, or SolverFailure when unbounded.
 
     start is (B^-1, B^-1 b) of the given basis.  The loop keeps
     T = [B^-1 | B^-1 b]: a pivot on row r and entering column a = A[:, col],
@@ -341,7 +335,7 @@ def _revised_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: list
     basic = np.array(basis, dtype=int)  # pricing indexes with it, not with the list
     basic_cost = cost[basic]
     reduced = np.empty(cost.size)  # every pricing round writes into it
-    degenerate = updates = 0
+    updates = 0
     while True:
         basic_cost.dot(inv).dot(A, out=reduced)
         np.subtract(cost, reduced, out=reduced)
@@ -358,15 +352,12 @@ def _revised_simplex(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: list
                 return pi
             _refactor(T, A, b, basis)
             updates = 0
-        bland = degenerate >= _DEGENERATE_RUN
         if bland:
             col = int((reduced < -_REVISED_ENTER_EPS).argmax())  # smallest improving index
         column = inv.dot(A[:, col])
-        leaving = _ratio_test(x.tolist(), column.tolist(), basis, bland)
-        if leaving is None:
+        row = _ratio_test(x.tolist(), column.tolist(), basis, bland)
+        if row is None:
             raise SolverFailure(f"problem is unbounded: no row limits entering column {col}")
-        row, stalled = leaving
-        degenerate = degenerate + 1 if stalled else 0
         budget.spend()
         basis[row] = col
         basic[row] = col
@@ -416,7 +407,12 @@ def _refused(basis: list, reason: str) -> LpInputError:
 def _solve_revised(problem: LpProblem, tol: SolverTolerances) -> LpResult:
     basis, start = _start_basis(problem, tol)
     A, b, cost, budget = problem.rows, problem.rhs, problem.objective, _Budget(problem)
-    pi = _revised_simplex(A, b, cost, basis, budget, start)
+    try:
+        pi = _revised_simplex(A, b, cost, basis, budget, start, False)
+    except SolverFailure:  # Dantzig pricing can cycle, or pivot into a singular basis
+        basis = list(problem.start)
+        budget.cap += budget.used  # a fresh budget, and used counts both runs
+        pi = _revised_simplex(A, b, cost, basis, budget, start, True)
     y = np.zeros(problem.n_variables)
     y[basis] = _solve(A.take(basis, axis=1), b)
     _verify_solution(problem, y, tol.eps_feas)

@@ -205,12 +205,18 @@ class TestComputeLambda0:
         # flattened; e (x) u takes the value e(v) there, so the witness
         # system of (e (x) u, f (x) u) is that of (e, f), one vertex row per
         # w.  Dropping the constant entry 1 gives a full-dimensional space;
-        # keeping it, a flat one in a hyperplane, on the reduced frame.
-        for a, b in ((regular_polygon(5), gbit_square()), (hypercube(3), regular_polygon(6)),
-                     (regular_polygon(8), simplex(3))):
+        # keeping it, a flat one in a hyperplane, on the reduced frame.  The
+        # last b is itself the product gbit (x) gbit, whose unit is u (x) u:
+        # lambda0(e (x) u (x) u, f (x) u (x) u) on a three-fold product.
+        def product(a, b):
             ones = (np.hstack([np.ones((s.n_vertices, 1)), s.vertices]) for s in (a, b))
-            product = np.einsum("ia,jb->ijab", *ones).reshape(a.n_vertices * b.n_vertices, -1)
-            space = make_state_space(product if keep_constant else product[:, 1:])
+            return np.einsum("ia,jb->ijab", *ones).reshape(a.n_vertices * b.n_vertices, -1)
+
+        squares = make_state_space(product(gbit_square(), gbit_square())[:, 1:])
+        for a, b in ((regular_polygon(5), gbit_square()), (hypercube(3), regular_polygon(6)),
+                     (regular_polygon(8), simplex(3)), (regular_polygon(8), squares)):
+            vertices = product(a, b)
+            space = make_state_space(vertices if keep_constant else vertices[:, 1:])
             assert (space.hull_basis is not None) is keep_constant
             unit = np.eye(b.dimension + 1)[0]
             rng = np.random.default_rng(11)

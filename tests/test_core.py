@@ -417,8 +417,8 @@ class TestEvaluate:
         assert zero_effect(3)([0.1, 0.2, 0.3]) == 0.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            unit_effect(2)([1.0])
+        with pytest.raises(ValueError, match=r"^point has 3 coordinates, effect dimension 2$"):
+            Effect([0.5, 0.5, 0.0])([1.0, 2.0, 3.0])
 
     def test_affinity(self, square):
         rng = np.random.default_rng(3)

@@ -430,13 +430,12 @@ def _clustered_cloud(seed):
 
 
 # The clouds of seeds 0-299 whose load raised SolverFailure in the hull LP of
-# the retired redundancy scan, and the (seed, pair index) of the lambda duals
-# on them that still fail (ROADMAP item 10A): unbounded, a singular 7 x 7
-# basis and the pivot budget.
+# the retired redundancy scan.  Pairs 0 and 4 on seed 242 and pair 4 on seed
+# 261 fail by Dantzig pricing (unbounded, a singular 7 x 7 basis and the
+# pivot budget) and are solved by the retry with Bland's rule.
 _CLUSTERED_SEEDS = (2, 11, 12, 16, 22, 24, 25, 26, 34, 39, 53, 58, 88, 90, 111, 113, 116,
                     142, 149, 151, 162, 164, 168, 171, 177, 187, 214, 230, 233, 239, 241,
                     242, 245, 258, 261, 266, 270, 279, 291, 295)
-_CLUSTERED_DUAL_FAILURES = [(242, 0), (242, 4), (261, 4)]
 
 
 def _clustered_pairs(seed):
@@ -463,23 +462,37 @@ def test_clustered_clouds_agree_with_highs():
         space, pairs = _clustered_pairs(seed)
         m = reference.vertex_matrix(space.vertices)
         for index, (e, f) in enumerate(pairs):
-            if (seed, index) in _CLUSTERED_DUAL_FAILURES:
-                continue
             report = compat.compute_lambda0(space, e, f)
             expected = reference.lambda0(m, m @ e.coefficients, m @ f.coefficients, 1e-10)
             assert abs(report.lambda0 - expected) <= 1e-12, (seed, index)
             assert _witness_violation(space, e, f, report) <= EPS_FEAS, (seed, index)
             solved += 1
-    assert solved == 5 * len(_CLUSTERED_SEEDS) - len(_CLUSTERED_DUAL_FAILURES)
+    assert solved == 5 * len(_CLUSTERED_SEEDS)
 
 
-@pytest.mark.xfail(strict=True, raises=SolverFailure,
-                   reason="ROADMAP item 10A: the lambda dual fails late on clustered clouds")
-@pytest.mark.parametrize("seed, index", _CLUSTERED_DUAL_FAILURES,
-                         ids=["242-0", "242-4", "261-4"])
-def test_lambda_dual_on_a_clustered_cloud(seed, index):
-    space, pairs = _clustered_pairs(seed)
-    compat.compute_lambda0(space, *pairs[index])
+def _minimal_product(a, b):
+    """The vertices (1, v) (x) (1, w) of the minimal tensor product of two
+    vertex arrays, flattened, with the constant entry dropped."""
+    ones = [np.hstack([np.ones((len(v), 1)), v]) for v in (a, b)]
+    return np.einsum("ia,jb->ijab", *ones).reshape(len(a) * len(b), -1)[:, 1:]
+
+
+@pytest.mark.parametrize("index", [13, 17, 18])
+def test_composite_pairs_solve_by_dantzig_pricing(index):
+    # polygon-8 (x) polygon-8 (x) polygon-8, 512 vertices in R^26: these
+    # pairs ended in SolverFailure after thousands of pivots while Bland's
+    # rule took over from Dantzig pricing after a run of degenerate pivots.
+    pytest.importorskip("scipy")
+    from perfbench import reference
+
+    polygon = regular_polygon(8).vertices
+    space = make_state_space(_minimal_product(_minimal_product(polygon, polygon), polygon))
+    e, f = _pairs(space, 7, index + 1)[index]
+    report = compat.compute_lambda0(space, e, f)
+    m = reference.vertex_matrix(space.vertices)
+    expected = reference.lambda0(m, m @ e.coefficients, m @ f.coefficients, 1e-10)
+    assert abs(report.lambda0 - expected) <= 1e-12
+    assert report.lp_iterations <= 1000
 
 
 def test_pivot_budget_of_the_hypercube_7_lambda_dual(monkeypatch):

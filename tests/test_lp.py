@@ -321,9 +321,15 @@ def _outcome(prob):
         return exc
 
 
-@pytest.mark.parametrize("run", [lp._DEGENERATE_RUN, 0], ids=["dantzig", "bland"])
-def test_revised_method_matches_the_dense_tableau(monkeypatch, run):
-    monkeypatch.setattr(lp, "_DEGENERATE_RUN", run)
+def _force_rule(monkeypatch, bland):
+    """Run the revised method by one pricing rule only, on the retry too."""
+    revised = lp._revised_simplex
+    monkeypatch.setattr(lp, "_revised_simplex", lambda *args: revised(*args[:-1], bland))
+
+
+@pytest.mark.parametrize("bland", [False, True], ids=["dantzig", "bland"])
+def test_revised_method_matches_the_dense_tableau(monkeypatch, bland):
+    _force_rule(monkeypatch, bland)
     unbounded = 0
     for prob in _equality_problems():
         res = _outcome(prob)
@@ -384,21 +390,24 @@ def test_start_basis_gives_the_same_status_and_value():
     assert min(kinds.values()) >= 5, kinds
 
 
-def _reference_ratio_test(x, column, basis, bland):
-    """The ratio test as numpy expressions over the whole column: the leaving
-    row and whether the step is degenerate, or None when unbounded."""
+def _ratios(x, column):
+    """max(x_i, 0) / d_i over d_i > _PIVOT_EPS, inf elsewhere, and the tie
+    slack of the least of them."""
     ratios = np.divide(np.maximum(x, 0.0), column, out=np.full(x.size, np.inf),
                        where=column > lp._PIVOT_EPS)
-    best = ratios.min()
-    if best == np.inf:
+    return ratios, 1e-12 * max(1.0, ratios.min())
+
+
+def _reference_ratio_test(x, column, basis, bland):
+    """The ratio test as numpy expressions over the whole column: the leaving
+    row, or None when unbounded."""
+    ratios, slack = _ratios(x, column)
+    if ratios.min() == np.inf:
         return None
-    slack = 1e-12 * max(1.0, best)
-    tied = ratios <= best + slack
+    tied = ratios <= ratios.min() + slack
     if bland:
-        row = int(min(np.flatnonzero(tied), key=lambda i: basis[i]))
-    else:
-        row = int(np.argmax(np.where(tied, column, -np.inf)))
-    return row, bool(best <= slack)
+        return int(min(np.flatnonzero(tied), key=lambda i: basis[i]))
+    return int(np.argmax(np.where(tied, column, -np.inf)))
 
 
 def _ratio_test_cases():
@@ -442,10 +451,9 @@ def test_ratio_test_matches_the_numpy_expressions(bland):
         if expected is None:
             seen["unbounded"] += 1
             continue
-        seen["degenerate" if expected[1] else "moving"] += 1
-        ratios = np.divide(np.maximum(x, 0.0), column, out=np.full(x.size, np.inf),
-                           where=column > lp._PIVOT_EPS)
-        tied = np.flatnonzero(ratios <= ratios.min() + 1e-12 * max(1.0, ratios.min()))
+        ratios, slack = _ratios(x, column)
+        seen["degenerate" if ratios.min() <= slack else "moving"] += 1
+        tied = np.flatnonzero(ratios <= ratios.min() + slack)
         if tied.size > 1:
             seen["tie"] += 1
             seen["largest pivot not first"] += bool(column[tied].argmax() > 0)
@@ -478,14 +486,31 @@ def test_a_refused_numpy_start_is_named_in_python_ints(rows, rhs, start, message
         solve_lp(LpProblem([0.0, 0.0, 0.0], rows, rhs, numpy_start))
 
 
-@pytest.mark.parametrize("run, pivots", [(lp._DEGENERATE_RUN, 1), (0, 2)],
-                         ids=["dantzig", "bland"])
-def test_bland_enters_the_smallest_improving_index(monkeypatch, run, pivots):
+@pytest.mark.parametrize("bland, pivots", [(False, 1), (True, 2)], ids=["dantzig", "bland"])
+def test_bland_enters_the_smallest_improving_index(monkeypatch, bland, pivots):
     # From the slack basis, Dantzig enters y1 (reduced cost -10) and stops;
     # Bland enters y0 first and needs a second pivot for y1.
-    monkeypatch.setattr(lp, "_DEGENERATE_RUN", run)
+    _force_rule(monkeypatch, bland)
     res = solve_lp(LpProblem([-1.0, -10.0, 0.0], [[1.0, 1.0, 1.0]], [1.0], (2,)))
     assert (res.value, res.iterations) == (-10.0, pivots)
+
+
+def test_a_dantzig_cycle_ends_in_the_retry_by_blands_rule():
+    # Kuhn's cycling example in equality form, a slack on each row, from the
+    # slack basis: Dantzig pricing, largest pivot on ties, cycles through
+    # degenerate pivots until the budget runs out, which is why solve_lp
+    # solves once more by Bland's rule.  That retry reaches the optimum -2
+    # in 2 pivots, and iterations counts the pivots of both runs.
+    rows = np.hstack([[[-2.0, -9.0, 1.0, 9.0], [1 / 3, 1.0, -1 / 3, -2.0],
+                       [2.0, 3.0, -1.0, -12.0]], np.eye(3)])
+    problem = LpProblem([-2.0, -3.0, 1.0, 12.0, 0.0, 0.0, 0.0], rows, [0.0, 0.0, 2.0], (4, 5, 6))
+    basis, start = lp._start_basis(problem, lp.DEFAULT_TOLERANCES)
+    budget = lp._Budget(problem)
+    with pytest.raises(SolverFailure, match="pivot budget exhausted"):
+        lp._revised_simplex(problem.rows, problem.rhs, problem.objective, basis, budget, start,
+                            bland=False)
+    res = solve_lp(problem)
+    assert (res.value, res.iterations) == (-2.0, budget.cap + 2)
 
 
 def test_exit_is_priced_on_fresh_multipliers(monkeypatch):
